@@ -83,8 +83,10 @@ const (
 type BatchCall = obj.BatchCall
 
 // Batcher executes a group of pre-resolved calls in one protection
-// crossing; the cross-domain proxy implements it. Custom Invoker
-// implementations can supply their own via NewBatchableHandle.
+// crossing; the cross-domain proxy implements it. DispatchBatch
+// receives the group with the BatchMode that formed it, and the proxy
+// carries a single call the same way, as a batch of one. Custom
+// Invoker implementations can supply their own via NewBatchableHandle.
 type Batcher = obj.Batcher
 
 // Instance is anything that can be registered in, and bound from, the

@@ -65,7 +65,7 @@ func P5BatchSweep() Table {
 			fmt.Sprintf("%.0f%%", 100*fixed/float64(size)/perInv))
 	}
 	t.Notes = append(t.Notes,
-		"deterministic virtual cycles (single-threaded sweep); one trap + one ctx-switch pair per batch, OpBatchEntry per entry",
+		"deterministic virtual cycles (single-threaded sweep); one trap + one ctx-switch pair per batch, OpBatchEntry per entry of a batch of 2 or more",
 		"break-even: a batch of 2 already halves the crossing overhead; see README \"Performance\"")
 	return t
 }

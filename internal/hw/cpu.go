@@ -44,14 +44,17 @@ func (c *CPU) Store(ctx mmu.ContextID, va mmu.VAddr, buf []byte) error {
 
 // Touch performs a zero-length access on this CPU; see Machine.Touch.
 func (c *CPU) Touch(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access) error {
-	return c.TouchTagged(ctx, va, access, 0)
+	return faultErr(c.m.translateWithFaults(c.id, ctx, va, access, 0))
 }
 
-// TouchTagged is Touch with a caller-supplied token; see
-// Machine.TouchTagged.
-func (c *CPU) TouchTagged(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, token uint64) error {
-	_, err := c.m.translateWithFaults(c.id, ctx, va, access, token)
-	return err
+// TouchTagged is Touch with a caller-supplied token (see
+// Machine.TouchTagged) that reports the fault the access left
+// unresolved by value, Kind FaultNone when it translated. It never
+// allocates: the cross-domain proxy touches its entry slots through
+// it, and its own fault handler has already consumed the fault.
+func (c *CPU) TouchTagged(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, token uint64) mmu.Fault {
+	_, f, _ := c.m.translateWithFaults(c.id, ctx, va, access, token)
+	return f
 }
 
 // Stats reports the traps and interrupts delivered to this CPU.

@@ -147,8 +147,8 @@ func TestStoreToUnmappedFaults(t *testing.T) {
 	m := newTestMachine()
 	ctx := m.MMU.NewContext()
 	err := m.Store(ctx, 0x2000, []byte{1})
-	var f *mmu.Fault
-	if !errors.As(err, &f) {
+	f, ok := errors.Unwrap(err).(*mmu.Fault)
+	if !ok {
 		t.Fatalf("err = %v, want *mmu.Fault", err)
 	}
 	if f.Kind != mmu.FaultNoMapping {
@@ -191,8 +191,7 @@ func TestPageFaultHandlerDeclines(t *testing.T) {
 	ctx := m.MMU.NewContext()
 	m.SetTrapHandler(TrapPageFault, func(*TrapFrame) bool { return false })
 	err := m.Load(ctx, 0x1000, make([]byte, 1))
-	var f *mmu.Fault
-	if !errors.As(err, &f) {
+	if _, ok := err.(*mmu.Fault); !ok {
 		t.Fatalf("err = %v, want the fault", err)
 	}
 }

@@ -66,8 +66,8 @@ type TrapFrame struct {
 	Ctx    mmu.ContextID
 	Addr   mmu.VAddr // faulting address, if any
 	Access mmu.Access
-	Fault  *mmu.Fault // populated for page-fault traps
-	Arg    uint64     // syscall number or device-specific argument
+	Fault  mmu.Fault // populated for page-fault traps
+	Arg    uint64    // syscall number or device-specific argument
 	// Token is a caller-supplied tag threaded from TouchTagged through
 	// to the fault handler. Reentrant handlers (the cross-domain proxy)
 	// key per-call state on it so concurrent faults on one page find
@@ -337,10 +337,10 @@ func (m *Machine) Touch(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access) erro
 // with AccessExec on interface entry slots: the token keys the call
 // frame, so any number of concurrent calls through the same entry page
 // each reach their own arguments and results. It runs on the boot CPU;
-// CPU.TouchTagged is the per-CPU form.
+// CPU.TouchTagged is the per-CPU form, which reports the fault by
+// value.
 func (m *Machine) TouchTagged(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, token uint64) error {
-	_, err := m.translateWithFaults(mmu.BootCPU, ctx, va, access, token)
-	return err
+	return faultErr(m.translateWithFaults(mmu.BootCPU, ctx, va, access, token))
 }
 
 // LoadOn reads len(buf) bytes of simulated memory at va in context ctx
@@ -366,8 +366,7 @@ func (m *Machine) TouchOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, access
 // TouchTaggedOn is TouchOn with a caller-supplied token delivered in
 // the trap frame of any resulting page fault; see Machine.TouchTagged.
 func (m *Machine) TouchTaggedOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, token uint64) error {
-	_, err := m.translateWithFaults(cpu, ctx, va, access, token)
-	return err
+	return faultErr(m.translateWithFaults(cpu, ctx, va, access, token))
 }
 
 // accessOn moves buf through the MMU page by page on one CPU: the
@@ -376,9 +375,9 @@ func (m *Machine) TouchTaggedOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, 
 //paramecium:hotpath
 func (m *Machine) accessOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, buf []byte, kind mmu.Access) error {
 	for len(buf) > 0 {
-		pa, err := m.translateWithFaults(cpu, ctx, va, kind, 0)
-		if err != nil {
-			return err
+		pa, f, cause := m.translateWithFaults(cpu, ctx, va, kind, 0)
+		if f.Kind != mmu.FaultNone {
+			return faultErr(pa, f, cause)
 		}
 		n := mmu.PageSize - int(va.Offset())
 		if n > len(buf) {
@@ -391,6 +390,7 @@ func (m *Machine) accessOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, buf [
 		if m.topo != nil {
 			m.chargeRemote(cpu, ctx, pa)
 		}
+		var err error
 		if kind == mmu.AccessWrite {
 			err = m.Phys.Write(pa, buf[:n])
 		} else {
@@ -415,24 +415,32 @@ func (m *Machine) accessOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, buf [
 // fresh and never pooled).
 var trapFramePool = sync.Pool{New: func() any { return new(TrapFrame) }}
 
+// Delivery failures of a page fault, reported ahead of the fault.
+var (
+	errFaultUnhandled = errors.New("hw: unhandled page fault")
+	errFaultPersists  = errors.New("hw: fault persists after handler")
+)
+
 // translateWithFaults translates va on one CPU, delivering a
 // page-fault trap on failure and retrying once if the handler reports
 // the fault resolved. The trap frame carries the CPU, so the handler's
 // own crossings and TLB traffic charge against the faulting CPU.
-func (m *Machine) translateWithFaults(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, kind mmu.Access, token uint64) (mmu.PAddr, error) {
+//
+// The fault travels by value: it is returned with Kind FaultNone on
+// success, or as the fault that stopped the access, with cause set
+// when delivery itself failed (no handler, or a handler that claimed a
+// resolution it did not make). Nothing here allocates; only the
+// error-returning access forms box the fault, through faultErr.
+func (m *Machine) translateWithFaults(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, kind mmu.Access, token uint64) (pa mmu.PAddr, f mmu.Fault, cause error) {
 	for attempt := 0; ; attempt++ {
-		pa, err := m.MMU.TranslateOn(cpu, ctx, va, kind)
-		if err == nil {
-			return pa, nil
-		}
-		var f *mmu.Fault
-		if !errors.As(err, &f) {
-			return 0, err
+		pa, f = m.MMU.TranslateOn(cpu, ctx, va, kind)
+		if f.Kind == mmu.FaultNone {
+			return pa, f, nil
 		}
 		if attempt > 0 {
 			// The handler claimed resolution but the fault persists:
 			// report it rather than spinning.
-			return 0, fmt.Errorf("hw: fault persists after handler: %w", f)
+			return 0, f, errFaultPersists
 		}
 		m.Meter.ChargeFor(uint32(ctx), clock.OpPageFault)
 		if probe.Enabled() {
@@ -452,12 +460,27 @@ func (m *Machine) translateWithFaults(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.V
 		*frame = TrapFrame{}
 		trapFramePool.Put(frame)
 		if herr != nil {
-			return 0, fmt.Errorf("hw: unhandled page fault: %w", f)
+			return 0, f, errFaultUnhandled
 		}
 		if !resolved {
-			return 0, f
+			return 0, f, nil
 		}
 	}
+}
+
+// faultErr is the error form of a translateWithFaults outcome: nil on
+// success, else the fault boxed as a *mmu.Fault, prefixed by its
+// delivery cause when there is one. Boxing lives here, out of the
+// translate loop: taking the address of the loop's fault would make it
+// escape, and every access would pay a heap allocation.
+func faultErr(_ mmu.PAddr, f mmu.Fault, cause error) error {
+	if f.Kind == mmu.FaultNone {
+		return nil
+	}
+	if cause != nil {
+		return fmt.Errorf("%v: %w", cause, &f)
+	}
+	return &f
 }
 
 // Syscall raises the syscall trap with the given argument, modelling a

@@ -25,13 +25,13 @@ func TestPerCPUTLBIsolation(t *testing.T) {
 	}
 	// CPU 0: miss then hit.
 	for i := 0; i < 2; i++ {
-		if _, err := m.TranslateOn(0, ctx, 0x4000, AccessRead); err != nil {
-			t.Fatal(err)
+		if _, flt := m.TranslateOn(0, ctx, 0x4000, AccessRead); flt.Kind != FaultNone {
+			t.Fatal(flt.Kind)
 		}
 	}
 	// CPU 1: one cold miss of its own — CPU 0's refill is invisible.
-	if _, err := m.TranslateOn(1, ctx, 0x4000, AccessRead); err != nil {
-		t.Fatal(err)
+	if _, flt := m.TranslateOn(1, ctx, 0x4000, AccessRead); flt.Kind != FaultNone {
+		t.Fatal(flt.Kind)
 	}
 	s0, s1 := m.TLBStatsOn(0), m.TLBStatsOn(1)
 	if s0.Hits != 1 || s0.Misses != 1 {
@@ -45,8 +45,8 @@ func TestPerCPUTLBIsolation(t *testing.T) {
 	if s := m.TLBStatsOn(1); s.Flushes != 1 || s.Entries != 0 {
 		t.Fatalf("CPU1 after flush = %+v", s)
 	}
-	if _, err := m.TranslateOn(0, ctx, 0x4000, AccessRead); err != nil {
-		t.Fatal(err)
+	if _, flt := m.TranslateOn(0, ctx, 0x4000, AccessRead); flt.Kind != FaultNone {
+		t.Fatal(flt.Kind)
 	}
 	if s := m.TLBStatsOn(0); s.Hits != 2 || s.Flushes != 0 {
 		t.Fatalf("CPU0 after CPU1 flush = %+v, want 2 hits / 0 flushes", s)
@@ -97,8 +97,8 @@ func TestSwitchFlushesOnlyThatCPU(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cpu := CPUID(0); cpu < 2; cpu++ {
-		if _, err := m.TranslateOn(cpu, ctx, 0x1000, AccessRead); err != nil {
-			t.Fatal(err)
+		if _, flt := m.TranslateOn(cpu, ctx, 0x1000, AccessRead); flt.Kind != FaultNone {
+			t.Fatal(flt.Kind)
 		}
 	}
 	if err := m.SwitchOn(0, ctx); err != nil {
@@ -145,8 +145,8 @@ func TestShardedTranslationParallel(t *testing.T) {
 				ctx = ctxB
 			}
 			for i := 0; i < iters; i++ {
-				if _, err := m.TranslateOn(cpu, ctx, 0x2000, AccessRead); err != nil {
-					t.Errorf("CPU %d: %v", cpu, err)
+				if _, flt := m.TranslateOn(cpu, ctx, 0x2000, AccessRead); flt.Kind != FaultNone {
+					t.Errorf("CPU %d: %v", cpu, flt.Kind)
 					return
 				}
 			}
@@ -178,15 +178,15 @@ func TestUnmapShootsDownEveryCPU(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cpu := CPUID(0); cpu < 2; cpu++ {
-		if _, err := m.TranslateOn(cpu, ctx, 0x3000, AccessRead); err != nil {
-			t.Fatal(err)
+		if _, flt := m.TranslateOn(cpu, ctx, 0x3000, AccessRead); flt.Kind != FaultNone {
+			t.Fatal(flt.Kind)
 		}
 	}
 	if err := m.Unmap(ctx, 0x3000); err != nil {
 		t.Fatal(err)
 	}
 	for cpu := CPUID(0); cpu < 2; cpu++ {
-		if _, err := m.TranslateOn(cpu, ctx, 0x3000, AccessRead); err == nil {
+		if _, flt := m.TranslateOn(cpu, ctx, 0x3000, AccessRead); flt.Kind == FaultNone {
 			t.Fatalf("CPU %d still translates an unmapped page", cpu)
 		}
 	}

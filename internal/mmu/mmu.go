@@ -137,14 +137,25 @@ func (k FaultKind) String() string {
 	return fmt.Sprintf("fault(%d)", uint8(k))
 }
 
-// Fault describes a failed translation. It implements error so the MMU
-// can return it directly from Translate.
+// Fault describes the outcome of a translation: Kind FaultNone when it
+// succeeded, the failure otherwise. TranslateOn returns it by value;
+// *Fault implements error for the access paths that report it as one.
+//
+// The faulting location is nested in an embedded struct (its Ctx and
+// Addr fields are promoted) so that a Fault has four fields, the most
+// the compiler keeps in registers: every translation returns one, and
+// the success path then costs no round trip through memory.
 type Fault struct {
 	Kind    FaultKind
-	Ctx     ContextID
-	Addr    VAddr
 	Access  Access
 	Present Perm // permissions of the PTE, if one was present
+	site
+}
+
+// site is where an access faulted: its context and address.
+type site struct {
+	Ctx  ContextID
+	Addr VAddr
 }
 
 // Error implements the error interface.
@@ -542,7 +553,7 @@ func (m *MMU) ProtectOn(initiator CPUID, id ContextID, va VAddr, perm Perm) erro
 	}
 	pte, ok := pt.entries[va.VPN()]
 	if !ok || !pte.Valid {
-		return &Fault{Kind: FaultNoMapping, Ctx: id, Addr: va}
+		return &Fault{Kind: FaultNoMapping, site: site{id, va}}
 	}
 	pte.Perm = perm
 	pt.entries[va.VPN()] = pte
@@ -604,29 +615,21 @@ func (m *MMU) Lookup(id ContextID, va VAddr) (PTE, bool) {
 	return pte, ok && pte.Valid
 }
 
-// Translate resolves va in context id on the boot CPU.
-func (m *MMU) Translate(id ContextID, va VAddr, access Access) (PAddr, error) {
-	return m.TranslateOn(BootCPU, id, va, access)
-}
-
-// TranslateCurrent resolves va in the boot CPU's active context.
-func (m *MMU) TranslateCurrent(va VAddr, access Access) (PAddr, error) {
-	return m.TranslateOn(BootCPU, ContextID(m.cpu(BootCPU).current.Load()), va, access)
-}
-
 // TranslateOn resolves va in context id for the given access kind on
-// one CPU, charging TLB and page-table costs against that CPU's TLB. On
-// failure it returns a *Fault. Translation is sharded: a hit touches
+// one CPU, charging TLB and page-table costs against that CPU's TLB. The
+// fault comes back by value, with Kind FaultNone on success, so a
+// translation allocates nothing whether or not it faults; callers that
+// want an error box it themselves. Translation is sharded: a hit touches
 // only the CPU's own TLB, and a miss walks the context's page table
 // under that context's lock — translations in unrelated contexts, or
 // on distinct CPUs, never serialize on a global mutex.
 //
 //paramecium:hotpath
-func (m *MMU) TranslateOn(cpu CPUID, id ContextID, va VAddr, access Access) (PAddr, error) {
+func (m *MMU) TranslateOn(cpu CPUID, id ContextID, va VAddr, access Access) (PAddr, Fault) {
 	c := m.cpu(cpu)
 	pt, ok := m.pageTableOf(id)
 	if !ok {
-		return 0, &Fault{Kind: FaultBadContext, Ctx: id, Addr: va, Access: access}
+		return 0, Fault{Kind: FaultBadContext, Access: access, site: site{id, va}}
 	}
 	vpn := va.VPN()
 	c.mu.Lock()
@@ -634,9 +637,9 @@ func (m *MMU) TranslateOn(cpu CPUID, id ContextID, va VAddr, access Access) (PAd
 		frame, perm := e.frame, e.perm
 		c.mu.Unlock()
 		if !perm.Has(access.perm()) {
-			return 0, &Fault{Kind: FaultProtection, Ctx: id, Addr: va, Access: access, Present: perm}
+			return 0, Fault{Kind: FaultProtection, Access: access, Present: perm, site: site{id, va}}
 		}
-		return PAddr(frame<<PageShift | va.Offset()), nil
+		return PAddr(frame<<PageShift | va.Offset()), Fault{}
 	}
 	c.mu.Unlock()
 	// TLB miss: hardware walk of the page table. The refill is inserted
@@ -650,22 +653,22 @@ func (m *MMU) TranslateOn(cpu CPUID, id ContextID, va VAddr, access Access) (PAd
 	pt.mu.RLock()
 	if pt.dead {
 		pt.mu.RUnlock()
-		return 0, &Fault{Kind: FaultBadContext, Ctx: id, Addr: va, Access: access}
+		return 0, Fault{Kind: FaultBadContext, Access: access, site: site{id, va}}
 	}
 	pte, ok := pt.entries[vpn]
 	if !ok || !pte.Valid {
 		pt.mu.RUnlock()
-		return 0, &Fault{Kind: FaultNoMapping, Ctx: id, Addr: va, Access: access}
+		return 0, Fault{Kind: FaultNoMapping, Access: access, site: site{id, va}}
 	}
 	if !pte.Perm.Has(access.perm()) {
 		pt.mu.RUnlock()
-		return 0, &Fault{Kind: FaultProtection, Ctx: id, Addr: va, Access: access, Present: pte.Perm}
+		return 0, Fault{Kind: FaultProtection, Access: access, Present: pte.Perm, site: site{id, va}}
 	}
 	c.mu.Lock()
 	c.tlb.insert(id, vpn, pte.Frame, pte.Perm)
 	c.mu.Unlock()
 	pt.mu.RUnlock()
-	return PAddr(pte.Frame<<PageShift | va.Offset()), nil
+	return PAddr(pte.Frame<<PageShift | va.Offset()), Fault{}
 }
 
 // FlushTLB empties every CPU's TLB, charging one flush per CPU.

@@ -73,13 +73,13 @@ func TestMapTranslateRoundTrip(t *testing.T) {
 	if err := m.Map(ctx, 0x4000, 7, PermRead|PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	pa, err := m.Translate(ctx, 0x4123, AccessRead)
-	if err != nil {
-		t.Fatal(err)
+	pa, flt := m.TranslateOn(BootCPU, ctx, 0x4123, AccessRead)
+	if flt.Kind != FaultNone {
+		t.Fatal(flt.Kind)
 	}
 	want := PAddr(7<<PageShift | 0x123)
 	if pa != want {
-		t.Fatalf("Translate = %#x, want %#x", pa, want)
+		t.Fatalf("TranslateOn = %#x, want %#x", pa, want)
 	}
 }
 
@@ -87,26 +87,25 @@ func TestTranslateFaults(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
 
-	_, err := m.Translate(ctx, 0x9000, AccessRead)
-	var f *Fault
-	if !errors.As(err, &f) || f.Kind != FaultNoMapping {
-		t.Fatalf("unmapped page: err = %v, want FaultNoMapping", err)
+	_, f := m.TranslateOn(BootCPU, ctx, 0x9000, AccessRead)
+	if f.Kind != FaultNoMapping {
+		t.Fatalf("unmapped page: fault = %v, want FaultNoMapping", f.Kind)
 	}
 
 	if err := m.Map(ctx, 0x9000, 1, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.Translate(ctx, 0x9000, AccessWrite)
-	if !errors.As(err, &f) || f.Kind != FaultProtection {
-		t.Fatalf("write to read-only: err = %v, want FaultProtection", err)
+	_, f = m.TranslateOn(BootCPU, ctx, 0x9000, AccessWrite)
+	if f.Kind != FaultProtection {
+		t.Fatalf("write to read-only: fault = %v, want FaultProtection", f.Kind)
 	}
 	if f.Present != PermRead {
 		t.Fatalf("fault Present = %v, want r--", f.Present)
 	}
 
-	_, err = m.Translate(ContextID(999), 0x9000, AccessRead)
-	if !errors.As(err, &f) || f.Kind != FaultBadContext {
-		t.Fatalf("bad context: err = %v, want FaultBadContext", err)
+	_, f = m.TranslateOn(BootCPU, ContextID(999), 0x9000, AccessRead)
+	if f.Kind != FaultBadContext {
+		t.Fatalf("bad context: fault = %v, want FaultBadContext", f.Kind)
 	}
 	if f.Error() == "" {
 		t.Fatal("fault error string empty")
@@ -122,13 +121,11 @@ func TestProtectionFaultFromTLBHit(t *testing.T) {
 	if err := m.Map(ctx, 0x2000, 3, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x2000, AccessRead); err != nil {
-		t.Fatal(err) // loads the TLB
+	if _, flt := m.TranslateOn(BootCPU, ctx, 0x2000, AccessRead); flt.Kind != FaultNone {
+		t.Fatal(flt.Kind) // loads the TLB
 	}
-	_, err := m.Translate(ctx, 0x2000, AccessWrite)
-	var f *Fault
-	if !errors.As(err, &f) || f.Kind != FaultProtection {
-		t.Fatalf("err = %v, want FaultProtection on TLB hit", err)
+	if _, flt := m.TranslateOn(BootCPU, ctx, 0x2000, AccessWrite); flt.Kind != FaultProtection {
+		t.Fatalf("fault = %v, want FaultProtection on TLB hit", flt.Kind)
 	}
 }
 
@@ -138,13 +135,13 @@ func TestExecPermission(t *testing.T) {
 	if err := m.Map(ctx, 0x1000, 2, PermRead|PermExec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x1000, AccessExec); err != nil {
-		t.Fatalf("exec on r-x page: %v", err)
+	if _, flt := m.TranslateOn(BootCPU, ctx, 0x1000, AccessExec); flt.Kind != FaultNone {
+		t.Fatalf("exec on r-x page: %v", flt.Kind)
 	}
 	if err := m.Protect(ctx, 0x1000, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x1000, AccessExec); err == nil {
+	if _, flt := m.TranslateOn(BootCPU, ctx, 0x1000, AccessExec); flt.Kind == FaultNone {
 		t.Fatal("exec allowed after Protect removed PermExec")
 	}
 }
@@ -155,13 +152,13 @@ func TestUnmap(t *testing.T) {
 	if err := m.Map(ctx, 0x3000, 4, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x3000, AccessRead); err != nil {
-		t.Fatal(err)
+	if _, flt := m.TranslateOn(BootCPU, ctx, 0x3000, AccessRead); flt.Kind != FaultNone {
+		t.Fatal(flt.Kind)
 	}
 	if err := m.Unmap(ctx, 0x3000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x3000, AccessRead); err == nil {
+	if _, flt := m.TranslateOn(BootCPU, ctx, 0x3000, AccessRead); flt.Kind == FaultNone {
 		t.Fatal("translate succeeded after Unmap (stale TLB entry?)")
 	}
 }
@@ -172,13 +169,13 @@ func TestProtectInvalidatesTLB(t *testing.T) {
 	if err := m.Map(ctx, 0x5000, 5, PermRead|PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x5000, AccessWrite); err != nil {
-		t.Fatal(err)
+	if _, flt := m.TranslateOn(BootCPU, ctx, 0x5000, AccessWrite); flt.Kind != FaultNone {
+		t.Fatal(flt.Kind)
 	}
 	if err := m.Protect(ctx, 0x5000, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x5000, AccessWrite); err == nil {
+	if _, flt := m.TranslateOn(BootCPU, ctx, 0x5000, AccessWrite); flt.Kind == FaultNone {
 		t.Fatal("write allowed after Protect downgraded the page")
 	}
 }
@@ -225,8 +222,8 @@ func TestFlushOnSwitchConfig(t *testing.T) {
 	if err := m.Map(KernelContext, 0x1000, 1, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(KernelContext, 0x1000, AccessRead); err != nil {
-		t.Fatal(err)
+	if _, flt := m.TranslateOn(BootCPU, KernelContext, 0x1000, AccessRead); flt.Kind != FaultNone {
+		t.Fatal(flt.Kind)
 	}
 	missesBefore := meter.Count(clock.OpTLBMiss)
 	if err := m.Switch(ctx); err != nil {
@@ -235,8 +232,8 @@ func TestFlushOnSwitchConfig(t *testing.T) {
 	if err := m.Switch(KernelContext); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(KernelContext, 0x1000, AccessRead); err != nil {
-		t.Fatal(err)
+	if _, flt := m.TranslateOn(BootCPU, KernelContext, 0x1000, AccessRead); flt.Kind != FaultNone {
+		t.Fatal(flt.Kind)
 	}
 	if meter.Count(clock.OpTLBMiss) != missesBefore+1 {
 		t.Fatal("expected TLB miss after flush-on-switch round trip")
@@ -249,8 +246,8 @@ func TestASIDTaggedTLBSurvivesSwitch(t *testing.T) {
 	if err := m.Map(KernelContext, 0x1000, 1, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(KernelContext, 0x1000, AccessRead); err != nil {
-		t.Fatal(err)
+	if _, flt := m.TranslateOn(BootCPU, KernelContext, 0x1000, AccessRead); flt.Kind != FaultNone {
+		t.Fatal(flt.Kind)
 	}
 	misses := meter.Count(clock.OpTLBMiss)
 	if err := m.Switch(ctx); err != nil {
@@ -259,8 +256,8 @@ func TestASIDTaggedTLBSurvivesSwitch(t *testing.T) {
 	if err := m.Switch(KernelContext); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(KernelContext, 0x1000, AccessRead); err != nil {
-		t.Fatal(err)
+	if _, flt := m.TranslateOn(BootCPU, KernelContext, 0x1000, AccessRead); flt.Kind != FaultNone {
+		t.Fatal(flt.Kind)
 	}
 	if meter.Count(clock.OpTLBMiss) != misses {
 		t.Fatal("ASID-tagged TLB lost an entry across a context switch")
@@ -273,13 +270,13 @@ func TestTLBChargesMissOnlyOnce(t *testing.T) {
 	if err := m.Map(ctx, 0x8000, 8, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x8000, AccessRead); err != nil {
-		t.Fatal(err)
+	if _, flt := m.TranslateOn(BootCPU, ctx, 0x8000, AccessRead); flt.Kind != FaultNone {
+		t.Fatal(flt.Kind)
 	}
 	misses := meter.Count(clock.OpTLBMiss)
 	for i := 0; i < 10; i++ {
-		if _, err := m.Translate(ctx, 0x8000, AccessRead); err != nil {
-			t.Fatal(err)
+		if _, flt := m.TranslateOn(BootCPU, ctx, 0x8000, AccessRead); flt.Kind != FaultNone {
+			t.Fatal(flt.Kind)
 		}
 	}
 	if meter.Count(clock.OpTLBMiss) != misses {
@@ -299,16 +296,16 @@ func TestTLBEviction(t *testing.T) {
 		if err := m.Map(ctx, va, uint64(i), PermRead); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Translate(ctx, va, AccessRead); err != nil {
-			t.Fatal(err)
+		if _, flt := m.TranslateOn(BootCPU, ctx, va, AccessRead); flt.Kind != FaultNone {
+			t.Fatal(flt.Kind)
 		}
 	}
 	// All translations must still succeed after evictions.
 	for i := 0; i < 8; i++ {
 		va := VAddr(uint64(i) << PageShift)
-		pa, err := m.Translate(ctx, va, AccessRead)
-		if err != nil {
-			t.Fatalf("page %d: %v", i, err)
+		pa, flt := m.TranslateOn(BootCPU, ctx, va, AccessRead)
+		if flt.Kind != FaultNone {
+			t.Fatalf("page %d: %v", i, flt.Kind)
 		}
 		if pa.Frame() != uint64(i) {
 			t.Fatalf("page %d translated to frame %d", i, pa.Frame())
@@ -322,8 +319,8 @@ func TestDestroyContext(t *testing.T) {
 	if err := m.Map(ctx, 0x1000, 1, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x1000, AccessRead); err != nil {
-		t.Fatal(err)
+	if _, flt := m.TranslateOn(BootCPU, ctx, 0x1000, AccessRead); flt.Kind != FaultNone {
+		t.Fatal(flt.Kind)
 	}
 	if err := m.DestroyContext(ctx); err != nil {
 		t.Fatal(err)
@@ -331,7 +328,7 @@ func TestDestroyContext(t *testing.T) {
 	if m.HasContext(ctx) {
 		t.Fatal("context alive after destroy")
 	}
-	if _, err := m.Translate(ctx, 0x1000, AccessRead); err == nil {
+	if _, flt := m.TranslateOn(BootCPU, ctx, 0x1000, AccessRead); flt.Kind == FaultNone {
 		t.Fatal("translate in destroyed context succeeded")
 	}
 	if err := m.DestroyContext(KernelContext); err == nil {
@@ -374,7 +371,7 @@ func TestLookupAndMappings(t *testing.T) {
 	}
 }
 
-// Property: for any mapped page, Translate preserves the page offset and
+// Property: for any mapped page, TranslateOn preserves the page offset and
 // maps to the installed frame.
 func TestTranslatePreservesOffsetProperty(t *testing.T) {
 	m, _ := newTestMMU(Config{})
@@ -384,8 +381,8 @@ func TestTranslatePreservesOffsetProperty(t *testing.T) {
 		if err := m.Map(ctx, va, uint64(frame), PermRead); err != nil {
 			return false
 		}
-		pa, err := m.Translate(ctx, va, AccessRead)
-		if err != nil {
+		pa, flt := m.TranslateOn(BootCPU, ctx, va, AccessRead)
+		if flt.Kind != FaultNone {
 			return false
 		}
 		return pa.Frame() == uint64(frame) && uint64(pa)&(PageSize-1) == va.Offset()

@@ -11,8 +11,8 @@ import (
 func fillTLB(t *testing.T, m *MMU, ctx ContextID, va VAddr, cpus ...CPUID) {
 	t.Helper()
 	for _, cpu := range cpus {
-		if _, err := m.TranslateOn(cpu, ctx, va, AccessRead); err != nil {
-			t.Fatalf("TranslateOn(cpu %d): %v", cpu, err)
+		if _, flt := m.TranslateOn(cpu, ctx, va, AccessRead); flt.Kind != FaultNone {
+			t.Fatalf("TranslateOn(cpu %d): %v", cpu, flt.Kind)
 		}
 	}
 }

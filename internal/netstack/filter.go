@@ -96,9 +96,7 @@ func (p *PVMFilter) Accept(frame []byte) (bool, error) {
 	// Zero the tail so a filter cannot observe previous frames (the
 	// snooping concern is about *other users'* traffic, which a
 	// shared filter must never see).
-	for i := FilterFrameOffset + n; i < FilterSegSize; i++ {
-		p.seg[i] = 0
-	}
+	clear(p.seg[FilterFrameOffset+n:])
 	e := sandbox.Exec{Meter: p.Meter, Fuel: p.Fuel, EnforceSandbox: p.Sandboxed}
 	res, err := e.Run(p.Prog, p.seg[:])
 	if err != nil {

@@ -12,33 +12,14 @@ import (
 // group, the way active-message systems vector requests. Local
 // handles have no batcher and dispatch one by one.
 //
-// DispatchBatch receives entries whose handles all name this batcher.
-// It records each entry's results or error with SetResult and returns
-// an error only when the group as a whole could not be attempted (the
-// route itself failed); per-call failures are per-entry state.
+// DispatchBatch receives entries whose handles all name this batcher,
+// with the mode that formed the group (the cross-domain proxy records
+// it in the flight recorder; it never changes dispatch). It records
+// each entry's results or error with SetResult and returns an error
+// only when the group as a whole could not be attempted (the route
+// itself failed); per-call failures are per-entry state.
 type Batcher interface {
-	DispatchBatch(calls []BatchCall) error
-}
-
-// ModeBatcher is an optional Batcher extension for batchers that want
-// to know which dispatch mode formed the group they receive — the
-// cross-domain proxy records it in the flight recorder's
-// batch-dispatch events. It is telemetry, not routing: dispatch
-// semantics are identical to DispatchBatch.
-type ModeBatcher interface {
-	Batcher
-	DispatchBatchMode(calls []BatchCall, mode BatchMode) error
-}
-
-// dispatchGroup hands one group to its batcher, threading the batch
-// mode through when the batcher can use it.
-//
-//paramecium:hotpath
-func dispatchGroup(bt Batcher, calls []BatchCall, mode BatchMode) error {
-	if mb, ok := bt.(ModeBatcher); ok {
-		return mb.DispatchBatchMode(calls, mode)
-	}
-	return bt.DispatchBatch(calls)
+	DispatchBatch(calls []BatchCall, mode BatchMode) error
 }
 
 // BatchCall is one queued invocation of a Batch: the resolved handle,
@@ -68,6 +49,14 @@ func (c *BatchCall) Key() any { return c.h.bkey }
 // so the entry's results land in caller-owned storage without an
 // allocation.
 func (c *BatchCall) Out() []any { return c.out }
+
+// Fill makes c an entry for one call through h, with args and the
+// optional result buffer out, and clears any previous outcome. A
+// Batcher uses it to carry a single call through its group path as a
+// batch of one, in an entry it owns.
+func (c *BatchCall) Fill(h MethodHandle, out []any, args []any) {
+	*c = BatchCall{h: h, args: args, out: out}
+}
 
 // SetResult records the entry's outcome. Batchers call it once per
 // entry; result arity against the declaration is the batcher's (or its
@@ -264,7 +253,7 @@ func (b *Batch) Run() error {
 			j++
 		}
 		b.crossings++
-		if err := dispatchGroup(c.h.batcher, calls[i:j], InOrder); err != nil && firstErr == nil {
+		if err := c.h.batcher.DispatchBatch(calls[i:j], InOrder); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		i = j
@@ -345,7 +334,7 @@ func (b *Batch) runGrouped() error {
 		}
 		group := b.scratch[start:len(b.scratch):len(b.scratch)]
 		b.crossings++
-		if err := dispatchGroup(b.targets[k], group, Grouped); err != nil && firstErr == nil {
+		if err := b.targets[k].DispatchBatch(group, Grouped); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		// Scatter: each group entry's outcome lands back in the

@@ -136,15 +136,18 @@ func TestBatchResetReuses(t *testing.T) {
 	}
 }
 
-// recordingBatcher counts DispatchBatch groups and entries.
+// recordingBatcher counts DispatchBatch groups and entries and
+// remembers the mode of the last group.
 type recordingBatcher struct {
 	groups  int
 	entries int
+	mode    BatchMode
 }
 
-func (r *recordingBatcher) DispatchBatch(calls []BatchCall) error {
+func (r *recordingBatcher) DispatchBatch(calls []BatchCall, mode BatchMode) error {
 	r.groups++
 	r.entries += len(calls)
+	r.mode = mode
 	for i := range calls {
 		calls[i].SetResult(nil, nil)
 	}
@@ -172,6 +175,9 @@ func TestBatchGroupsConsecutiveSameBatcher(t *testing.T) {
 	}
 	if rb.groups != 2 || rb.entries != 4 {
 		t.Fatalf("groups = %d entries = %d, want 2 groups of 4 entries", rb.groups, rb.entries)
+	}
+	if rb.mode != InOrder {
+		t.Fatalf("batcher saw mode %v, want %v", rb.mode, InOrder)
 	}
 }
 
@@ -293,7 +299,7 @@ type orderedBatcher struct {
 	seq  int
 }
 
-func (o *orderedBatcher) DispatchBatch(calls []BatchCall) error {
+func (o *orderedBatcher) DispatchBatch(calls []BatchCall, _ BatchMode) error {
 	o.groups++
 	o.entries += len(calls)
 	for i := range calls {
@@ -502,7 +508,7 @@ func TestBatchGroupedPartialFailure(t *testing.T) {
 // target.
 type failingBatcher struct{}
 
-func (f *failingBatcher) DispatchBatch(calls []BatchCall) error {
+func (f *failingBatcher) DispatchBatch(calls []BatchCall, _ BatchMode) error {
 	err := errors.New("route down")
 	for i := range calls {
 		calls[i].SetResult(nil, err)
@@ -532,6 +538,9 @@ func TestBatchGroupedUncomparableBatcher(t *testing.T) {
 	if counts.groups != 3 || counts.entries != 3 {
 		t.Fatalf("groups = %d entries = %d, want 3 partitions of one", counts.groups, counts.entries)
 	}
+	if counts.mode != Grouped {
+		t.Fatalf("batcher saw mode %v, want %v", counts.mode, Grouped)
+	}
 	if b.Crossings() != 3 {
 		t.Fatalf("crossings = %d, want 3", b.Crossings())
 	}
@@ -544,8 +553,8 @@ type uncomparableBatcher struct {
 	pad    []int
 }
 
-func (u uncomparableBatcher) DispatchBatch(calls []BatchCall) error {
-	return u.counts.DispatchBatch(calls)
+func (u uncomparableBatcher) DispatchBatch(calls []BatchCall, mode BatchMode) error {
+	return u.counts.DispatchBatch(calls, mode)
 }
 
 // TestBatchModeDefaultsAndSurvivesReset: the default mode is InOrder,

@@ -8,7 +8,7 @@ import (
 
 // DefaultCoalesceSize is the flush threshold a Coalescer uses when
 // none is given: 16 entries, the knee of the P5 batch sweep, where
-// vectoring delivers 12.1x the single-call rate and deeper batches
+// vectoring delivers 12.0x the single-call rate and deeper batches
 // only shave the last few percent (the per-entry decode cost already
 // dominates the amortized crossing share).
 const DefaultCoalesceSize = 16
@@ -16,7 +16,7 @@ const DefaultCoalesceSize = 16
 // CrossingCycles reports the fixed cost of one uncoalesced protection
 // crossing under a cost model: trap entry and exit, the fault decode,
 // and the context-switch pair. Under the default model this is 660
-// cycles (the measured P5 single-call cost is ≈705 with dispatch on
+// cycles (the measured P5 single-call cost is 697 with dispatch on
 // top), against a per-entry vectored cost of ≈50 — which is the whole
 // case for coalescing. It is also the default flush deadline: holding
 // a queued call longer than one crossing's worth of virtual time

@@ -43,7 +43,8 @@ const (
 	// KindCrossingEnd marks the return switch of a crossing. Operands
 	// mirror KindCrossingBegin.
 	KindCrossingEnd
-	// KindBatchDispatch marks one vectored group hitting a proxy.
+	// KindBatchDispatch marks one vectored group of 2 or more entries
+	// hitting a proxy (a batch of one is traced as a single call).
 	// Domain is the caller; A is the group size; B is the batch mode
 	// (0 in-order, 1 grouped).
 	KindBatchDispatch

@@ -38,47 +38,29 @@ import (
 var (
 	ErrClosed     = errors.New("proxy: proxy closed")
 	ErrNoDelivery = errors.New("proxy: fault did not reach the call handler")
+
+	errForeignEntry = errors.New("proxy: batch entry not resolved through this proxy")
 )
 
 // DefaultEntryBase is where proxy entry pages are placed in the
 // caller's address space when the factory is built with base 0.
 const DefaultEntryBase mmu.VAddr = 0x7000_0000
 
-// callFrame carries one in-flight cross-domain call — or, when batch
-// is non-nil, a whole vectored group of them behind one crossing. The
-// kernel half (the fault handler) reads the pre-resolved target
-// handle, args and result buffer and writes res, err and done; the
-// caller half owns the frame before and after the fault. Frames are
-// pooled (single and batch alike share the pool and the sharded frame
-// table) — steady-state invocation allocates nothing for the call
-// machinery itself.
+// callFrame carries one in-flight crossing: a group of calls behind a
+// single page fault. The kernel half (the fault handler) executes the
+// entries and writes err and done; the caller half owns the frame
+// before and after the fault. A single call is a batch of one whose
+// entry lives in the frame itself (one), and frames are pooled, so
+// steady-state invocation allocates nothing for the call machinery.
 type callFrame struct {
-	th    obj.MethodHandle // pre-resolved dispatch into the target
-	args  []any
-	out   []any // caller-provided result buffer (may be nil)
-	res   []any
+	batch []obj.BatchCall // the group; entries carry their own targets
+	mode  obj.BatchMode   // dispatch mode that formed the group (telemetry)
 	err   error
 	done  bool
-	batch []obj.BatchCall // non-nil: vectored call, entries carry their own targets
-	mode  obj.BatchMode   // dispatch mode that formed the batch (telemetry)
+	one   [1]obj.BatchCall // a single call's entry
 }
 
 var framePool = sync.Pool{New: func() any { return new(callFrame) }}
-
-func newFrame(th obj.MethodHandle, args, out []any) *callFrame {
-	fr := framePool.Get().(*callFrame)
-	fr.th, fr.args, fr.out = th, args, out
-	fr.res, fr.err, fr.done, fr.batch = nil, nil, false, nil
-	return fr
-}
-
-func newBatchFrame(calls []obj.BatchCall, mode obj.BatchMode) *callFrame {
-	fr := framePool.Get().(*callFrame)
-	fr.th, fr.args, fr.out = obj.MethodHandle{}, nil, nil
-	fr.res, fr.err, fr.done, fr.batch = nil, nil, false, calls
-	fr.mode = mode
-	return fr
-}
 
 func putFrame(fr *callFrame) {
 	// Drop value references so pooled frames do not pin caller data.
@@ -241,24 +223,6 @@ func (f *Factory) OnCloseTarget(h func(mmu.ContextID)) {
 // factory serves calls.
 func (f *Factory) SetGrantRegistry(reg *shm.Registry) { f.grants = reg }
 
-// checkGrantArgs validates any grant capabilities among a call's
-// arguments for delivery to the target context. The scan is a type
-// assertion per argument — no charge, exactly like arity validation.
-func (p *Proxy) checkGrantArgs(args []any) error {
-	reg := p.factory.grants
-	if reg == nil {
-		return nil
-	}
-	for _, a := range args {
-		if ref, ok := a.(shm.GrantRef); ok {
-			if err := reg.CheckDeliverable(ref, p.targetCtx); err != nil {
-				return fmt.Errorf("proxy: grant argument: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
 // Absolve forgets a condemned target context, bounding the condemned
 // set for kernels that churn domains. Only safe once the context
 // itself no longer exists (its MMU context destroyed): from then on
@@ -396,86 +360,88 @@ func (p *Proxy) Crossings() uint64 {
 // resolved through this proxy across the domain boundary in a single
 // crossing — one CPU lease, one page fault (the trap cost charged
 // once), one context-switch pair — executing each entry in the
-// target's context with per-entry results and errors. The batch frame
-// is pooled in the factory's sharded frame table exactly like a
-// single call's. Error semantics match a run of single calls: a
-// closed proxy fails every entry with ErrClosed, a dead target
-// context fails them all with "target domain gone", and a failing
-// method fails only its own entry. The group-level error, if any, is
-// returned as well so Batch.Run can surface it.
+// target's context with per-entry results and errors. The frame is
+// pooled in the factory's sharded frame table. A closed proxy fails
+// every entry with ErrClosed, a dead target context fails them all
+// with "target domain gone", and a failing method or a rejected grant
+// fails only its own entry. Every group-level failure is recorded on
+// the entries as well, and returned so Batch.Run can surface it.
 //
 //paramecium:hotpath
-func (p *Proxy) DispatchBatch(calls []obj.BatchCall) error {
-	return p.dispatchBatch(calls, obj.InOrder)
+func (p *Proxy) DispatchBatch(calls []obj.BatchCall, mode obj.BatchMode) error {
+	fr := framePool.Get().(*callFrame)
+	err := p.dispatch(fr, calls, mode)
+	putFrame(fr)
+	return err
 }
 
-// DispatchBatchMode implements obj.ModeBatcher: identical dispatch to
-// DispatchBatch, with the forming mode recorded in the flight
-// recorder's batch-dispatch event.
+// call carries one invocation through h, a handle this proxy resolved,
+// as a batch of one: the frame's own entry holds it, so the single
+// call takes exactly the crossing path a group does.
 //
 //paramecium:hotpath
-func (p *Proxy) DispatchBatchMode(calls []obj.BatchCall, mode obj.BatchMode) error {
-	return p.dispatchBatch(calls, mode)
+func (p *Proxy) call(h obj.MethodHandle, out, args []any) ([]any, error) {
+	fr := framePool.Get().(*callFrame)
+	fr.one[0].Fill(h, out, args)
+	_ = p.dispatch(fr, fr.one[:], obj.InOrder) // recorded on the entry too
+	res, err := fr.one[0].Results()
+	putFrame(fr)
+	return res, err
 }
 
+// dispatch registers fr for calls under a fresh token, then references
+// the first entry's slot, taking the page fault that drives the
+// kernel's call handler. The token rides in the trap frame, so the
+// handler finds this group's frame however many calls are in flight on
+// the same page, and the remaining entries cross without faulting
+// again. The call claims a virtual CPU for its duration: the entry-page
+// translation, crossing charges and any flush-on-switch TLB loss all
+// land on that CPU.
+//
 //paramecium:hotpath
-func (p *Proxy) dispatchBatch(calls []obj.BatchCall, mode obj.BatchMode) error {
+func (p *Proxy) dispatch(fr *callFrame, calls []obj.BatchCall, mode obj.BatchMode) error {
 	if len(calls) == 0 {
 		return nil
 	}
 	if p.closed.Load() {
-		for i := range calls {
-			calls[i].SetResult(nil, ErrClosed)
-		}
-		return ErrClosed
+		return failAll(calls, ErrClosed)
 	}
-	fr := newBatchFrame(calls, mode)
-	token := p.factory.frames.put(fr)
-	// Deferred so a panicking target method cannot leak the table
-	// entry, exactly as on the single-call path.
-	defer func() {
-		p.factory.frames.drop(token)
-		putFrame(fr)
-	}()
-
-	// One touch of the first entry's slot drives the whole group: the
-	// handler reads the batch out of the frame, so the remaining
-	// entries cross without faulting again. The key is checked, not
-	// asserted: a handle built by hand against this proxy as Batcher
-	// (possible through the public NewBatchableHandle) must fail its
-	// batch, not panic the fault path.
+	// The key is checked, not asserted: a handle built by hand against
+	// this proxy as Batcher (possible through the public
+	// NewBatchableHandle) must fail its batch, not panic the fault path.
 	key, ok := calls[0].Key().(batchKey)
 	if !ok {
-		err := errors.New("proxy: batch entry not resolved through this proxy")
-		for i := range calls {
-			calls[i].SetResult(nil, err)
-		}
-		return err
+		return failAll(calls, errForeignEntry)
 	}
-	slotVA := key.slotVA
-	machine := p.factory.svc.Machine()
-	lease := machine.AcquireCPU()
-	_ = lease.CPU().TouchTagged(p.callerCtx, slotVA, mmu.AccessExec, token)
+	fr.batch, fr.mode = calls, mode
+	token := p.factory.frames.put(fr)
+	// Deferred so a panicking target method cannot leak the table entry.
+	defer p.factory.frames.drop(token)
+
+	lease := p.factory.svc.Machine().AcquireCPU()
+	lease.CPU().TouchTagged(p.callerCtx, key.slotVA, mmu.AccessExec, token)
 	lease.Release()
 
 	if !fr.done {
 		// The handler never saw the group: the proxy was closed (its
 		// fault handler unregistered) between the closed check and the
 		// touch, or the fault went astray.
-		err := error(nil)
 		if p.closed.Load() {
-			err = ErrClosed
-		} else {
-			err = fmt.Errorf("%w: batch of %d", ErrNoDelivery, len(calls))
+			return failAll(calls, ErrClosed)
 		}
-		for i := range calls {
-			calls[i].SetResult(nil, err)
-		}
-		return err
+		return failAll(calls, fmt.Errorf("%w: batch of %d", ErrNoDelivery, len(calls)))
 	}
 	p.calls.Add(uint64(len(calls)))
 	p.crossings.Add(1)
 	return fr.err
+}
+
+// failAll records err as the outcome of every entry and returns it.
+func failAll(calls []obj.BatchCall, err error) error {
+	for i := range calls {
+		calls[i].SetResult(nil, err)
+	}
+	return err
 }
 
 // TargetContext reports the protection domain of the real object.
@@ -555,30 +521,23 @@ type batchKey struct {
 	slotVA mmu.VAddr
 }
 
-// Invoke implements obj.Invoker: it references the method's entry
-// slot, taking the page fault that drives the cross-domain call.
+// Invoke implements obj.Invoker: a name lookup followed by the same
+// crossing a resolved handle's Call performs.
 func (e *entryIface) Invoke(method string, args ...any) ([]any, error) {
-	md, ok := e.target.Decl().Method(method)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q.%s", obj.ErrNoMethod, e.target.Decl().Name, method)
-	}
-	if err := obj.CheckArity(md, args); err != nil {
-		return nil, err
-	}
-	th, err := e.target.Resolve(method)
+	h, err := e.Resolve(method)
 	if err != nil {
 		return nil, err
 	}
-	return e.fault(md, th, args, nil)
+	return h.Call(args...)
 }
 
 // Resolve implements obj.Invoker: the entry slot's address and the
 // dispatch into the target are computed once, and the returned handle
 // faults straight into the kernel on every Call with no per-call
 // method lookup on either side of the boundary. One handle may be
-// shared by any number of goroutines. The handle is batchable: a
-// Batch groups consecutive calls through this proxy into a single
-// crossing (Proxy.DispatchBatch).
+// shared by any number of goroutines. Each Call is a batch of one
+// through this very handle, and a Batch groups consecutive calls
+// through this proxy into a single crossing (Proxy.DispatchBatch).
 func (e *entryIface) Resolve(method string) (obj.MethodHandle, error) {
 	md, ok := e.target.Decl().Method(method)
 	if !ok {
@@ -588,76 +547,21 @@ func (e *entryIface) Resolve(method string) (obj.MethodHandle, error) {
 	if err != nil {
 		return obj.MethodHandle{}, err
 	}
-	key := batchKey{th: th, slotVA: e.pageVA + mmu.VAddr(md.Slot()*8)}
-	return obj.NewBatchableHandle(md,
-		func(args ...any) ([]any, error) {
-			return e.fault(md, th, args, nil)
-		},
-		func(out []any, args ...any) ([]any, error) {
-			return e.fault(md, th, args, out)
-		},
-		e.proxy, key), nil
-}
-
-// fault performs the cross-domain call for one pre-looked-up method:
-// it registers a per-call frame, then references the method's entry
-// slot, taking the page fault that drives the kernel's call handler.
-// The frame's token rides in the trap frame, so the handler resolves
-// this call's frame no matter how many calls are in flight on the
-// same page. out, when non-nil, is the caller's result buffer,
-// threaded through the frame so the target's results land in it
-// without an allocation.
-//
-//paramecium:hotpath
-func (e *entryIface) fault(md *obj.MethodDecl, th obj.MethodHandle, args, out []any) ([]any, error) {
 	p := e.proxy
-	if p.closed.Load() {
-		return nil, ErrClosed
-	}
-	fr := newFrame(th, args, out)
-	token := p.factory.frames.put(fr)
-	// Deferred so a panicking target method cannot leak the table
-	// entry: by the time the defer runs, nothing references the frame.
-	defer func() {
-		p.factory.frames.drop(token)
-		putFrame(fr)
-	}()
-
-	// Touch the entry slot: unmapped, so this page-faults into the
-	// kernel, whose per-page handler performs the actual invocation.
-	// The call claims a virtual CPU for its duration: its entry-page
-	// translation, crossing charges and any flush-on-switch TLB loss
-	// all land on that CPU, so concurrent calls on distinct CPUs keep
-	// disjoint TLB state — per-CPU locality is measurable, not just
-	// switch counts.
-	slotVA := e.pageVA + mmu.VAddr(md.Slot()*8)
-	machine := p.factory.svc.Machine()
-	lease := machine.AcquireCPU()
-	_ = lease.CPU().TouchTagged(p.callerCtx, slotVA, mmu.AccessExec, token)
-	lease.Release()
-
-	if !fr.done {
-		// The handler never saw the call. Either the proxy was closed
-		// (its fault handler unregistered) between the closed check
-		// and the touch, or the fault genuinely went astray.
-		if p.closed.Load() {
-			return nil, ErrClosed
-		}
-		return nil, fmt.Errorf("%w: %q.%s", ErrNoDelivery, e.target.Decl().Name, md.Name)
-	}
-	p.calls.Add(1)
-	p.crossings.Add(1)
-	return fr.res, fr.err
+	key := batchKey{th: th, slotVA: e.pageVA + mmu.VAddr(md.Slot()*8)}
+	var h obj.MethodHandle
+	h = obj.NewBatchableHandle(md,
+		func(args ...any) ([]any, error) { return p.call(h, nil, args) },
+		func(out []any, args ...any) ([]any, error) { return p.call(h, out, args) },
+		p, key)
+	return h, nil
 }
 
 // handleFault is the per-page fault handler: the kernel half of the
-// cross-domain call. It maps in the arguments (charged as word
-// copies), switches to the target's context, invokes the real method
-// through the frame's pre-resolved handle, switches back, and copies
-// out the results. The handler is reentrant: concurrent faults on the
-// same entry page dispatch independently, each finding its own frame
-// by the trap frame's token. A frame carrying a batch executes every
-// entry inside the one crossing (executeBatch).
+// cross-domain call. It finds the faulting call's frame by the trap
+// frame's token and executes its entries (executeBatch). The handler
+// is reentrant: concurrent faults on the same entry page dispatch
+// independently, each with its own frame.
 //
 //paramecium:hotpath
 func (e *entryIface) handleFault(f *hw.TrapFrame) bool {
@@ -669,133 +573,89 @@ func (e *entryIface) handleFault(f *hw.TrapFrame) bool {
 	if p.closed.Load() {
 		return false
 	}
-	call := p.factory.frames.get(f.Token)
-	if call == nil {
-		// A stray touch of the entry page (not a proxy call): leave
-		// the fault unresolved.
-		return false
+	if call := p.factory.frames.get(f.Token); call != nil {
+		p.executeBatch(f, call)
 	}
+	// The entry page stays unmapped (the next call must fault again),
+	// so the fault is reported as unresolved; a stray touch of the page
+	// (no frame under its token) is left unresolved as well.
+	return false
+}
+
+// executeBatch is the kernel half of a call: inside the one crossing
+// the fault already paid for, it maps in the arguments (charged as
+// word copies), switches to the target's context once, dispatches
+// every entry through its pre-resolved handle, copies out the results
+// and switches back once. Every entry is decoded before anything is
+// paid: an entry not resolved through this proxy, or carrying a grant
+// capability that is forged, revoked or not addressed to the target,
+// fails on its own, and a group with no entry left never switches. A
+// failing entry records its error and the rest still run. Only a
+// group of two or more pays the small per-entry decode cost, so a
+// single call — a batch of one — costs exactly one crossing.
+//
+//paramecium:hotpath
+func (p *Proxy) executeBatch(f *hw.TrapFrame, call *callFrame) {
 	machine := p.factory.svc.Machine()
-	meter := machine.Meter
-
-	if call.batch != nil {
-		p.executeBatch(f, call, machine.MMU, meter)
-		return false
+	mm, meter := machine.MMU, machine.Meter
+	payer := uint32(p.callerCtx)
+	call.done = true
+	live := 0
+	for i := range call.batch {
+		// Setting every outcome here also clears the previous run's
+		// results from a batch that is Run again without Reset.
+		bc := &call.batch[i]
+		err := p.decode(bc)
+		bc.SetResult(nil, err)
+		if err == nil {
+			live++
+		}
 	}
-
-	// Validate any grant capabilities among the arguments before
-	// paying for anything: a grant that is forged, revoked, or not
-	// addressed to the target fails the call with no copy or crossing
-	// charged — the kernel rejects bad capability words at decode.
-	if err := p.checkGrantArgs(call.args); err != nil {
-		call.err = err
-		call.done = true
-		return false
+	if live == 0 {
+		return
 	}
-
-	// Map in arguments. A shared-memory grant crosses as a single
-	// capability word (wordsOf charges its 8 bytes like any scalar):
-	// the segment's payload never touches the invocation plane. The
-	// caller pays every invocation-plane charge of its own crossing.
-	meter.ChargeNFor(uint32(p.callerCtx), clock.OpCopyWord, wordsOf(call.args))
-
+	grouped := len(call.batch) > 1
+	crossing := p.callerCtx != p.targetCtx
+	if probe.Enabled() {
+		if grouped {
+			meter.Emit(int(f.CPU), probe.KindBatchDispatch, payer, uint64(len(call.batch)), uint64(call.mode))
+		}
+		if crossing {
+			meter.Emit(int(f.CPU), probe.KindCrossingBegin, payer, uint64(p.targetCtx), uint64(len(call.batch)))
+		}
+	}
 	// The call runs in the caller's domain and crosses into the
 	// target's: one switch there, one back. Each leg is validated and
 	// charged by CrossSwitchOn against the calling CPU (the one the
 	// fault was taken on, carried in the trap frame) without touching
 	// any CPU's context register — every in-flight call is its own
-	// virtual processor, so concurrent calls never observe each
-	// other's transient context and the switch charges are
-	// deterministic.
-	crossing := p.callerCtx != p.targetCtx
-	if crossing {
-		if probe.Enabled() {
-			meter.Emit(int(f.CPU), probe.KindCrossingBegin, uint32(p.callerCtx), uint64(p.targetCtx), 1)
-		}
-		if err := machine.MMU.CrossSwitchOn(f.CPU, p.targetCtx); err != nil {
-			call.err = fmt.Errorf("proxy: target domain gone: %w", err)
-			call.done = true
-			return false
-		}
-	}
-	call.res, call.err = call.th.CallInto(call.out, call.args...)
-	if crossing {
-		if err := machine.MMU.CrossSwitchOn(f.CPU, p.callerCtx); err != nil {
-			// The caller's domain was destroyed while the call was in
-			// flight; there is no context to return to. Surface it
-			// alongside any error the target itself returned.
-			call.err = errors.Join(call.err, fmt.Errorf("proxy: caller domain gone: %w", err))
-		}
-		if probe.Enabled() {
-			meter.Emit(int(f.CPU), probe.KindCrossingEnd, uint32(p.callerCtx), uint64(p.targetCtx), 1)
-		}
-	}
-
-	// Return values are handled similarly. call.res is the caller's
-	// buffer plus the method's results; only the results crossed the
-	// boundary, so only they are charged (on error res is nil).
-	copied := call.res
-	if n := len(call.out); n > 0 && len(copied) >= n {
-		copied = copied[n:]
-	}
-	meter.ChargeNFor(uint32(p.callerCtx), clock.OpCopyWord, wordsOf(copied))
-	call.done = true
-	// The entry page stays unmapped (the next call must fault again),
-	// so the fault is reported as unresolved; fault picks the results
-	// out of the call frame.
-	return false
-}
-
-// executeBatch is the kernel half of a vectored call: inside the one
-// crossing the fault already paid for, it switches to the target's
-// context once, dispatches every entry through its pre-resolved
-// handle — charging the argument/result copies exactly as a single
-// call would, plus the small per-entry decode cost — and switches
-// back once. A failing entry records its error and the rest still
-// run; only a dead target context fails the group as a whole.
-//
-//paramecium:hotpath
-func (p *Proxy) executeBatch(f *hw.TrapFrame, call *callFrame, mm *mmu.MMU, meter *clock.Meter) {
-	crossing := p.callerCtx != p.targetCtx
-	if probe.Enabled() {
-		meter.Emit(int(f.CPU), probe.KindBatchDispatch, uint32(p.callerCtx), uint64(len(call.batch)), uint64(call.mode))
-		if crossing {
-			meter.Emit(int(f.CPU), probe.KindCrossingBegin, uint32(p.callerCtx), uint64(p.targetCtx), uint64(len(call.batch)))
-		}
-	}
+	// virtual processor, so concurrent calls never observe each other's
+	// transient context and the switch charges are deterministic.
 	if crossing {
 		if err := mm.CrossSwitchOn(f.CPU, p.targetCtx); err != nil {
-			err = fmt.Errorf("proxy: target domain gone: %w", err)
-			for i := range call.batch {
-				call.batch[i].SetResult(nil, err)
-			}
-			call.err = err
-			call.done = true
+			call.err = failAll(call.batch, fmt.Errorf("proxy: target domain gone: %w", err))
 			return
 		}
 	}
 	for i := range call.batch {
 		bc := &call.batch[i]
-		key, ok := bc.Key().(batchKey)
-		if !ok {
-			// A hand-built handle smuggled into the group: fail the
-			// entry, never panic inside the fault handler.
-			bc.SetResult(nil, errors.New("proxy: batch entry not resolved through this proxy"))
-			continue
+		if _, err := bc.Results(); err != nil {
+			continue // rejected at decode
 		}
-		if err := p.checkGrantArgs(bc.Args()); err != nil {
-			// A bad grant capability fails only its own entry, exactly
-			// like a failing method; nothing of it was charged.
-			bc.SetResult(nil, err)
-			continue
+		key := bc.Key().(batchKey)
+		if grouped {
+			meter.ChargeFor(payer, clock.OpBatchEntry)
 		}
-		meter.ChargeFor(uint32(p.callerCtx), clock.OpBatchEntry)
-		meter.ChargeNFor(uint32(p.callerCtx), clock.OpCopyWord, wordsOf(bc.Args()))
+		// A shared-memory grant crosses as a single capability word
+		// (wordsOf charges its 8 bytes like any scalar): the segment's
+		// payload never touches the invocation plane. The caller pays
+		// every invocation-plane charge of its own crossing.
+		meter.ChargeNFor(payer, clock.OpCopyWord, wordsOf(bc.Args()))
 		// Dispatch through the entry's caller-provided result buffer
-		// when one was supplied (Batch.AddInto): the target's results
-		// land in caller-owned storage, keeping the steady-state
-		// vectored plane allocation-free. Only the appended results
-		// crossed the boundary, so only they are charged.
+		// when one was supplied (CallInto, Batch.AddInto): the target's
+		// results land in caller-owned storage, keeping the steady-state
+		// plane allocation-free. Only the appended results crossed the
+		// boundary, so only they are charged.
 		var res []any
 		var err error
 		if out := bc.Out(); out != nil {
@@ -804,25 +664,53 @@ func (p *Proxy) executeBatch(f *hw.TrapFrame, call *callFrame, mm *mmu.MMU, mete
 			if n := len(out); n > 0 && len(copied) >= n {
 				copied = copied[n:]
 			}
-			meter.ChargeNFor(uint32(p.callerCtx), clock.OpCopyWord, wordsOf(copied))
+			meter.ChargeNFor(payer, clock.OpCopyWord, wordsOf(copied))
 		} else {
 			res, err = key.th.Call(bc.Args()...)
-			meter.ChargeNFor(uint32(p.callerCtx), clock.OpCopyWord, wordsOf(res))
+			meter.ChargeNFor(payer, clock.OpCopyWord, wordsOf(res))
 		}
 		bc.SetResult(res, err)
 	}
 	if crossing {
 		if err := mm.CrossSwitchOn(f.CPU, p.callerCtx); err != nil {
-			// No caller context to return to; the per-entry results
-			// stand, and the group-level error reports the lost return
-			// leg exactly as a single call would.
+			// The caller's domain was destroyed while the group was in
+			// flight; there is no context to return to. Every entry
+			// reports it alongside its own outcome.
 			call.err = fmt.Errorf("proxy: caller domain gone: %w", err)
+			for i := range call.batch {
+				res, rerr := call.batch[i].Results()
+				call.batch[i].SetResult(res, errors.Join(rerr, call.err))
+			}
 		}
 		if probe.Enabled() {
-			meter.Emit(int(f.CPU), probe.KindCrossingEnd, uint32(p.callerCtx), uint64(p.targetCtx), uint64(len(call.batch)))
+			meter.Emit(int(f.CPU), probe.KindCrossingEnd, payer, uint64(p.targetCtx), uint64(len(call.batch)))
 		}
 	}
-	call.done = true
+}
+
+// decode validates one entry before its crossing is paid for: it must
+// have been resolved through this proxy, and any grant capabilities
+// among its arguments must be deliverable to the target. The scan is a
+// type assertion per argument — no charge, exactly like arity
+// validation: the kernel rejects bad capability words at decode.
+func (p *Proxy) decode(bc *obj.BatchCall) error {
+	if _, ok := bc.Key().(batchKey); !ok {
+		// A hand-built handle smuggled into the group: fail the entry,
+		// never panic inside the fault handler.
+		return errForeignEntry
+	}
+	reg := p.factory.grants
+	if reg == nil {
+		return nil
+	}
+	for _, a := range bc.Args() {
+		if ref, ok := a.(shm.GrantRef); ok {
+			if err := reg.CheckDeliverable(ref, p.targetCtx); err != nil {
+				return fmt.Errorf("proxy: grant argument: %w", err)
+			}
+		}
+	}
+	return nil
 }
 
 // exitHandler decrements the in-flight handler count, waking Close

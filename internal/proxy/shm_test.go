@@ -222,3 +222,160 @@ func TestBatchEntryGrantFailureIsPerEntry(t *testing.T) {
 		t.Fatalf("attached = %d, want 2 (entries around the failure ran)", attached)
 	}
 }
+
+// TestBatchOfRejectedGrantsNeverCrosses: the decode-before-crossing
+// rule holds for a group exactly as for a single call. A batch whose
+// every entry carries a grant addressed to some other domain fails
+// each entry at decode and pays no context switch and no copy word.
+func TestBatchOfRejectedGrantsNeverCrosses(t *testing.T) {
+	f, svc, m := setup()
+	reg := shm.NewRegistry(svc)
+	f.SetGrantRegistry(reg)
+	serverCtx := svc.NewDomain()
+	clientCtx := svc.NewDomain()
+	thirdCtx := svc.NewDomain()
+
+	seg, err := reg.NewSegment(clientCtx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misaddressed, err := seg.Grant(thirdCtx, shm.RO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := obj.New("server", m.Meter)
+	ran := false
+	bi, _ := server.AddInterface(shareDecl, nil)
+	bi.MustBind("attach", func(args ...any) ([]any, error) {
+		ran = true
+		return []any{0}, nil
+	})
+	p, err := f.New(clientCtx, serverCtx, server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv, _ := p.Iface("test.share.v1")
+	attach, err := iv.Resolve("attach")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b := obj.NewBatch(3)
+	for i := 0; i < 3; i++ {
+		_ = b.Add(attach, misaddressed.Ref())
+	}
+	before := m.Meter.Snapshot()
+	if err := b.Run(); err != nil {
+		t.Fatalf("group error = %v, want per-entry failures only", err)
+	}
+	after := m.Meter.Snapshot()
+	for i := 0; i < b.Len(); i++ {
+		if _, err := b.Results(i); !errors.Is(err, shm.ErrWrongDomain) {
+			t.Fatalf("entry %d: err = %v, want ErrWrongDomain", i, err)
+		}
+	}
+	if ran {
+		t.Fatal("target method ran despite the misaddressed grants")
+	}
+	if got := after[clock.OpCtxSwitch] - before[clock.OpCtxSwitch]; got != 0 {
+		t.Fatalf("%d context switches charged for a batch rejected at decode, want 0", got)
+	}
+	if got := after[clock.OpCopyWord] - before[clock.OpCopyWord]; got != 0 {
+		t.Fatalf("%d copy words charged for a batch rejected at decode, want 0", got)
+	}
+}
+
+// TestBatchOfOneCostsASingleCall: a one-entry Batch.Run and a CallInto
+// through the same proxy take the same crossing path, so they charge
+// identical counts of every costed operation — the batch of one pays
+// no per-entry decode cost on top.
+func TestBatchOfOneCostsASingleCall(t *testing.T) {
+	f, svc, m := setup()
+	serverCtx := svc.NewDomain()
+	clientCtx := svc.NewDomain()
+	target, n := newBatchTarget(m.Meter)
+	p, err := f.New(clientCtx, serverCtx, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv, _ := p.Iface("test.batch.v1")
+	inc, err := iv.Resolve("inc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm the entry page's TLB state so both measured calls see it the
+	// same way.
+	if _, err := inc.Call(); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf [1]any
+	before := m.Meter.Snapshot()
+	if _, err := inc.CallInto(buf[:0]); err != nil {
+		t.Fatal(err)
+	}
+	mid := m.Meter.Snapshot()
+	b := obj.NewBatch(1)
+	if err := b.AddInto(inc, buf[:0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Run(); err != nil {
+		t.Fatal(err)
+	}
+	after := m.Meter.Snapshot()
+
+	if res, err := b.Results(0); err != nil || res[0].(int64) != 3 || n.Load() != 3 {
+		t.Fatalf("batch of one: res = %v, err = %v, counter = %d", res, err, n.Load())
+	}
+	for op := range before {
+		single, batched := mid[op]-before[op], after[op]-mid[op]
+		if single != batched {
+			t.Errorf("%v: single call charged %d, batch of one %d", clock.Op(op), single, batched)
+		}
+	}
+}
+
+// TestBatchRerunWithoutResetRefreshesResults: running the same batch
+// again without Reset replaces every entry's previous outcome, errors
+// included.
+func TestBatchRerunWithoutResetRefreshesResults(t *testing.T) {
+	f, svc, m := setup()
+	serverCtx := svc.NewDomain()
+	clientCtx := svc.NewDomain()
+	server := obj.New("server", m.Meter)
+	fail := true
+	bi, _ := server.AddInterface(batchDecl, nil)
+	bi.MustBind("inc", func(...any) ([]any, error) {
+		if fail {
+			return nil, errors.New("not yet")
+		}
+		return []any{int64(1)}, nil
+	}).MustBind("fail", func(...any) ([]any, error) { return nil, nil })
+	p, err := f.New(clientCtx, serverCtx, server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv, _ := p.Iface("test.batch.v1")
+	inc, err := iv.Resolve("inc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := obj.NewBatch(2)
+	_ = b.Add(inc)
+	_ = b.Add(inc)
+	if err := b.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Results(1); err == nil {
+		t.Fatal("first run: entry 1 succeeded, want the method's error")
+	}
+	fail = false
+	if err := b.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < b.Len(); i++ {
+		if res, err := b.Results(i); err != nil || res[0].(int64) != 1 {
+			t.Fatalf("second run: entry %d = %v, %v, want a fresh result", i, res, err)
+		}
+	}
+}

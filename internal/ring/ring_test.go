@@ -332,16 +332,22 @@ func TestRingConcurrentHangup(t *testing.T) {
 			defer wg.Done()
 			p := r.Producer()
 			var rec [8]byte
-			for i := 0; ; i++ {
+			for i := 0; ; {
 				binary64(rec[:], uint64(i))
 				err := p.Push(rec[:])
 				if errors.Is(err, ErrHangup) {
 					return
 				}
+				if errors.Is(err, ErrFull) {
+					// Retry the same record: skipping it would break
+					// the consumer's sequence check.
+					continue
+				}
 				if i == 50 {
 					_ = p.Hangup()
 					return
 				}
+				i++
 			}
 		}()
 		go func() {

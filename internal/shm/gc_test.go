@@ -50,8 +50,8 @@ func TestRevokeFromInitiator(t *testing.T) {
 			// Cache both grantee-side pages in CPU 1's TLB only.
 			for i := 0; i < seg.Pages(); i++ {
 				va := att.Base() + mmu.VAddr(i*mmu.PageSize)
-				if _, err := machine.MMU.TranslateOn(1, grantee, va, mmu.AccessRead); err != nil {
-					t.Fatalf("TranslateOn(1): %v", err)
+				if _, flt := machine.MMU.TranslateOn(1, grantee, va, mmu.AccessRead); flt.Kind != mmu.FaultNone {
+					t.Fatalf("TranslateOn(1): %v", flt.Kind)
 				}
 			}
 			before := machine.Meter.Count(clock.OpTLBShootdown)
@@ -209,8 +209,8 @@ func TestTeardownShootdownThroughDomainDestroy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// CPU 1 caches the page; nothing else in the domain is cached.
-	if _, err := machine.MMU.TranslateOn(1, ctx, va, mmu.AccessRead); err != nil {
-		t.Fatal(err)
+	if _, flt := machine.MMU.TranslateOn(1, ctx, va, mmu.AccessRead); flt.Kind != mmu.FaultNone {
+		t.Fatal(flt.Kind)
 	}
 	before := machine.Meter.Count(clock.OpTLBShootdown)
 	if err := svc.DestroyDomain(ctx); err != nil {

@@ -178,7 +178,7 @@ func BenchmarkP0_SerializedProxyCall(b *testing.B) {
 
 // BenchmarkP1_ParallelProxyCall drives one shared cross-domain handle
 // from GOMAXPROCS goroutines with no caller-side serialization: each
-// call carries its own pooled frame through the fault path.
+// call carries its own recycled frame through the fault path.
 func BenchmarkP1_ParallelProxyCall(b *testing.B) {
 	inc, _ := bench.SharedCounterHandle()
 	b.ReportAllocs()
@@ -499,11 +499,12 @@ func BenchmarkT2_CrossDomain(b *testing.B) {
 }
 
 func BenchmarkT3_Interrupt(b *testing.B) {
+	b.ReportAllocs()
 	machine := hw.New(hw.Config{PhysFrames: 16})
 	sched := threads.NewScheduler(machine.Meter)
 	events := event.New(machine, sched)
 	if err := events.RegisterIRQ(3, "bench", mmu.KernelContext, event.DispatchProto,
-		func(*hw.TrapFrame, *threads.Thread) {}); err != nil {
+		func(hw.TrapFrame, *threads.Thread) {}); err != nil {
 		b.Fatal(err)
 	}
 	watch := machine.Meter.Clock.StartWatch()
@@ -642,7 +643,7 @@ func BenchmarkF3_BlockingFraction(b *testing.B) {
 	sched := threads.NewScheduler(machine.Meter)
 	events := event.New(machine, sched)
 	if err := events.RegisterIRQ(3, "bench", mmu.KernelContext, event.DispatchEager,
-		func(*hw.TrapFrame, *threads.Thread) {}); err != nil {
+		func(hw.TrapFrame, *threads.Thread) {}); err != nil {
 		b.Fatal(err)
 	}
 	watch := machine.Meter.Clock.StartWatch()

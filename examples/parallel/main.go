@@ -57,7 +57,7 @@ func main() {
 
 	// Active-message dispatcher: NIC interrupt -> proto-thread.
 	if err := events.RegisterIRQ(nic.IRQ(), "active-msg", mmu.KernelContext, event.DispatchProto,
-		func(f *hw.TrapFrame, t *threads.Thread) {
+		func(f hw.TrapFrame, t *threads.Thread) {
 			regs := nic.IORegion()
 			for {
 				pendingFrames, _ := regs.ReadReg(hw.NICRegRxPending)

@@ -41,6 +41,10 @@ var lockRanks = map[string]map[string]int{
 		"core.Kernel.regMu": 1,
 		"core.Kernel.mu":    2,
 	},
+	"hw": {
+		"hw.NIC.txMu": 1,
+		"hw.NIC.mu":   2,
+	},
 	"threads": {
 		"threads.Scheduler.runMu":  0,
 		"threads.Scheduler.mu":     1,

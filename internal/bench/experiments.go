@@ -200,7 +200,7 @@ func newInterruptRig(d event.Dispatch, blockers bool) *interruptRig {
 	if err != nil {
 		panic(err)
 	}
-	handler := func(f *hw.TrapFrame, th *threads.Thread) {
+	handler := func(f hw.TrapFrame, th *threads.Thread) {
 		if blockers && th != nil {
 			r.mtx.Lock(th)
 			r.mtx.Unlock(th)
@@ -607,7 +607,7 @@ func runBlockingMix(d event.Dispatch, pct, events int) uint64 {
 		panic(err)
 	}
 	shouldBlock := false
-	if err := evts.RegisterIRQ(3, "mix", mmu.KernelContext, d, func(f *hw.TrapFrame, th *threads.Thread) {
+	if err := evts.RegisterIRQ(3, "mix", mmu.KernelContext, d, func(f hw.TrapFrame, th *threads.Thread) {
 		if shouldBlock && th != nil {
 			mtx.Lock(th)
 			mtx.Unlock(th)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"paramecium/internal/cert"
 	"paramecium/internal/mmu"
@@ -64,6 +65,21 @@ type LoadedFilter struct {
 	accept    obj.MethodHandle // accept() pre-resolved through object/proxy machinery
 	domain    *Domain          // non-nil for PlaceUser
 	inst      obj.Instance
+
+	// mu serializes Accept — the PVM filter behind it keeps one data
+	// segment — and guards hop, the storage each accept() threads
+	// through the handle so the per-frame hop allocates nothing.
+	mu  sync.Mutex
+	hop filterHop
+}
+
+// filterHop is one accept() invocation's storage: the frame's slice
+// header, passed by reference (obj.BytesArg) so boxing it is free, the
+// argument list holding that reference, and the result buffer.
+type filterHop struct {
+	frame []byte
+	args  [1]any
+	out   [1]any
 }
 
 // Name implements netstack.Filter.
@@ -77,9 +93,18 @@ func (lf *LoadedFilter) Instance() obj.Instance { return lf.inst }
 
 // Accept implements netstack.Filter. The per-frame path goes through
 // the handle pre-resolved at load time: no method lookup per packet,
-// whichever protection regime the filter runs under.
+// whichever protection regime the filter runs under, and no
+// allocation — the frame crosses by reference and the verdict lands in
+// the filter's own result buffer. Calls on one filter serialize.
+//
+//paramecium:hotpath
 func (lf *LoadedFilter) Accept(frame []byte) (bool, error) {
-	res, err := lf.accept.Call(frame)
+	lf.mu.Lock()
+	defer lf.mu.Unlock()
+	h := &lf.hop
+	h.frame = frame
+	res, err := lf.accept.CallInto(h.out[:0], h.args[:]...)
+	h.frame = nil
 	if err != nil {
 		return false, err
 	}
@@ -151,8 +176,8 @@ func (k *Kernel) wrapFilter(component string, placement Placement, f netstack.Fi
 	if err != nil {
 		return nil, err
 	}
-	bi.MustBind("accept", func(args ...any) ([]any, error) {
-		frame, ok := args[0].([]byte)
+	bi.MustBindInto("accept", func(out []any, args ...any) ([]any, error) {
+		frame, ok := obj.BytesArg(args[0])
 		if !ok {
 			return nil, fmt.Errorf("core: accept wants []byte, got %T", args[0])
 		}
@@ -160,7 +185,7 @@ func (k *Kernel) wrapFilter(component string, placement Placement, f netstack.Fi
 		if err != nil {
 			return nil, err
 		}
-		return []any{ok}, nil
+		return append(out, ok), nil
 	})
 
 	path := names.Join(PathServices, component+"."+placement.String())
@@ -169,6 +194,7 @@ func (k *Kernel) wrapFilter(component string, placement Placement, f netstack.Fi
 	}
 
 	lf := &LoadedFilter{name: component, placement: placement, domain: dom, inst: o}
+	lf.hop.args[0] = &lf.hop.frame
 	if placement == PlaceUser {
 		// The kernel-resident stack reaches the user filter through a
 		// proxy: every accept() pays the cross-domain path.

@@ -7,6 +7,8 @@ import (
 	"paramecium/internal/hw"
 	"paramecium/internal/mem"
 	"paramecium/internal/mmu"
+	"paramecium/internal/netstack"
+	"paramecium/internal/obj"
 	"paramecium/internal/threads"
 )
 
@@ -99,7 +101,7 @@ func TestNetDriverSend(t *testing.T) {
 	r := newRig()
 	nic := r.newNIC(t)
 	var sent []byte
-	nic.SetTxSink(func(f []byte) { sent = f })
+	nic.SetTxSink(func(f []byte) { sent = append([]byte(nil), f...) }) // valid only during the call
 	d, err := NewNetDriver("netdrv", nic, r.svc, r.evt, NetDriverConfig{
 		Ctx: mmu.KernelContext, Dispatch: event.DispatchProto, IOMode: mem.IOExclusive,
 	})
@@ -125,7 +127,7 @@ func TestNetDriverObjectInterface(t *testing.T) {
 	r := newRig()
 	nic := r.newNIC(t)
 	var sent []byte
-	nic.SetTxSink(func(f []byte) { sent = f })
+	nic.SetTxSink(func(f []byte) { sent = append([]byte(nil), f...) }) // valid only during the call
 	d, err := NewNetDriver("netdrv", nic, r.svc, r.evt, NetDriverConfig{
 		Ctx: mmu.KernelContext, Dispatch: event.DispatchProto, IOMode: mem.IOExclusive,
 	})
@@ -152,8 +154,15 @@ func TestNetDriverObjectInterface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(res[0].([]byte)) != "in" {
+	// recv hands the frame out by reference, valid until the next recv.
+	if frame, ok := obj.BytesArg(res[0]); !ok || string(frame) != "in" {
 		t.Fatalf("recv = %v", res)
+	}
+	if res, err = iv.Invoke("recv"); err != nil {
+		t.Fatal(err)
+	}
+	if frame, ok := obj.BytesArg(res[0]); !ok || frame != nil {
+		t.Fatalf("recv on an empty queue = %v", res)
 	}
 	res, err = iv.Invoke("stats")
 	if err != nil || len(res) != 3 {
@@ -256,5 +265,87 @@ func TestConsoleDriver(t *testing.T) {
 	iv, _ := d.Iface(ConsoleIface)
 	if _, err := iv.Invoke("write", 99); err == nil {
 		t.Fatal("non-string write accepted")
+	}
+}
+
+// TestEchoPathAllocationFree drives the packet path the way a UDP echo
+// does — NIC interrupt, proto-dispatched drain, stack pump, endpoint
+// receive, reply — and pins it at zero allocations once the recycled
+// buffers have reached their working size: the interrupt pops up on a
+// reused carrier, receive buffers and endpoint payloads are recycled,
+// the driver hops cross by reference, and the reply is built in a
+// stack-owned buffer. Replies must still carry the right bytes.
+func TestEchoPathAllocationFree(t *testing.T) {
+	r := newRig()
+	nic := r.newNIC(t)
+	d, err := NewNetDriver("netdrv", nic, r.svc, r.evt, NetDriverConfig{
+		Ctx: mmu.KernelContext, Dispatch: event.DispatchProto, IOMode: mem.IOExclusive,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv, _ := d.Iface(NetDevIface)
+	mac, peer := netstack.MAC{2, 0, 0, 0, 0, 1}, netstack.MAC{2, 0, 0, 0, 0, 2}
+	ip, peerIP := netstack.IP{10, 0, 0, 1}, netstack.IP{10, 0, 0, 2}
+	stack, err := netstack.NewStack("stack", r.machine.Meter, iv, mac, ip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := stack.Bind(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames [4][]byte
+	for i := range frames {
+		frames[i] = netstack.BuildUDPFrame(mac, peer, peerIP, ip, 999, 7, []byte{byte(i), 1, 2, 3})
+	}
+	var sent, bad int
+	nic.SetTxSink(func(f []byte) {
+		sent++
+		eth, err := netstack.ParseFrame(f)
+		if err != nil {
+			bad++
+			return
+		}
+		pkt, err := netstack.ParseIP(eth.Payload)
+		if err != nil {
+			bad++
+			return
+		}
+		if udp, err := netstack.ParseUDP(pkt.Payload); err != nil || udp.DstPort != 999 || len(udp.Payload) != 4 {
+			bad++
+		}
+	})
+	burst := func() {
+		for _, f := range frames {
+			if err := nic.Inject(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := stack.Pump(); n != len(frames) {
+			t.Fatalf("pumped %d frames, want %d", n, len(frames))
+		}
+		for i := 0; ; i++ {
+			rcv, ok := ep.Recv()
+			if !ok {
+				break
+			}
+			if rcv.Payload[0] != byte(i) {
+				t.Fatalf("datagram %d carries %v", i, rcv.Payload)
+			}
+			if err := stack.Send(peer, peerIP, rcv.SrcPort, 7, rcv.Payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	burst()
+	if allocs := testing.AllocsPerRun(50, burst); allocs != 0 {
+		t.Fatalf("echo burst allocates %v objects", allocs)
+	}
+	if want := 51*len(frames) + len(frames); sent != want || bad != 0 {
+		t.Fatalf("sent %d replies (%d malformed), want %d", sent, bad, want)
+	}
+	if live := r.sched.LiveCount(); live != 0 {
+		t.Fatalf("LiveCount = %d", live)
 	}
 }

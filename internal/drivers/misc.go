@@ -65,7 +65,7 @@ func NewTimerDriver(class string, t *hw.Timer, svc *mem.Service, evt *event.Serv
 	}).MustBind("poll", func(...any) ([]any, error) {
 		return []any{d.timer.Poll()}, nil
 	})
-	if err := evt.RegisterIRQ(t.IRQ(), class+"-tick", cfg.Ctx, cfg.Dispatch, func(*hw.TrapFrame, *threads.Thread) {
+	if err := evt.RegisterIRQ(t.IRQ(), class+"-tick", cfg.Ctx, cfg.Dispatch, func(hw.TrapFrame, *threads.Thread) {
 		d.ticks++
 		for _, fn := range d.subs {
 			fn()

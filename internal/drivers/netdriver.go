@@ -23,9 +23,14 @@ import (
 const NetDevIface = "paramecium.netdev.v1"
 
 // NetDevDecl is the type information of the network device interface.
+//
+// Frames cross it as byte buffers (obj.BytesArg): send takes its frame
+// by value or by reference and keeps none of it past the call; recv
+// returns the frame by reference, valid until the next recv, or a nil
+// []byte when the queue is empty.
 var NetDevDecl = obj.MustInterfaceDecl(NetDevIface,
-	obj.MethodDecl{Name: "send", NumIn: 1, NumOut: 0},  // (frame []byte)
-	obj.MethodDecl{Name: "recv", NumIn: 0, NumOut: 1},  // -> frame []byte or nil
+	obj.MethodDecl{Name: "send", NumIn: 1, NumOut: 0},  // (frame)
+	obj.MethodDecl{Name: "recv", NumIn: 0, NumOut: 1},  // -> frame or nil
 	obj.MethodDecl{Name: "stats", NumIn: 0, NumOut: 3}, // -> rx, tx, dropped
 )
 
@@ -36,6 +41,12 @@ var ErrTxFailed = errors.New("drivers: transmit failed")
 // software receive queue on interrupt and transmits via the device
 // registers. It is an obj.Instance, so it can be registered in the
 // name space, interposed upon, shared, and proxied across domains.
+//
+// Receive buffers are recycled: a frame handed out by Recv goes back
+// to the spare list at the next Recv, and the drain copies new frames
+// into spares, so a steady packet flow allocates nothing once the
+// queue has reached its deepest point and its buffers have grown to
+// the frames' size.
 type NetDriver struct {
 	*obj.Object
 	nic   *hw.NIC
@@ -43,10 +54,12 @@ type NetDriver struct {
 	evt   *event.Service
 	line  hw.IRQLine
 
-	mu      sync.Mutex
-	rxq     [][]byte
-	rx, tx  uint64
-	dropped uint64
+	mu     sync.Mutex
+	rxq    [][]byte // received frames, oldest at rxHead
+	rxHead int
+	spare  [][]byte // recycled receive buffers
+	lent   []byte   // the frame the last Recv returned
+	rx, tx uint64
 }
 
 // NetDriverConfig configures driver construction.
@@ -81,21 +94,26 @@ func NewNetDriver(class string, nic *hw.NIC, svc *mem.Service, evt *event.Servic
 		_ = svc.ReleaseIOSpace(grant)
 		return nil, err
 	}
-	bi.MustBind("send", func(args ...any) ([]any, error) {
-		frame, ok := args[0].([]byte)
+	bi.MustBindInto("send", func(out []any, args ...any) ([]any, error) {
+		frame, ok := obj.BytesArg(args[0])
 		if !ok {
 			return nil, fmt.Errorf("drivers: send wants []byte, got %T", args[0])
 		}
-		return nil, d.Send(frame)
-	}).MustBind("recv", func(...any) ([]any, error) {
-		frame, _ := d.Recv()
-		return []any{frame}, nil
+		return out, d.Send(frame)
+	}).MustBindInto("recv", func(out []any, _ ...any) ([]any, error) {
+		if _, ok := d.Recv(); !ok {
+			return append(out, []byte(nil)), nil
+		}
+		// The frame crosses by reference to the driver's own copy of
+		// its header: Recv set lent, and only the next Recv — by the
+		// same single consumer — changes it.
+		return append(out, &d.lent), nil
 	}).MustBind("stats", func(...any) ([]any, error) {
 		rx, tx, dr := d.Stats()
 		return []any{rx, tx, dr}, nil
 	})
 
-	if err := evt.RegisterIRQ(d.line, class+"-rx", cfg.Ctx, cfg.Dispatch, func(f *hw.TrapFrame, t *threads.Thread) {
+	if err := evt.RegisterIRQ(d.line, class+"-rx", cfg.Ctx, cfg.Dispatch, func(hw.TrapFrame, *threads.Thread) {
 		d.drainRing()
 	}); err != nil {
 		_ = svc.ReleaseIOSpace(grant)
@@ -105,7 +123,9 @@ func NewNetDriver(class string, nic *hw.NIC, svc *mem.Service, evt *event.Servic
 }
 
 // drainRing moves every pending frame from device memory into the
-// software receive queue.
+// software receive queue, each into a recycled buffer.
+//
+//paramecium:hotpath
 func (d *NetDriver) drainRing() {
 	regs := d.grant.Region
 	for {
@@ -119,25 +139,52 @@ func (d *NetDriver) drainRing() {
 		if err != nil {
 			return
 		}
-		frame := make([]byte, length)
-		copy(frame, data[:length])
-		_ = regs.WriteReg(hw.NICRegRxPop, 1)
 		d.mu.Lock()
+		var frame []byte
+		if k := len(d.spare); k > 0 {
+			frame = d.spare[k-1][:0]
+			d.spare[k-1] = nil
+			d.spare = d.spare[:k-1]
+		}
+		frame = append(frame, data[:length]...)
+		if d.rxHead > 0 && len(d.rxq) == cap(d.rxq) {
+			// Full but partly consumed: slide the live frames to the
+			// front instead of growing the array.
+			n := copy(d.rxq, d.rxq[d.rxHead:])
+			clear(d.rxq[n:])
+			d.rxq, d.rxHead = d.rxq[:n], 0
+		}
 		d.rxq = append(d.rxq, frame)
 		d.rx++
 		d.mu.Unlock()
+		_ = regs.WriteReg(hw.NICRegRxPop, 1)
 	}
 }
 
-// Recv pops the oldest received frame (nil, false when empty).
+// Recv pops the oldest received frame (nil, false when empty). The
+// frame stays valid until the next Recv, which recycles its buffer:
+// the driver serves one receive consumer (the protocol stack), and a
+// consumer that keeps a frame longer must copy it.
+//
+//paramecium:hotpath
 func (d *NetDriver) Recv() ([]byte, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.rxq) == 0 {
+	if d.lent != nil {
+		d.spare = append(d.spare, d.lent)
+		d.lent = nil
+	}
+	if d.rxHead == len(d.rxq) {
 		return nil, false
 	}
-	f := d.rxq[0]
-	d.rxq = d.rxq[1:]
+	f := d.rxq[d.rxHead]
+	d.rxq[d.rxHead] = nil
+	d.rxHead++
+	if d.rxHead == len(d.rxq) {
+		// Drained: reuse the queue's array from the front.
+		d.rxq, d.rxHead = d.rxq[:0], 0
+	}
+	d.lent = f
 	return f, true
 }
 
@@ -184,7 +231,7 @@ func (d *NetDriver) Stats() (rx, tx, dropped uint64) {
 func (d *NetDriver) QueueLen() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.rxq)
+	return len(d.rxq) - d.rxHead
 }
 
 // Close unregisters the interrupt and releases the I/O grant.

@@ -24,7 +24,7 @@ func TestRegisterIRQOnRoutesToCPU(t *testing.T) {
 	var seenCPU mmu.CPUID = -1
 	var seenCtx mmu.ContextID
 	if err := s.RegisterIRQOn(2, "routed", userCtx, DispatchRaw, 1,
-		func(f *hw.TrapFrame, _ *threads.Thread) {
+		func(f hw.TrapFrame, _ *threads.Thread) {
 			seenCPU = f.CPU
 			seenCtx = m.MMU.CurrentOn(1)
 			if cur := m.MMU.CurrentOn(0); cur != mmu.KernelContext {
@@ -53,7 +53,7 @@ func TestRegisterIRQOnRoutesToCPU(t *testing.T) {
 func TestRegisterIRQOnValidatesCPU(t *testing.T) {
 	s, _, _ := newMultiService(2)
 	err := s.RegisterIRQOn(2, "bad", mmu.KernelContext, DispatchRaw, 5,
-		func(*hw.TrapFrame, *threads.Thread) {})
+		func(hw.TrapFrame, *threads.Thread) {})
 	if err == nil {
 		t.Fatal("out-of-range CPU accepted")
 	}
@@ -66,7 +66,7 @@ func TestEagerPopUpRunsOnBoundCPU(t *testing.T) {
 	var th *threads.Thread
 	done := make(chan struct{})
 	if err := s.RegisterIRQOn(4, "eager", mmu.KernelContext, DispatchEager, 1,
-		func(_ *hw.TrapFrame, t2 *threads.Thread) {
+		func(_ hw.TrapFrame, t2 *threads.Thread) {
 			th = t2
 			close(done)
 		}); err != nil {
@@ -93,7 +93,7 @@ func TestConcurrentIRQsOnDistinctCPUs(t *testing.T) {
 	for line := hw.IRQLine(0); line < 4; line++ {
 		line := line
 		if err := s.RegisterIRQOn(line, "worker", mmu.KernelContext, DispatchProto,
-			mmu.CPUID(line), func(*hw.TrapFrame, *threads.Thread) {
+			mmu.CPUID(line), func(hw.TrapFrame, *threads.Thread) {
 				mu.Lock()
 				counts[line]++
 				mu.Unlock()
@@ -124,5 +124,74 @@ func TestConcurrentIRQsOnDistinctCPUs(t *testing.T) {
 		if !ok || st.Delivered != perLine {
 			t.Fatalf("line %d stats = %+v", line, st)
 		}
+	}
+}
+
+// TestConcurrentProtoIRQsInlineAndPromoted: concurrent interrupts on
+// four CPUs whose proto handlers alternately complete inline and block
+// (a yield promotes them), while the scheduler runs the promoted ones.
+// Each handler sees its own delivery's frame, every delivery is counted
+// as inline or promoted, and once idle no thread is left live.
+func TestConcurrentProtoIRQsInlineAndPromoted(t *testing.T) {
+	s, m, sched := newMultiService(4)
+	const perLine = 120
+	var badFrame sync.Map
+	var done sync.WaitGroup
+	done.Add(4 * perLine)
+	for line := hw.IRQLine(0); line < 4; line++ {
+		line := line
+		n := 0 // deliveries on one CPU serialize, so the inline part may count
+		if err := s.RegisterIRQOn(line, "mixed", mmu.KernelContext, DispatchProto,
+			mmu.CPUID(line), func(f hw.TrapFrame, th *threads.Thread) {
+				n++
+				block := n%2 == 0
+				if block {
+					th.Yield()
+				}
+				if f.IRQ != line || f.CPU != mmu.CPUID(line) {
+					badFrame.Store(line, f)
+				}
+				done.Done()
+			}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var raisers sync.WaitGroup
+	for line := hw.IRQLine(0); line < 4; line++ {
+		raisers.Add(1)
+		go func(line hw.IRQLine) {
+			defer raisers.Done()
+			for i := 0; i < perLine; i++ {
+				if err := m.RaiseIRQOn(line, mmu.CPUID(line)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(line)
+	}
+	finished := make(chan struct{})
+	go func() { done.Wait(); close(finished) }()
+	for pumping := true; pumping; {
+		select {
+		case <-finished:
+			pumping = false
+		default:
+			sched.RunUntilIdle()
+		}
+	}
+	raisers.Wait()
+	sched.RunUntilIdle()
+	badFrame.Range(func(k, v any) bool {
+		t.Fatalf("line %v handler saw frame %+v", k, v)
+		return false
+	})
+	for line := hw.IRQLine(0); line < 4; line++ {
+		st, _ := s.IRQStats(line)
+		if st.Delivered != perLine || st.Inline != perLine/2 || st.Promoted != perLine/2 {
+			t.Fatalf("line %d stats = %+v, want %d inline and %d promoted", line, st, perLine/2, perLine/2)
+		}
+	}
+	if live := sched.LiveCount(); live != 0 {
+		t.Fatalf("LiveCount = %d after idle", live)
 	}
 }

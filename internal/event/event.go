@@ -48,10 +48,12 @@ func (d Dispatch) String() string {
 	return fmt.Sprintf("dispatch(%d)", int(d))
 }
 
-// Handler is an event call-back. For thread dispatches t is the
-// (proto-)thread the handler runs on; for DispatchRaw t is nil and the
-// handler must not block.
-type Handler func(frame *hw.TrapFrame, t *threads.Thread)
+// Handler is an event call-back. The frame is the handler's own copy.
+// For thread dispatches t is the (proto-)thread the handler runs on;
+// for DispatchRaw t is nil and the handler must not block. A proto
+// handler that completes inline must not keep t: its carrier serves
+// the next pop-up.
+type Handler func(frame hw.TrapFrame, t *threads.Thread)
 
 // ErrBound is returned when registering over an existing binding.
 var ErrBound = errors.New("event: event already bound")
@@ -66,6 +68,14 @@ type binding struct {
 	dispatch Dispatch
 	handler  Handler
 	name     string
+
+	// popUp is the proto-thread body, built once at registration so
+	// a delivery allocates no closure. deliver stores each delivery's
+	// trap frame in frame under the CPU's delivery lock, and popUp
+	// passes the handler a copy before the handler can block, so the
+	// next delivery may overwrite it.
+	popUp func(*threads.Thread)
+	frame hw.TrapFrame
 
 	mu        sync.Mutex
 	delivered uint64
@@ -138,7 +148,8 @@ func (s *Service) RegisterIRQOn(line hw.IRQLine, name string, ctx mmu.ContextID,
 		return fmt.Errorf("%w: irq %d", ErrBound, line)
 	}
 	b := &binding{ctx: ctx, cpu: cpu, dispatch: d, handler: h, name: name}
-	if _, err := s.machine.SetIRQHandler(line, func(f *hw.TrapFrame) bool {
+	b.popUp = func(t *threads.Thread) { b.handler(b.frame, t) }
+	if _, err := s.machine.SetIRQHandler(line, func(f hw.TrapFrame) bool {
 		s.deliver(b, f)
 		return true
 	}); err != nil {
@@ -166,7 +177,7 @@ func (s *Service) UnregisterIRQ(line hw.IRQLine) error {
 // semantics (the faulting context is suspended until the handler
 // returns); the handler's bool result — fault resolved or not — is
 // what the raw machine handler returns, so the signature differs.
-func (s *Service) RegisterTrap(vector hw.TrapVector, name string, ctx mmu.ContextID, h func(*hw.TrapFrame) bool) error {
+func (s *Service) RegisterTrap(vector hw.TrapVector, name string, ctx mmu.ContextID, h func(hw.TrapFrame) bool) error {
 	if h == nil {
 		return errors.New("event: nil handler")
 	}
@@ -176,7 +187,7 @@ func (s *Service) RegisterTrap(vector hw.TrapVector, name string, ctx mmu.Contex
 		return fmt.Errorf("%w: trap %v", ErrBound, vector)
 	}
 	b := &binding{ctx: ctx, dispatch: DispatchRaw, name: name}
-	s.machine.SetTrapHandler(vector, func(f *hw.TrapFrame) bool {
+	s.machine.SetTrapHandler(vector, func(f hw.TrapFrame) bool {
 		b.mu.Lock()
 		b.delivered++
 		b.mu.Unlock()
@@ -185,8 +196,8 @@ func (s *Service) RegisterTrap(vector hw.TrapVector, name string, ctx mmu.Contex
 		// delivery on that CPU.
 		s.deliveryMu[f.CPU].Lock()
 		defer s.deliveryMu[f.CPU].Unlock()
-		restore := s.enterContext(f.CPU, b.ctx)
-		defer restore()
+		prev := s.enterContext(f.CPU, b.ctx)
+		defer s.leaveContext(f.CPU, b.ctx, prev)
 		return h(f)
 	})
 	s.traps[vector] = b
@@ -211,9 +222,11 @@ func (s *Service) UnregisterTrap(vector hw.TrapVector) error {
 // the handler's duration, so their register use never interleaves. An
 // eager pop-up runs WITHOUT the delivery lock (a real thread may
 // block, and holding the CPU's delivery slot across a block could
-// deadlock it): see the DispatchEager case for the resulting — and
+// deadlock it): see deliverEager for the resulting — and
 // deliberately weaker — multi-CPU guarantee.
-func (s *Service) deliver(b *binding, f *hw.TrapFrame) {
+//
+//paramecium:hotpath
+func (s *Service) deliver(b *binding, f hw.TrapFrame) {
 	b.mu.Lock()
 	b.delivered++
 	b.mu.Unlock()
@@ -221,24 +234,24 @@ func (s *Service) deliver(b *binding, f *hw.TrapFrame) {
 	switch b.dispatch {
 	case DispatchRaw:
 		s.deliveryMu[b.cpu].Lock()
-		s.retarget(b, f)
-		restore := s.enterContext(b.cpu, b.ctx)
+		s.retarget(b, &f)
+		prev := s.enterContext(b.cpu, b.ctx)
 		b.handler(f, nil)
-		restore()
+		s.leaveContext(b.cpu, b.ctx, prev)
 		s.deliveryMu[b.cpu].Unlock()
 	case DispatchProto:
 		s.deliveryMu[b.cpu].Lock()
-		s.retarget(b, f)
-		restore := s.enterContext(b.cpu, b.ctx)
+		s.retarget(b, &f)
+		prev := s.enterContext(b.cpu, b.ctx)
 		// The promotion path keeps the binding's CPU: a handler that
 		// blocks continues as a real thread on b.cpu's run queue. The
 		// delivery lock is NOT held by that continuation — only the
 		// inline portion (which by construction ends at the first
-		// block) runs under it.
-		_, inline := s.sched.PopUpProtoOn(b.cpu, b.name, func(t *threads.Thread) {
-			b.handler(f, t)
-		})
-		restore()
+		// block) runs under it, and that portion is where b.popUp
+		// copies the frame out of the binding.
+		b.frame = f
+		inline := s.sched.PopUpProtoOn(b.cpu, b.name, b.popUp) == nil
+		s.leaveContext(b.cpu, b.ctx, prev)
 		s.deliveryMu[b.cpu].Unlock()
 		b.mu.Lock()
 		if inline {
@@ -248,29 +261,36 @@ func (s *Service) deliver(b *binding, f *hw.TrapFrame) {
 		}
 		b.mu.Unlock()
 	case DispatchEager:
-		// The thread runs under the scheduler later, queued on the
-		// binding's CPU. Its body enters the binding's context exactly
-		// as before, but WITHOUT the CPU's delivery lock: an eager
-		// pop-up is a real thread that may block or yield, and holding
-		// the delivery slot across a block could deadlock the CPU. On
-		// a single-CPU scheduler bodies run one at a time, so the
-		// switch/restore pairs cannot interleave; on a multiprocessor
-		// scheduler, concurrent eager handlers bound to one CPU may
-		// interleave their courtesy register use — handlers needing
-		// exact context isolation use raw or proto dispatch. Scheduler
-		// CPU k and machine CPU k are now one identity (the thread's
-		// own Load/Store charge b.cpu's TLB), but eager bodies still
-		// share the context register by design: context isolation is
-		// what the raw/proto delivery locks are for.
-		s.deliveryMu[b.cpu].Lock()
-		s.retarget(b, f)
-		s.deliveryMu[b.cpu].Unlock()
-		s.sched.PopUpEagerOn(b.cpu, b.name, func(t *threads.Thread) {
-			restore := s.enterContext(b.cpu, b.ctx)
-			defer restore()
-			b.handler(f, t)
-		})
+		s.deliverEager(b, f)
 	}
+}
+
+// deliverEager queues an eager pop-up thread for one delivery. It is
+// its own function because the thread body keeps a copy of the frame:
+// only this path moves a frame to the heap.
+//
+// The thread runs under the scheduler later, queued on the binding's
+// CPU. Its body enters the binding's context exactly as the other
+// policies do, but WITHOUT the CPU's delivery lock: an eager pop-up is
+// a real thread that may block or yield, and holding the delivery slot
+// across a block could deadlock the CPU. On a single-CPU scheduler
+// bodies run one at a time, so the switch/restore pairs cannot
+// interleave; on a multiprocessor scheduler, concurrent eager handlers
+// bound to one CPU may interleave their courtesy register use —
+// handlers needing exact context isolation use raw or proto dispatch.
+// Scheduler CPU k and machine CPU k are one identity (the thread's own
+// Load/Store charge b.cpu's TLB), but eager bodies still share the
+// context register by design: context isolation is what the raw/proto
+// delivery locks are for.
+func (s *Service) deliverEager(b *binding, f hw.TrapFrame) {
+	s.deliveryMu[b.cpu].Lock()
+	s.retarget(b, &f)
+	s.deliveryMu[b.cpu].Unlock()
+	s.sched.PopUpEagerOn(b.cpu, b.name, func(t *threads.Thread) {
+		prev := s.enterContext(b.cpu, b.ctx)
+		defer s.leaveContext(b.cpu, b.ctx, prev)
+		b.handler(f, t)
+	})
 }
 
 // retarget points a routed delivery's frame at the binding's CPU. Ctx
@@ -286,22 +306,29 @@ func (s *Service) retarget(b *binding, f *hw.TrapFrame) {
 }
 
 // enterContext switches one CPU's MMU register to the call-back's
-// context if needed and returns a function restoring the previous
-// context. Delivering an event into another protection domain costs
-// two context switches — exactly the cost a user-level handler pays
-// over a kernel-resident one — and the charges (plus any
+// context if needed and returns the context to restore with
+// leaveContext. Delivering an event into another protection domain
+// costs two context switches — exactly the cost a user-level handler
+// pays over a kernel-resident one — and the charges (plus any
 // flush-on-switch TLB loss) land on the delivering CPU alone.
-func (s *Service) enterContext(cpu mmu.CPUID, ctx mmu.ContextID) func() {
-	cur := s.machine.MMU.CurrentOn(cpu)
-	if ctx == cur {
-		return func() {}
+func (s *Service) enterContext(cpu mmu.CPUID, ctx mmu.ContextID) (prev mmu.ContextID) {
+	prev = s.machine.MMU.CurrentOn(cpu)
+	if ctx != prev {
+		// Switch errors mean the context died; the event is delivered
+		// in the current context rather than dropped.
+		if err := s.machine.MMU.SwitchOn(cpu, ctx); err != nil {
+			return ctx
+		}
 	}
-	// Switch errors mean the context died; the event is delivered in
-	// the current context rather than dropped.
-	if err := s.machine.MMU.SwitchOn(cpu, ctx); err != nil {
-		return func() {}
+	return prev
+}
+
+// leaveContext undoes enterContext: it switches cpu back to prev when
+// the call-back's context ctx was actually entered.
+func (s *Service) leaveContext(cpu mmu.CPUID, ctx, prev mmu.ContextID) {
+	if prev != ctx {
+		_ = s.machine.MMU.SwitchOn(cpu, prev)
 	}
-	return func() { _ = s.machine.MMU.SwitchOn(cpu, cur) }
 }
 
 // IRQStats reports the counters of an interrupt binding.

@@ -19,7 +19,7 @@ func newService() (*Service, *hw.Machine, *threads.Scheduler) {
 func TestRegisterIRQRawDispatch(t *testing.T) {
 	s, m, _ := newService()
 	count := 0
-	if err := s.RegisterIRQ(3, "net", mmu.KernelContext, DispatchRaw, func(f *hw.TrapFrame, th *threads.Thread) {
+	if err := s.RegisterIRQ(3, "net", mmu.KernelContext, DispatchRaw, func(f hw.TrapFrame, th *threads.Thread) {
 		if th != nil {
 			t.Error("raw dispatch passed a thread")
 		}
@@ -41,7 +41,7 @@ func TestRegisterIRQRawDispatch(t *testing.T) {
 
 func TestRegisterIRQDuplicate(t *testing.T) {
 	s, _, _ := newService()
-	h := func(*hw.TrapFrame, *threads.Thread) {}
+	h := func(hw.TrapFrame, *threads.Thread) {}
 	if err := s.RegisterIRQ(1, "a", 0, DispatchRaw, h); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRegisterIRQDuplicate(t *testing.T) {
 
 func TestUnregisterIRQ(t *testing.T) {
 	s, m, _ := newService()
-	if err := s.RegisterIRQ(1, "a", 0, DispatchRaw, func(*hw.TrapFrame, *threads.Thread) {}); err != nil {
+	if err := s.RegisterIRQ(1, "a", 0, DispatchRaw, func(hw.TrapFrame, *threads.Thread) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.UnregisterIRQ(1); err != nil {
@@ -72,7 +72,7 @@ func TestUnregisterIRQ(t *testing.T) {
 func TestProtoDispatchInlineCompletion(t *testing.T) {
 	s, m, sched := newService()
 	ran := false
-	if err := s.RegisterIRQ(2, "fast", mmu.KernelContext, DispatchProto, func(f *hw.TrapFrame, th *threads.Thread) {
+	if err := s.RegisterIRQ(2, "fast", mmu.KernelContext, DispatchProto, func(f hw.TrapFrame, th *threads.Thread) {
 		if th == nil {
 			t.Error("proto dispatch passed nil thread")
 		}
@@ -111,7 +111,7 @@ func TestProtoDispatchPromotion(t *testing.T) {
 	sched.RunUntilIdle()
 
 	finished := false
-	if err := s.RegisterIRQ(2, "slow", mmu.KernelContext, DispatchProto, func(f *hw.TrapFrame, th *threads.Thread) {
+	if err := s.RegisterIRQ(2, "slow", mmu.KernelContext, DispatchProto, func(f hw.TrapFrame, th *threads.Thread) {
 		mtx.Lock(th) // held by holder -> promotion
 		finished = true
 		mtx.Unlock(th)
@@ -138,7 +138,7 @@ func TestProtoDispatchPromotion(t *testing.T) {
 func TestEagerDispatchDefersToScheduler(t *testing.T) {
 	s, m, sched := newService()
 	ran := false
-	if err := s.RegisterIRQ(5, "eager", mmu.KernelContext, DispatchEager, func(*hw.TrapFrame, *threads.Thread) {
+	if err := s.RegisterIRQ(5, "eager", mmu.KernelContext, DispatchEager, func(hw.TrapFrame, *threads.Thread) {
 		ran = true
 	}); err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestCrossContextDeliveryChargesSwitches(t *testing.T) {
 	s, m, _ := newService()
 	userCtx := m.MMU.NewContext()
 	var seen mmu.ContextID
-	if err := s.RegisterIRQ(1, "user-handler", userCtx, DispatchRaw, func(*hw.TrapFrame, *threads.Thread) {
+	if err := s.RegisterIRQ(1, "user-handler", userCtx, DispatchRaw, func(hw.TrapFrame, *threads.Thread) {
 		seen = m.MMU.Current()
 	}); err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestCrossContextDeliveryChargesSwitches(t *testing.T) {
 
 func TestSameContextDeliveryIsFree(t *testing.T) {
 	s, m, _ := newService()
-	if err := s.RegisterIRQ(1, "kern", mmu.KernelContext, DispatchRaw, func(*hw.TrapFrame, *threads.Thread) {}); err != nil {
+	if err := s.RegisterIRQ(1, "kern", mmu.KernelContext, DispatchRaw, func(hw.TrapFrame, *threads.Thread) {}); err != nil {
 		t.Fatal(err)
 	}
 	before := m.Meter.Count(clock.OpCtxSwitch)
@@ -200,7 +200,7 @@ func TestDeadContextFallsBack(t *testing.T) {
 	s, m, _ := newService()
 	ctx := m.MMU.NewContext()
 	ran := false
-	if err := s.RegisterIRQ(1, "zombie", ctx, DispatchRaw, func(*hw.TrapFrame, *threads.Thread) {
+	if err := s.RegisterIRQ(1, "zombie", ctx, DispatchRaw, func(hw.TrapFrame, *threads.Thread) {
 		ran = true
 	}); err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestDeadContextFallsBack(t *testing.T) {
 
 func TestRegisterTrap(t *testing.T) {
 	s, m, _ := newService()
-	if err := s.RegisterTrap(hw.TrapSyscall, "syscalls", mmu.KernelContext, func(f *hw.TrapFrame) bool {
+	if err := s.RegisterTrap(hw.TrapSyscall, "syscalls", mmu.KernelContext, func(f hw.TrapFrame) bool {
 		return f.Arg == 42
 	}); err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestRegisterTrap(t *testing.T) {
 	if !found || st.Delivered != 2 {
 		t.Fatalf("trap stats = %+v", st)
 	}
-	if err := s.RegisterTrap(hw.TrapSyscall, "dup", 0, func(*hw.TrapFrame) bool { return false }); !errors.Is(err, ErrBound) {
+	if err := s.RegisterTrap(hw.TrapSyscall, "dup", 0, func(hw.TrapFrame) bool { return false }); !errors.Is(err, ErrBound) {
 		t.Fatalf("duplicate trap: %v", err)
 	}
 	if err := s.RegisterTrap(hw.TrapDivZero, "nil", 0, nil); err == nil {
@@ -277,7 +277,7 @@ func TestNICInterruptToProtoThreadPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []byte
-	if err := s.RegisterIRQ(4, "net-rx", mmu.KernelContext, DispatchProto, func(f *hw.TrapFrame, th *threads.Thread) {
+	if err := s.RegisterIRQ(4, "net-rx", mmu.KernelContext, DispatchProto, func(f hw.TrapFrame, th *threads.Thread) {
 		regs := nic.IORegion()
 		slot, _ := regs.ReadReg(hw.NICRegRxSlot)
 		length, _ := regs.ReadReg(hw.NICRegRxLen)

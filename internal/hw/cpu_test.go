@@ -102,9 +102,9 @@ func TestRaiseIRQOnDeliversCPU(t *testing.T) {
 	if err := m.MMU.SwitchOn(1, ctx); err != nil {
 		t.Fatal(err)
 	}
-	var got *TrapFrame
-	if _, err := m.SetIRQHandler(3, func(f *TrapFrame) bool {
-		got = f
+	var got *TrapFrame // the handler's own copy
+	if _, err := m.SetIRQHandler(3, func(f TrapFrame) bool {
+		got = &f
 		return true
 	}); err != nil {
 		t.Fatal(err)

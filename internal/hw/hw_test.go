@@ -14,9 +14,9 @@ func newTestMachine() *Machine {
 
 func TestTrapDispatch(t *testing.T) {
 	m := newTestMachine()
-	var got *TrapFrame
-	m.SetTrapHandler(TrapSyscall, func(f *TrapFrame) bool {
-		got = f
+	var got *TrapFrame // the handler's own copy
+	m.SetTrapHandler(TrapSyscall, func(f TrapFrame) bool {
+		got = &f
 		return true
 	})
 	ok, err := m.Syscall(mmu.KernelContext, 42)
@@ -33,7 +33,7 @@ func TestTrapDispatch(t *testing.T) {
 
 func TestTrapNoHandler(t *testing.T) {
 	m := newTestMachine()
-	_, err := m.RaiseTrap(&TrapFrame{Vector: TrapDivZero})
+	_, err := m.RaiseTrap(TrapFrame{Vector: TrapDivZero})
 	if !errors.Is(err, ErrNoHandler) {
 		t.Fatalf("err = %v, want ErrNoHandler", err)
 	}
@@ -41,7 +41,7 @@ func TestTrapNoHandler(t *testing.T) {
 
 func TestSetTrapHandlerReturnsPrevious(t *testing.T) {
 	m := newTestMachine()
-	h1 := func(*TrapFrame) bool { return true }
+	h1 := func(TrapFrame) bool { return true }
 	if prev := m.SetTrapHandler(TrapSyscall, h1); prev != nil {
 		t.Fatal("fresh vector had a previous handler")
 	}
@@ -56,7 +56,7 @@ func TestSetTrapHandlerReturnsPrevious(t *testing.T) {
 func TestIRQDispatchAndMasking(t *testing.T) {
 	m := newTestMachine()
 	count := 0
-	if _, err := m.SetIRQHandler(3, func(f *TrapFrame) bool {
+	if _, err := m.SetIRQHandler(3, func(f TrapFrame) bool {
 		if f.IRQ != 3 {
 			t.Errorf("frame IRQ = %d", f.IRQ)
 		}
@@ -160,7 +160,7 @@ func TestPageFaultHandlerResolvesAndRetries(t *testing.T) {
 	m := newTestMachine()
 	ctx := m.MMU.NewContext()
 	faults := 0
-	m.SetTrapHandler(TrapPageFault, func(f *TrapFrame) bool {
+	m.SetTrapHandler(TrapPageFault, func(f TrapFrame) bool {
 		faults++
 		frame, err := m.Phys.AllocFrame()
 		if err != nil {
@@ -189,7 +189,7 @@ func TestPageFaultHandlerResolvesAndRetries(t *testing.T) {
 func TestPageFaultHandlerDeclines(t *testing.T) {
 	m := newTestMachine()
 	ctx := m.MMU.NewContext()
-	m.SetTrapHandler(TrapPageFault, func(*TrapFrame) bool { return false })
+	m.SetTrapHandler(TrapPageFault, func(TrapFrame) bool { return false })
 	err := m.Load(ctx, 0x1000, make([]byte, 1))
 	if _, ok := err.(*mmu.Fault); !ok {
 		t.Fatalf("err = %v, want the fault", err)
@@ -202,7 +202,7 @@ func TestPageFaultHandlerLiesDetected(t *testing.T) {
 	m := newTestMachine()
 	ctx := m.MMU.NewContext()
 	calls := 0
-	m.SetTrapHandler(TrapPageFault, func(*TrapFrame) bool {
+	m.SetTrapHandler(TrapPageFault, func(TrapFrame) bool {
 		calls++
 		return true
 	})
@@ -253,7 +253,7 @@ func TestTouchExecRaisesProtectionFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	handled := false
-	m.SetTrapHandler(TrapPageFault, func(f *TrapFrame) bool {
+	m.SetTrapHandler(TrapPageFault, func(f TrapFrame) bool {
 		handled = true
 		if f.Access != mmu.AccessExec {
 			t.Errorf("access = %v, want exec", f.Access)
@@ -299,7 +299,7 @@ func TestNICInjectReceiveTransmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	irqs := 0
-	if _, err := m.SetIRQHandler(4, func(*TrapFrame) bool { irqs++; return true }); err != nil {
+	if _, err := m.SetIRQHandler(4, func(TrapFrame) bool { irqs++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	frame := []byte{0xDE, 0xAD, 0xBE, 0xEF}
@@ -339,7 +339,7 @@ func TestNICInjectReceiveTransmit(t *testing.T) {
 
 	// Transmit path.
 	var sent []byte
-	nic.SetTxSink(func(f []byte) { sent = f })
+	nic.SetTxSink(func(f []byte) { sent = append([]byte(nil), f...) }) // valid only during the call
 	copy(data, []byte("xmit!"))
 	if err := regs.WriteReg(NICRegTxSlot, slot); err != nil {
 		t.Fatal(err)
@@ -412,7 +412,7 @@ func TestTimerProgramAndPoll(t *testing.T) {
 		t.Fatal(err)
 	}
 	fires := 0
-	if _, err := m.SetIRQHandler(1, func(*TrapFrame) bool { fires++; return true }); err != nil {
+	if _, err := m.SetIRQHandler(1, func(TrapFrame) bool { fires++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	timer.Program(100)

@@ -81,8 +81,9 @@ type TrapFrame struct {
 
 // TrapHandler handles a trap or interrupt. The handler for a page fault
 // returns true if the fault was resolved and the access should be
-// retried.
-type TrapHandler func(*TrapFrame) bool
+// retried. The frame travels by value: delivery allocates nothing, and
+// a handler (or a pop-up thread outliving it) owns its copy.
+type TrapHandler func(TrapFrame) bool
 
 // ErrNoHandler is returned when an event fires with no registered
 // handler. On real hardware this would be a fatal watchdog reset.
@@ -243,7 +244,7 @@ func (m *Machine) UnmaskIRQ(line IRQLine) error {
 // RaiseTrap delivers a synchronous trap, charging trap entry and exit.
 // It returns the handler's verdict (meaningful for page faults) or
 // ErrNoHandler.
-func (m *Machine) RaiseTrap(frame *TrapFrame) (bool, error) {
+func (m *Machine) RaiseTrap(frame TrapFrame) (bool, error) {
 	if frame.CPU < 0 || int(frame.CPU) >= len(m.cpus) {
 		// Rejected up front: handlers index per-CPU state (delivery
 		// locks, context registers) by frame.CPU and would panic on a
@@ -301,8 +302,7 @@ func (m *Machine) RaiseIRQOn(line IRQLine, cpu mmu.CPUID) error {
 	m.cpus[cpu].irqs.Add(1)
 	m.mu.Unlock()
 	m.Meter.Charge(clock.OpInterrupt)
-	frame := &TrapFrame{Vector: -1, IRQ: line, Ctx: m.MMU.CurrentOn(cpu), CPU: cpu}
-	h(frame)
+	h(TrapFrame{Vector: -1, IRQ: line, Ctx: m.MMU.CurrentOn(cpu), CPU: cpu})
 	return nil
 }
 
@@ -405,16 +405,6 @@ func (m *Machine) accessOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, buf [
 	return nil
 }
 
-// trapFramePool recycles the page-fault trap frames the access path
-// delivers. Trap delivery is synchronous — "the faulting context is
-// suspended until the handler returns" — so once RaiseTrap returns the
-// frame is dead and can be reused; pooling it keeps the per-call frame
-// allocation off the cross-domain invocation hot path. Handlers must
-// not retain a fault frame past their return (asynchronous IRQ frames,
-// which pop-up threads may outlive their delivery with, are allocated
-// fresh and never pooled).
-var trapFramePool = sync.Pool{New: func() any { return new(TrapFrame) }}
-
 // Delivery failures of a page fault, reported ahead of the fault.
 var (
 	errFaultUnhandled = errors.New("hw: unhandled page fault")
@@ -426,7 +416,8 @@ var (
 // the fault resolved. The trap frame carries the CPU, so the handler's
 // own crossings and TLB traffic charge against the faulting CPU.
 //
-// The fault travels by value: it is returned with Kind FaultNone on
+// The fault travels by value, in and out: the trap frame is built on
+// the stack and the outcome is returned with Kind FaultNone on
 // success, or as the fault that stopped the access, with cause set
 // when delivery itself failed (no handler, or a handler that claimed a
 // resolution it did not make). Nothing here allocates; only the
@@ -446,8 +437,7 @@ func (m *Machine) translateWithFaults(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.V
 		if probe.Enabled() {
 			m.Meter.Emit(int(cpu), probe.KindFault, uint32(ctx), uint64(va), uint64(kind))
 		}
-		frame := trapFramePool.Get().(*TrapFrame)
-		*frame = TrapFrame{
+		resolved, herr := m.RaiseTrap(TrapFrame{
 			Vector: TrapPageFault,
 			Ctx:    ctx,
 			Addr:   va,
@@ -455,10 +445,7 @@ func (m *Machine) translateWithFaults(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.V
 			Fault:  f,
 			Token:  token,
 			CPU:    cpu,
-		}
-		resolved, herr := m.RaiseTrap(frame)
-		*frame = TrapFrame{}
-		trapFramePool.Put(frame)
+		})
 		if herr != nil {
 			return 0, f, errFaultUnhandled
 		}
@@ -486,7 +473,7 @@ func faultErr(_ mmu.PAddr, f mmu.Fault, cause error) error {
 // Syscall raises the syscall trap with the given argument, modelling a
 // user-to-kernel protected entry. It returns the handler's verdict.
 func (m *Machine) Syscall(ctx mmu.ContextID, arg uint64) (bool, error) {
-	return m.RaiseTrap(&TrapFrame{Vector: TrapSyscall, Ctx: ctx, Arg: arg})
+	return m.RaiseTrap(TrapFrame{Vector: TrapSyscall, Ctx: ctx, Arg: arg})
 }
 
 // AttachDevice registers a device and its I/O region, and wires the

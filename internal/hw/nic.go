@@ -37,6 +37,11 @@ var ErrRingFull = errors.New("hw: NIC receive ring full")
 // NIC is a simulated network interface with on-device packet memory,
 // a receive ring and a transmit path. Frames enter via Inject (the
 // "wire") and leave via the transmit sink.
+//
+// The receive ring and the free-slot list are fixed FIFOs of slot
+// indices, like a real controller's descriptor rings: every slot is
+// on exactly one of them, so neither can overflow and neither ever
+// allocates.
 type NIC struct {
 	baseDevice
 	name string
@@ -44,9 +49,9 @@ type NIC struct {
 
 	mu        sync.Mutex
 	slots     [NICSlots][]byte // on-device packet memory
-	rxQueue   []int            // slot indices with received frames
-	rxLens    map[int]int
-	freeSlots []int
+	rxLens    [NICSlots]int    // frame length held by each slot
+	rx        slotFIFO         // slots holding received frames, oldest first
+	free      slotFIFO         // slots free for reception, FIFO reuse
 	txSink    func(frame []byte)
 	rxDropped uint64
 	txCount   uint64
@@ -54,18 +59,38 @@ type NIC struct {
 
 	// txSlot/txLen latch the pending transmit descriptor.
 	txSlot, txLen uint64
+
+	// txMu serializes transmission through txBuf, the one buffer a
+	// frame is copied out of device memory into and handed to the
+	// sink from. Taken before mu, and held across the sink call.
+	txMu  sync.Mutex
+	txBuf [NICSlotSize]byte
+}
+
+// slotFIFO is a fixed-capacity FIFO of slot indices.
+type slotFIFO struct {
+	q       [NICSlots]int
+	head, n int
+}
+
+func (f *slotFIFO) push(slot int) {
+	f.q[(f.head+f.n)%NICSlots] = slot
+	f.n++
+}
+
+func (f *slotFIFO) pop() int {
+	slot := f.q[f.head]
+	f.head = (f.head + 1) % NICSlots
+	f.n--
+	return slot
 }
 
 // NewNIC builds a NIC raising interrupts on the given line.
 func NewNIC(name string, irq IRQLine) *NIC {
-	n := &NIC{
-		name:   name,
-		irq:    irq,
-		rxLens: make(map[int]int),
-	}
+	n := &NIC{name: name, irq: irq}
 	for i := 0; i < NICSlots; i++ {
 		n.slots[i] = make([]byte, NICSlotSize)
-		n.freeSlots = append(n.freeSlots, i)
+		n.free.push(i)
 	}
 	n.region = NewIORegion(name+"-regs", nicRegCount, n.readReg, n.writeReg)
 	return n
@@ -81,7 +106,11 @@ func (n *NIC) IRQ() IRQLine { return n.irq }
 func (n *NIC) IORegion() *IORegion { return n.region }
 
 // SetTxSink installs the function that receives transmitted frames
-// (the "wire" on the send side).
+// (the "wire" on the send side). The sink is called synchronously by
+// the transmit register write, and the frame it is handed is valid
+// only during the call: the NIC reuses the buffer for the next
+// transmission, so a sink that keeps a frame must copy it. A sink must
+// not transmit on the same NIC.
 func (n *NIC) SetTxSink(sink func(frame []byte)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -101,22 +130,23 @@ func (n *NIC) SlotData(slot int) ([]byte, error) {
 // Inject delivers a frame from the wire into the receive ring and
 // raises the device interrupt. It fails with ErrRingFull when no slot
 // is free (the frame is counted as dropped).
+//
+//paramecium:hotpath
 func (n *NIC) Inject(frame []byte) error {
 	if len(frame) > NICSlotSize {
 		return ErrFrameTooBig
 	}
 	n.mu.Lock()
-	if len(n.freeSlots) == 0 {
+	if n.free.n == 0 {
 		n.rxDropped++
 		n.mu.Unlock()
 		return ErrRingFull
 	}
-	slot := n.freeSlots[0]
-	n.freeSlots = n.freeSlots[1:]
+	slot := n.free.pop()
 	//paralint:ignore chargepath device DMA into the receive ring costs no CPU cycles by design
 	copy(n.slots[slot], frame)
 	n.rxLens[slot] = len(frame)
-	n.rxQueue = append(n.rxQueue, slot)
+	n.rx.push(slot)
 	n.mu.Unlock()
 	n.raise(n.irq)
 	return nil
@@ -126,7 +156,7 @@ func (n *NIC) Inject(frame []byte) error {
 func (n *NIC) Pending() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.rxQueue)
+	return n.rx.n
 }
 
 // Dropped reports frames dropped due to ring overflow.
@@ -148,17 +178,17 @@ func (n *NIC) readReg(reg int) (uint64, error) {
 	defer n.mu.Unlock()
 	switch reg {
 	case NICRegRxPending:
-		return uint64(len(n.rxQueue)), nil
+		return uint64(n.rx.n), nil
 	case NICRegRxSlot:
-		if len(n.rxQueue) == 0 {
+		if n.rx.n == 0 {
 			return ^uint64(0), nil
 		}
-		return uint64(n.rxQueue[0]), nil
+		return uint64(n.rx.q[n.rx.head]), nil
 	case NICRegRxLen:
-		if len(n.rxQueue) == 0 {
+		if n.rx.n == 0 {
 			return 0, nil
 		}
-		return uint64(n.rxLens[n.rxQueue[0]]), nil
+		return uint64(n.rxLens[n.rx.q[n.rx.head]]), nil
 	case NICRegRxDropped:
 		return n.rxDropped, nil
 	case NICRegTxCount:
@@ -168,42 +198,48 @@ func (n *NIC) readReg(reg int) (uint64, error) {
 }
 
 func (n *NIC) writeReg(reg int, val uint64) error {
+	if reg == NICRegTxGo {
+		return n.transmit()
+	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	switch reg {
 	case NICRegRxPop:
-		if len(n.rxQueue) > 0 {
-			slot := n.rxQueue[0]
-			n.rxQueue = n.rxQueue[1:]
-			delete(n.rxLens, slot)
-			n.freeSlots = append(n.freeSlots, slot)
+		if n.rx.n > 0 {
+			slot := n.rx.pop()
+			n.rxLens[slot] = 0
+			n.free.push(slot)
 		}
-		n.mu.Unlock()
-		return nil
 	case NICRegTxSlot:
 		n.txSlot = val
-		n.mu.Unlock()
-		return nil
 	case NICRegTxLen:
 		n.txLen = val
-		n.mu.Unlock()
-		return nil
-	case NICRegTxGo:
-		slot, length := int(n.txSlot), int(n.txLen)
-		if slot < 0 || slot >= NICSlots || length < 0 || length > NICSlotSize {
-			n.mu.Unlock()
-			return fmt.Errorf("hw: bad transmit descriptor slot=%d len=%d", slot, length)
-		}
-		frame := make([]byte, length)
-		//paralint:ignore chargepath device DMA out of the transmit ring costs no CPU cycles by design
-		copy(frame, n.slots[slot][:length])
-		sink := n.txSink
-		n.txCount++
-		n.mu.Unlock()
-		if sink != nil {
-			sink(frame)
-		}
-		return nil
 	}
+	return nil
+}
+
+// transmit sends the latched descriptor's frame: it is copied out of
+// device memory into the transmit buffer and handed to the sink,
+// outside the register lock so the sink may read the NIC's counters.
+//
+//paramecium:hotpath
+func (n *NIC) transmit() error {
+	n.txMu.Lock()
+	defer n.txMu.Unlock()
+	n.mu.Lock()
+	slot, length := int(n.txSlot), int(n.txLen)
+	if slot < 0 || slot >= NICSlots || length < 0 || length > NICSlotSize {
+		n.mu.Unlock()
+		return fmt.Errorf("hw: bad transmit descriptor slot=%d len=%d", slot, length)
+	}
+	frame := n.txBuf[:length]
+	//paralint:ignore chargepath device DMA out of the transmit ring costs no CPU cycles by design
+	copy(frame, n.slots[slot][:length])
+	sink := n.txSink
+	n.txCount++
 	n.mu.Unlock()
+	if sink != nil {
+		sink(frame)
+	}
 	return nil
 }

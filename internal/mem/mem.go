@@ -24,7 +24,7 @@ import (
 
 // FaultHandler resolves a fault on a registered page. Returning true
 // retries the faulting access.
-type FaultHandler func(f *hw.TrapFrame) bool
+type FaultHandler func(f hw.TrapFrame) bool
 
 // IOMode selects exclusive or shared I/O space allocation.
 type IOMode int
@@ -95,7 +95,7 @@ func (s *Service) Machine() *hw.Machine { return s.machine }
 
 // handleFault dispatches a page fault to the per-page call-back, if
 // one is registered.
-func (s *Service) handleFault(f *hw.TrapFrame) bool {
+func (s *Service) handleFault(f hw.TrapFrame) bool {
 	key := pageKey{ctx: f.Ctx, vpn: f.Addr.VPN()}
 	s.mu.RLock()
 	h := s.handlers[key]

@@ -188,7 +188,7 @@ func TestFaultHandlerDemandPaging(t *testing.T) {
 	s, m := newService(8)
 	ctx := s.NewDomain()
 	faults := 0
-	if err := s.RegisterFaultHandler(ctx, 0x5000, func(f *hw.TrapFrame) bool {
+	if err := s.RegisterFaultHandler(ctx, 0x5000, func(f hw.TrapFrame) bool {
 		faults++
 		if err := s.AllocPage(f.Ctx, f.Addr.PageBase(), mmu.PermRead|mmu.PermWrite); err != nil {
 			return false
@@ -231,7 +231,7 @@ func TestFaultWithoutHandlerIsUnresolved(t *testing.T) {
 func TestFaultHandlerRegistration(t *testing.T) {
 	s, _ := newService(8)
 	ctx := s.NewDomain()
-	h := func(*hw.TrapFrame) bool { return false }
+	h := func(hw.TrapFrame) bool { return false }
 	if err := s.RegisterFaultHandler(ctx, 0x1000, nil); err == nil {
 		t.Fatal("nil handler accepted")
 	}
@@ -256,7 +256,7 @@ func TestDestroyDomainReclaimsEverything(t *testing.T) {
 	if err := s.AllocRange(ctx, 0x1000, 3, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RegisterFaultHandler(ctx, 0x9000, func(*hw.TrapFrame) bool { return false }); err != nil {
+	if err := s.RegisterFaultHandler(ctx, 0x9000, func(hw.TrapFrame) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.DestroyDomain(ctx); err != nil {

@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -126,7 +127,9 @@ func newFakeDriver() *fakeDriver {
 		panic(err)
 	}
 	bi.MustBind("send", func(args ...any) ([]any, error) {
-		d.sent = append(d.sent, args[0].([]byte))
+		// The frame is the stack's reply buffer, ours only for the call.
+		frame, _ := obj.BytesArg(args[0])
+		d.sent = append(d.sent, append([]byte(nil), frame...))
 		return nil, nil
 	}).MustBind("recv", func(...any) ([]any, error) {
 		if len(d.rxq) == 0 {
@@ -447,5 +450,61 @@ func TestUDPFrameRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAppendUDPFrameMatchesLayers: the one-pass builder writes exactly
+// the bytes of the layered one — Ethernet carrying IP-lite carrying
+// UDP — after whatever dst already holds, and reuses dst's room.
+func TestAppendUDPFrameMatchesLayers(t *testing.T) {
+	for _, payload := range [][]byte{nil, []byte("x"), []byte("ping"), make([]byte, 301)} {
+		want := BuildFrame(macB, macA, EtherTypeIP,
+			BuildIP(ipA, ipB, ProtoUDP, BuildUDP(7, 9000, payload)))
+		got := AppendUDPFrame([]byte("head"), macB, macA, ipA, ipB, 7, 9000, payload)
+		if string(got[:4]) != "head" || !bytes.Equal(got[4:], want) {
+			t.Fatalf("payload %d bytes: appended frame differs from the layered build", len(payload))
+		}
+		buf := make([]byte, 0, 512)
+		if out := AppendUDPFrame(buf, macB, macA, ipA, ipB, 7, 9000, payload); &out[0] != &buf[:1][0] {
+			t.Fatal("a buffer with room was not reused")
+		}
+	}
+}
+
+// TestEndpointRecyclesPayloads: a received payload stays intact until
+// the next Recv, whose buffer recycling makes a steady deliver/receive
+// cycle allocation-free.
+func TestEndpointRecyclesPayloads(t *testing.T) {
+	s, _ := newTestStack(t)
+	ep, err := s.Bind(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := BuildUDPFrame(macA, macB, ipB, ipA, 9000, 7, []byte("first"))
+	b := BuildUDPFrame(macA, macB, ipB, ipA, 9000, 7, []byte("other"))
+	s.Deliver(a)
+	got, ok := ep.Recv()
+	if !ok {
+		t.Fatal("no datagram")
+	}
+	s.Deliver(b) // queued while got is still lent out
+	if string(got.Payload) != "first" {
+		t.Fatalf("lent payload overwritten: %q", got.Payload)
+	}
+	if next, ok := ep.Recv(); !ok || string(next.Payload) != "other" {
+		t.Fatalf("second recv = %q, %v", next.Payload, ok)
+	}
+	cycle := func() {
+		s.Deliver(a)
+		s.Deliver(b)
+		for {
+			if _, ok := ep.Recv(); !ok {
+				return
+			}
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("deliver/receive cycle allocates %v objects", allocs)
 	}
 }

@@ -53,6 +53,22 @@ type Stack struct {
 	filters   []Filter
 	endpoints map[uint16]*Endpoint
 	stats     Stats
+	txFree    []*txFrame // reply buffers Send builds frames in
+
+	// pumpMu serializes Pump, which makes the stack its driver's one
+	// receive consumer (a frame from recv is valid until the next
+	// recv), and guards rxOut, the recv hop's result buffer.
+	pumpMu sync.Mutex
+	rxOut  [1]any
+}
+
+// txFrame is a stack-owned reply buffer: Send builds a frame in it and
+// hands the driver the frame's header by reference (obj.BytesArg), so
+// neither the frame nor its boxing allocates once the buffer has grown
+// to the largest frame sent.
+type txFrame struct {
+	frame []byte
+	args  [1]any // {&frame}
 }
 
 // NewStack builds a stack over a driver interface.
@@ -156,15 +172,19 @@ func (s *Stack) Unbind(port uint16) error {
 }
 
 // Pump drains the driver's receive queue through the stack and
-// returns the number of frames processed.
+// returns the number of frames processed. Pumps serialize.
+//
+//paramecium:hotpath
 func (s *Stack) Pump() int {
+	s.pumpMu.Lock()
+	defer s.pumpMu.Unlock()
 	n := 0
 	for {
-		res, err := s.recv.Call()
+		res, err := s.recv.CallInto(s.rxOut[:0])
 		if err != nil {
 			return n
 		}
-		frame, _ := res[0].([]byte)
+		frame, _ := obj.BytesArg(res[0])
 		if frame == nil {
 			return n
 		}
@@ -176,6 +196,8 @@ func (s *Stack) Pump() int {
 // Deliver pushes one raw frame through filters, parsing and
 // demultiplexing. It is exported so the experiments can feed the
 // stack directly.
+//
+//paramecium:hotpath
 func (s *Stack) Deliver(frame []byte) {
 	s.mu.Lock()
 	filters := s.filters
@@ -220,7 +242,7 @@ func (s *Stack) Deliver(frame []byte) {
 	}
 	s.stats.Delivered++
 	s.mu.Unlock()
-	ep.push(Received{Src: ip.Src, SrcPort: udp.SrcPort, Payload: append([]byte{}, udp.Payload...)})
+	ep.push(ip.Src, udp.SrcPort, udp.Payload)
 }
 
 func (s *Stack) countMalformed() {
@@ -229,11 +251,35 @@ func (s *Stack) countMalformed() {
 	s.mu.Unlock()
 }
 
-// Send transmits a UDP datagram through the driver.
+// Send transmits a UDP datagram through the driver. The frame is built
+// in a stack-owned reply buffer, which the driver may use only during
+// its send.
+//
+//paramecium:hotpath
 func (s *Stack) Send(dstMAC MAC, dstIP IP, dstPort, srcPort uint16, payload []byte) error {
-	frame := BuildUDPFrame(dstMAC, s.HWAddr, s.Addr, dstIP, srcPort, dstPort, payload)
-	_, err := s.send.Call(frame)
+	tx := s.takeTx()
+	tx.frame = AppendUDPFrame(tx.frame[:0], dstMAC, s.HWAddr, s.Addr, dstIP, srcPort, dstPort, payload)
+	_, err := s.send.CallInto(nil, tx.args[:]...)
+	s.mu.Lock()
+	s.txFree = append(s.txFree, tx)
+	s.mu.Unlock()
 	return err
+}
+
+// takeTx pops a free reply buffer, or makes one: the stack holds as
+// many as Sends ever ran at once.
+func (s *Stack) takeTx() *txFrame {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.txFree); n > 0 {
+		tx := s.txFree[n-1]
+		s.txFree[n-1] = nil
+		s.txFree = s.txFree[:n-1]
+		return tx
+	}
+	tx := new(txFrame)
+	tx.args[0] = &tx.frame
+	return tx
 }
 
 // Stats returns a snapshot of the counters.
@@ -250,33 +296,68 @@ type Received struct {
 	Payload []byte
 }
 
-// Endpoint is a bound UDP port's receive queue.
+// Endpoint is a bound UDP port's receive queue. Payload buffers are
+// recycled: the stack copies each datagram into a spare buffer, and a
+// payload returned by Recv goes back to the spares at the next Recv.
 type Endpoint struct {
 	stack *Stack
 	port  uint16
 
-	mu sync.Mutex
-	q  []Received
+	mu    sync.Mutex
+	q     []Received // queued datagrams, oldest at head
+	head  int
+	spare [][]byte // recycled payload buffers
+	lent  []byte   // the payload the last Recv returned
 }
 
 // Port reports the bound port.
 func (e *Endpoint) Port() uint16 { return e.port }
 
-func (e *Endpoint) push(r Received) {
+// push queues a copy of payload.
+//
+//paramecium:hotpath
+func (e *Endpoint) push(src IP, srcPort uint16, payload []byte) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.q = append(e.q, r)
+	var buf []byte
+	if n := len(e.spare); n > 0 {
+		buf = e.spare[n-1][:0]
+		e.spare[n-1] = nil
+		e.spare = e.spare[:n-1]
+	}
+	if e.head > 0 && len(e.q) == cap(e.q) {
+		// Full but partly consumed: slide the queue to the front
+		// instead of growing it.
+		n := copy(e.q, e.q[e.head:])
+		clear(e.q[n:])
+		e.q, e.head = e.q[:n], 0
+	}
+	buf = append(buf, payload...)
+	e.q = append(e.q, Received{Src: src, SrcPort: srcPort, Payload: buf})
 }
 
-// Recv pops the oldest datagram.
+// Recv pops the oldest datagram. Its Payload stays valid until the
+// next Recv on this endpoint, which recycles the buffer; a receiver
+// that keeps a payload longer must copy it.
+//
+//paramecium:hotpath
 func (e *Endpoint) Recv() (Received, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.q) == 0 {
+	if e.lent != nil {
+		e.spare = append(e.spare, e.lent)
+		e.lent = nil
+	}
+	if e.head == len(e.q) {
 		return Received{}, false
 	}
-	r := e.q[0]
-	e.q = e.q[1:]
+	r := e.q[e.head]
+	e.q[e.head] = Received{}
+	e.head++
+	if e.head == len(e.q) {
+		e.q, e.head = e.q[:0], 0
+	}
+	e.lent = r.Payload
 	return r, true
 }
 
@@ -284,5 +365,5 @@ func (e *Endpoint) Recv() (Received, bool) {
 func (e *Endpoint) Len() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.q)
+	return len(e.q) - e.head
 }

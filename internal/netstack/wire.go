@@ -174,7 +174,24 @@ func Checksum(b []byte) uint16 {
 // BuildUDPFrame assembles a full frame down the stack: Ethernet
 // carrying IP-lite carrying UDP.
 func BuildUDPFrame(dstMAC, srcMAC MAC, srcIP, dstIP IP, srcPort, dstPort uint16, payload []byte) []byte {
-	udp := BuildUDP(srcPort, dstPort, payload)
-	ip := BuildIP(srcIP, dstIP, ProtoUDP, udp)
-	return BuildFrame(dstMAC, srcMAC, EtherTypeIP, ip)
+	return AppendUDPFrame(nil, dstMAC, srcMAC, srcIP, dstIP, srcPort, dstPort, payload)
+}
+
+// AppendUDPFrame appends the frame BuildUDPFrame builds to dst and
+// returns the extended slice, writing every header in one pass: a
+// sender that keeps its buffer builds each frame without allocating.
+func AppendUDPFrame(dst []byte, dstMAC, srcMAC MAC, srcIP, dstIP IP, srcPort, dstPort uint16, payload []byte) []byte {
+	udpLen := UDPHeaderLen + len(payload)
+	dst = append(dst, dstMAC[:]...)
+	dst = append(dst, srcMAC[:]...)
+	dst = binary.BigEndian.AppendUint16(dst, EtherTypeIP)
+	dst = append(dst, ProtoUDP, DefaultTTL)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(IPHeaderLen+udpLen))
+	dst = append(dst, srcIP[:]...)
+	dst = append(dst, dstIP[:]...)
+	dst = binary.BigEndian.AppendUint16(dst, srcPort)
+	dst = binary.BigEndian.AppendUint16(dst, dstPort)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(udpLen))
+	dst = binary.BigEndian.AppendUint16(dst, Checksum(payload))
+	return append(dst, payload...)
 }

@@ -109,3 +109,24 @@ func (h MethodHandle) CallInto(out []any, args ...any) ([]any, error) {
 	}
 	return res, nil
 }
+
+// BytesArg decodes a byte-buffer argument or result. A buffer crosses
+// a method boundary either by value, as a []byte, or by reference, as
+// a *[]byte. Boxing a slice into an interface allocates a copy of its
+// header; boxing a pointer does not, so a per-packet path keeps the
+// header in storage it owns and passes its address. Both forms carry
+// the same bytes (the cross-domain plane charges them alike), and a
+// buffer passed by reference is the callee's only for the call. A nil
+// *[]byte decodes as a nil buffer.
+func BytesArg(v any) ([]byte, bool) {
+	switch b := v.(type) {
+	case []byte:
+		return b, true
+	case *[]byte:
+		if b == nil {
+			return nil, true
+		}
+		return *b, true
+	}
+	return nil, false
+}

@@ -12,7 +12,7 @@
 // the difference except in cycles.
 //
 // The invocation plane is fully concurrent: every call carries its own
-// pooled call frame, keyed by a token threaded through the trap frame,
+// recycled call frame, keyed by a token threaded through the trap frame,
 // so any number of goroutines may call through one proxy — even the
 // same method of the same interface — without serializing on anything
 // wider than the MMU's own short critical sections.
@@ -50,22 +50,15 @@ const DefaultEntryBase mmu.VAddr = 0x7000_0000
 // single page fault. The kernel half (the fault handler) executes the
 // entries and writes err and done; the caller half owns the frame
 // before and after the fault. A single call is a batch of one whose
-// entry lives in the frame itself (one), and frames are pooled, so
-// steady-state invocation allocates nothing for the call machinery.
+// entry lives in the frame itself (one), and frames are recycled
+// through the frame table, so steady-state invocation allocates
+// nothing for the call machinery.
 type callFrame struct {
 	batch []obj.BatchCall // the group; entries carry their own targets
 	mode  obj.BatchMode   // dispatch mode that formed the group (telemetry)
 	err   error
 	done  bool
 	one   [1]obj.BatchCall // a single call's entry
-}
-
-var framePool = sync.Pool{New: func() any { return new(callFrame) }}
-
-func putFrame(fr *callFrame) {
-	// Drop value references so pooled frames do not pin caller data.
-	*fr = callFrame{}
-	framePool.Put(fr)
 }
 
 // frameShards is the number of lock shards in a frame table. Power of
@@ -81,22 +74,29 @@ type frameTable struct {
 	shards [frameShards]frameShard
 }
 
+// frameShard holds the live frames of its tokens and a free list of
+// retired frames, both under the one lock acquire and release take
+// anyway: recycling a frame adds no lock operation to a call, and a
+// frame is reused deterministically, not whenever a garbage
+// collection lets a pool refill.
 type frameShard struct {
-	mu sync.Mutex
-	m  map[uint64]*callFrame
+	mu   sync.Mutex
+	m    map[uint64]*callFrame
+	free []*callFrame
 	// Pad the shard to a 64-byte stride so adjacent shards' locks do
 	// not share a cache line.
-	_ [48]byte
+	_ [24]byte
 }
 
 func (t *frameTable) shard(token uint64) *frameShard {
 	return &t.shards[token&(frameShards-1)]
 }
 
-// put registers fr under a fresh token and returns the token.
+// acquire registers a frame — recycled from the shard's free list, or
+// new when the list is empty — under a fresh token.
 //
 //paramecium:hotpath
-func (t *frameTable) put(fr *callFrame) uint64 {
+func (t *frameTable) acquire() (uint64, *callFrame) {
 	token := t.next.Add(1)
 	s := t.shard(token)
 	s.mu.Lock()
@@ -104,9 +104,18 @@ func (t *frameTable) put(fr *callFrame) uint64 {
 		//paralint:ignore hotpathalloc one-time lazy shard initialization, amortized to zero per call
 		s.m = make(map[uint64]*callFrame)
 	}
+	var fr *callFrame
+	if n := len(s.free); n > 0 {
+		fr = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		//paralint:ignore hotpathalloc a shard grows one frame per call it ever ran concurrently, then recycles them
+		fr = new(callFrame)
+	}
 	s.m[token] = fr
 	s.mu.Unlock()
-	return token
+	return token, fr
 }
 
 // get returns the frame registered under token, or nil.
@@ -121,11 +130,16 @@ func (t *frameTable) get(token uint64) *callFrame {
 	return fr
 }
 
-// drop unregisters token.
-func (t *frameTable) drop(token uint64) {
+// release unregisters token and returns its frame, cleared so it pins
+// no caller data, to the shard's free list.
+//
+//paramecium:hotpath
+func (t *frameTable) release(token uint64, fr *callFrame) {
+	*fr = callFrame{}
 	s := t.shard(token)
 	s.mu.Lock()
 	delete(s.m, token)
+	s.free = append(s.free, fr)
 	s.mu.Unlock()
 }
 
@@ -361,7 +375,7 @@ func (p *Proxy) Crossings() uint64 {
 // crossing — one CPU lease, one page fault (the trap cost charged
 // once), one context-switch pair — executing each entry in the
 // target's context with per-entry results and errors. The frame is
-// pooled in the factory's sharded frame table. A closed proxy fails
+// recycled through the factory's sharded frame table. A closed proxy fails
 // every entry with ErrClosed, a dead target context fails them all
 // with "target domain gone", and a failing method or a rejected grant
 // fails only its own entry. Every group-level failure is recorded on
@@ -369,10 +383,10 @@ func (p *Proxy) Crossings() uint64 {
 //
 //paramecium:hotpath
 func (p *Proxy) DispatchBatch(calls []obj.BatchCall, mode obj.BatchMode) error {
-	fr := framePool.Get().(*callFrame)
-	err := p.dispatch(fr, calls, mode)
-	putFrame(fr)
-	return err
+	token, fr := p.factory.frames.acquire()
+	// Deferred so a panicking target method cannot leak the table entry.
+	defer p.factory.frames.release(token, fr)
+	return p.dispatch(token, fr, calls, mode)
 }
 
 // call carries one invocation through h, a handle this proxy resolved,
@@ -381,25 +395,24 @@ func (p *Proxy) DispatchBatch(calls []obj.BatchCall, mode obj.BatchMode) error {
 //
 //paramecium:hotpath
 func (p *Proxy) call(h obj.MethodHandle, out, args []any) ([]any, error) {
-	fr := framePool.Get().(*callFrame)
+	token, fr := p.factory.frames.acquire()
+	defer p.factory.frames.release(token, fr)
 	fr.one[0].Fill(h, out, args)
-	_ = p.dispatch(fr, fr.one[:], obj.InOrder) // recorded on the entry too
-	res, err := fr.one[0].Results()
-	putFrame(fr)
-	return res, err
+	_ = p.dispatch(token, fr, fr.one[:], obj.InOrder) // recorded on the entry too
+	return fr.one[0].Results()
 }
 
-// dispatch registers fr for calls under a fresh token, then references
-// the first entry's slot, taking the page fault that drives the
-// kernel's call handler. The token rides in the trap frame, so the
-// handler finds this group's frame however many calls are in flight on
-// the same page, and the remaining entries cross without faulting
-// again. The call claims a virtual CPU for its duration: the entry-page
+// dispatch carries calls in fr, registered under token, across the
+// boundary: it references the first entry's slot, taking the page
+// fault that drives the kernel's call handler. The token rides in the
+// trap frame, so the handler finds this group's frame however many
+// calls are in flight on the same page, and the remaining entries
+// cross without faulting again. The call claims a virtual CPU for its duration: the entry-page
 // translation, crossing charges and any flush-on-switch TLB loss all
 // land on that CPU.
 //
 //paramecium:hotpath
-func (p *Proxy) dispatch(fr *callFrame, calls []obj.BatchCall, mode obj.BatchMode) error {
+func (p *Proxy) dispatch(token uint64, fr *callFrame, calls []obj.BatchCall, mode obj.BatchMode) error {
 	if len(calls) == 0 {
 		return nil
 	}
@@ -414,10 +427,6 @@ func (p *Proxy) dispatch(fr *callFrame, calls []obj.BatchCall, mode obj.BatchMod
 		return failAll(calls, errForeignEntry)
 	}
 	fr.batch, fr.mode = calls, mode
-	token := p.factory.frames.put(fr)
-	// Deferred so a panicking target method cannot leak the table entry.
-	defer p.factory.frames.drop(token)
-
 	lease := p.factory.svc.Machine().AcquireCPU()
 	lease.CPU().TouchTagged(p.callerCtx, key.slotVA, mmu.AccessExec, token)
 	lease.Release()
@@ -564,7 +573,7 @@ func (e *entryIface) Resolve(method string) (obj.MethodHandle, error) {
 // independently, each with its own frame.
 //
 //paramecium:hotpath
-func (e *entryIface) handleFault(f *hw.TrapFrame) bool {
+func (e *entryIface) handleFault(f hw.TrapFrame) bool {
 	p := e.proxy
 	// Entered before the closed-check so Close can quiesce: if closed
 	// is observed set here, the handler touches nothing of the target.
@@ -574,7 +583,7 @@ func (e *entryIface) handleFault(f *hw.TrapFrame) bool {
 		return false
 	}
 	if call := p.factory.frames.get(f.Token); call != nil {
-		p.executeBatch(f, call)
+		p.executeBatch(f.CPU, call)
 	}
 	// The entry page stays unmapped (the next call must fault again),
 	// so the fault is reported as unresolved; a stray touch of the page
@@ -595,7 +604,7 @@ func (e *entryIface) handleFault(f *hw.TrapFrame) bool {
 // single call — a batch of one — costs exactly one crossing.
 //
 //paramecium:hotpath
-func (p *Proxy) executeBatch(f *hw.TrapFrame, call *callFrame) {
+func (p *Proxy) executeBatch(cpu mmu.CPUID, call *callFrame) {
 	machine := p.factory.svc.Machine()
 	mm, meter := machine.MMU, machine.Meter
 	payer := uint32(p.callerCtx)
@@ -618,10 +627,10 @@ func (p *Proxy) executeBatch(f *hw.TrapFrame, call *callFrame) {
 	crossing := p.callerCtx != p.targetCtx
 	if probe.Enabled() {
 		if grouped {
-			meter.Emit(int(f.CPU), probe.KindBatchDispatch, payer, uint64(len(call.batch)), uint64(call.mode))
+			meter.Emit(int(cpu), probe.KindBatchDispatch, payer, uint64(len(call.batch)), uint64(call.mode))
 		}
 		if crossing {
-			meter.Emit(int(f.CPU), probe.KindCrossingBegin, payer, uint64(p.targetCtx), uint64(len(call.batch)))
+			meter.Emit(int(cpu), probe.KindCrossingBegin, payer, uint64(p.targetCtx), uint64(len(call.batch)))
 		}
 	}
 	// The call runs in the caller's domain and crosses into the
@@ -632,7 +641,7 @@ func (p *Proxy) executeBatch(f *hw.TrapFrame, call *callFrame) {
 	// virtual processor, so concurrent calls never observe each other's
 	// transient context and the switch charges are deterministic.
 	if crossing {
-		if err := mm.CrossSwitchOn(f.CPU, p.targetCtx); err != nil {
+		if err := mm.CrossSwitchOn(cpu, p.targetCtx); err != nil {
 			call.err = failAll(call.batch, fmt.Errorf("proxy: target domain gone: %w", err))
 			return
 		}
@@ -672,7 +681,7 @@ func (p *Proxy) executeBatch(f *hw.TrapFrame, call *callFrame) {
 		bc.SetResult(res, err)
 	}
 	if crossing {
-		if err := mm.CrossSwitchOn(f.CPU, p.callerCtx); err != nil {
+		if err := mm.CrossSwitchOn(cpu, p.callerCtx); err != nil {
 			// The caller's domain was destroyed while the group was in
 			// flight; there is no context to return to. Every entry
 			// reports it alongside its own outcome.
@@ -683,7 +692,7 @@ func (p *Proxy) executeBatch(f *hw.TrapFrame, call *callFrame) {
 			}
 		}
 		if probe.Enabled() {
-			meter.Emit(int(f.CPU), probe.KindCrossingEnd, payer, uint64(p.targetCtx), uint64(len(call.batch)))
+			meter.Emit(int(cpu), probe.KindCrossingEnd, payer, uint64(p.targetCtx), uint64(len(call.batch)))
 		}
 	}
 }
@@ -738,6 +747,13 @@ func wordsOf(vals []any) uint64 {
 			bytes += uint64(len(x)) + 8
 		case []byte:
 			bytes += uint64(len(x)) + 8
+		case *[]byte:
+			// A buffer passed by reference (obj.BytesArg) crosses as
+			// its bytes, exactly like one passed by value.
+			if x != nil {
+				bytes += uint64(len(*x))
+			}
+			bytes += 8
 		case []any:
 			bytes += 8 * uint64(len(x))
 		default:

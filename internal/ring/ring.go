@@ -46,6 +46,13 @@ var (
 	ErrRecordSize = errors.New("ring: record exceeds slot size")
 	// ErrGeometry reports an unusable slot count or size at New.
 	ErrGeometry = errors.New("ring: bad geometry")
+	// ErrCorrupt reports a control word the peer wrote that no
+	// well-behaved producer could have: a tail more than a ring's
+	// worth ahead of the head (or behind it), or a record length above
+	// the slot size. The words live in memory the producer can write,
+	// so the consumer checks them rather than trusting them; the ring
+	// stays as it was, and the caller decides whether to hang up.
+	ErrCorrupt = errors.New("ring: corrupt control word")
 )
 
 // Ring is one single-producer/single-consumer ring over a shared
@@ -356,10 +363,9 @@ func (c *Consumer) hangupErr(err error) error {
 //paramecium:hotpath
 func (c *Consumer) available() error {
 	if c.head == c.tailCache {
-		if err := c.r.att.Load(offTail, c.w[:]); err != nil {
-			return c.hangupErr(err)
+		if err := c.loadTail(); err != nil {
+			return err
 		}
-		c.tailCache = binary.LittleEndian.Uint64(c.w[:])
 		if c.head == c.tailCache {
 			return ErrEmpty
 		}
@@ -367,20 +373,36 @@ func (c *Consumer) available() error {
 	return nil
 }
 
-// Len reports how many published records await consumption, reloading
-// the tail word.
-func (c *Consumer) Len() (int, error) {
+// loadTail refreshes the tail cache from the producer-written tail
+// word, refusing a tail that is not within one ring of the head.
+//
+//paramecium:hotpath
+func (c *Consumer) loadTail() error {
 	if err := c.r.att.Load(offTail, c.w[:]); err != nil {
-		return 0, c.hangupErr(err)
+		return c.hangupErr(err)
 	}
-	c.tailCache = binary.LittleEndian.Uint64(c.w[:])
+	tail := binary.LittleEndian.Uint64(c.w[:])
+	if tail-c.head > uint64(c.r.slots) {
+		return ErrCorrupt
+	}
+	c.tailCache = tail
+	return nil
+}
+
+// Len reports how many published records await consumption, reloading
+// the tail word. It is never more than the ring's slot count.
+func (c *Consumer) Len() (int, error) {
+	if err := c.loadTail(); err != nil {
+		return 0, err
+	}
 	return int(c.tailCache - c.head), nil
 }
 
 // Peek returns the payload offset and length of the head record
 // without consuming it, reading only its one-word descriptor. The
 // caller reads whatever payload bytes it wants in place through
-// Attachment (or none), then calls Release.
+// Attachment (or none), then calls Release. The length is at most
+// the ring's slot size: a larger descriptor is ErrCorrupt.
 //
 //paramecium:hotpath
 func (c *Consumer) Peek() (off, n int, err error) {
@@ -390,7 +412,11 @@ func (c *Consumer) Peek() (off, n int, err error) {
 	if err := c.r.att.Load(c.r.descOff(c.head), c.w[:]); err != nil {
 		return 0, 0, c.hangupErr(err)
 	}
-	return c.r.payloadOff(c.head), int(binary.LittleEndian.Uint64(c.w[:])), nil
+	desc := binary.LittleEndian.Uint64(c.w[:])
+	if desc > uint64(c.r.slotBytes) {
+		return 0, 0, ErrCorrupt
+	}
+	return c.r.payloadOff(c.head), int(desc), nil
 }
 
 // Release consumes the head record, publishing the new head so the

@@ -397,3 +397,60 @@ func unbinary64(b []byte) uint64 {
 	}
 	return v
 }
+
+// TestRingConsumerRejectsCorruptWords: the producer owns the segment,
+// so a hostile one can write any control word through its own mapping.
+// A record length above the slot size (which would make Pop read the
+// next slots' payload, or come back negative) and a tail that is not
+// within one ring of the head (which would make Len unbounded) are
+// ErrCorrupt — not a hangup — and leave the ring as it was.
+func TestRingConsumerRejectsCorruptWords(t *testing.T) {
+	const slots, slotBytes = 4, 16
+	r, _, _, _ := newTestRing(t, slots, slotBytes)
+	p, c := r.Producer(), r.Consumer()
+	seg := r.Segment()
+	write := func(off int, v uint64) {
+		t.Helper()
+		var w [8]byte
+		binary64(w[:], v)
+		if err := seg.Store(off, w[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corrupt := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrHangup) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", what, err)
+		}
+	}
+
+	if err := p.Push([]byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	big := make([]byte, slots*slotBytes*2)
+	for _, desc := range []uint64{slotBytes + 1, 1 << 63, ^uint64(0)} {
+		write(r.descOff(0), desc)
+		_, _, err := c.Peek()
+		corrupt(fmt.Sprintf("peek of length %#x", desc), err)
+		_, err = c.Pop(big)
+		corrupt(fmt.Sprintf("pop of length %#x", desc), err)
+	}
+	// Nothing was consumed: once the word is sane again the record pops.
+	write(r.descOff(0), 5)
+	if n, err := c.Pop(big); err != nil || string(big[:n]) != "hello" {
+		t.Fatalf("pop after repair = %q, %v", big[:n], err)
+	}
+
+	// The head is now 1. A tail more than slots ahead, or behind it.
+	for _, tail := range []uint64{1 + slots + 1, 1 << 62, 0} {
+		write(offTail, tail)
+		_, err := c.Len()
+		corrupt(fmt.Sprintf("len with tail %d", tail), err)
+		_, err = c.Pop(big)
+		corrupt(fmt.Sprintf("pop with tail %d", tail), err)
+	}
+	write(offTail, 1+slots)
+	if n, err := c.Len(); err != nil || n != slots {
+		t.Fatalf("len with a full ring's tail = %d, %v, want %d", n, err, slots)
+	}
+}

@@ -487,3 +487,57 @@ func TestRegressionOutOfRangeRegisterFields(t *testing.T) {
 		t.Fatalf("err = %v, want ErrBadInstr", err)
 	}
 }
+
+// TestRunChargesEveryExit pins the batched accounting: whichever way a
+// run ends, the meter's OpVMInstr and OpSFICheck tallies move by
+// exactly the run's Result.Instrs and Result.Checks, and the clock by
+// their cost.
+func TestRunChargesEveryExit(t *testing.T) {
+	rewrite := func(src string) Program {
+		q, err := Rewrite(MustAssemble(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	cases := []struct {
+		name    string
+		prog    Program
+		mem     int
+		enforce bool
+		fuel    uint64
+		wantErr error
+	}{
+		{"halt", rewrite(sumProgram), 128, true, 0, nil},
+		{"out-of-fuel", MustAssemble("loop: jmp loop\nhalt r0"), 0, false, 100, ErrOutOfFuel},
+		{"mem-fault", rewrite("loadi r0, 60\nld64 r1, [r0+0]\nhalt r1"), 64, true, 0, ErrMemFault},
+		{"bad-jump", Program{{Op: OpLoadI, A: 1, Imm: 7}, {Op: OpJmp, Imm: 99}}, 0, false, 0, ErrBadJump},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			meter := clock.NewMeter(clock.DefaultCosts())
+			e := Exec{Meter: meter, Fuel: c.fuel, EnforceSandbox: c.enforce}
+			start := meter.Clock.Now()
+			res, err := e.Run(c.prog, make([]byte, c.mem))
+			if !errors.Is(err, c.wantErr) {
+				t.Fatalf("err = %v, want %v", err, c.wantErr)
+			}
+			if res.Instrs == 0 {
+				t.Fatal("run counted no instructions")
+			}
+			if c.enforce && res.Checks == 0 {
+				t.Fatal("sandboxed run counted no checks")
+			}
+			if got := meter.Count(clock.OpVMInstr); got != res.Instrs {
+				t.Fatalf("OpVMInstr tally %d, Result.Instrs %d", got, res.Instrs)
+			}
+			if got := meter.Count(clock.OpSFICheck); got != res.Checks {
+				t.Fatalf("OpSFICheck tally %d, Result.Checks %d", got, res.Checks)
+			}
+			want := res.Instrs*meter.Model.Cost(clock.OpVMInstr) + res.Checks*meter.Model.Cost(clock.OpSFICheck)
+			if got := meter.Clock.Now() - start; got != want {
+				t.Fatalf("clock advanced %d cycles, want %d", got, want)
+			}
+		})
+	}
+}

@@ -28,7 +28,8 @@ type Result struct {
 }
 
 // Exec runs PVM programs against a data segment, charging virtual
-// cycles per instruction and per SFI check.
+// cycles per instruction and per SFI check. The charges are billed
+// once per run, as two batched counts, whatever way the run ends.
 type Exec struct {
 	// Meter receives OpVMInstr and OpSFICheck charges; nil disables
 	// accounting (unit tests of the ISA itself).
@@ -44,8 +45,20 @@ type Exec struct {
 
 // Run executes prog against mem. The data segment length must be a
 // power of two when EnforceSandbox is set (the masking requirement of
-// the SFI scheme).
+// the SFI scheme). Every instruction executed and every check taken is
+// charged — the counts in the Result — on success and on failure
+// alike.
 func (e *Exec) Run(prog Program, mem []byte) (Result, error) {
+	res, err := e.run(prog, mem)
+	if e.Meter != nil {
+		e.Meter.ChargeN(clock.OpVMInstr, res.Instrs)
+		e.Meter.ChargeN(clock.OpSFICheck, res.Checks)
+	}
+	return res, err
+}
+
+// run is the interpreter loop. It only counts; Run charges the counts.
+func (e *Exec) run(prog Program, mem []byte) (Result, error) {
 	var res Result
 	fuel := e.Fuel
 	if fuel == 0 {
@@ -65,12 +78,6 @@ func (e *Exec) Run(prog Program, mem []byte) (Result, error) {
 	// masked address (set by OpCheck, cleared by anything clobbering it).
 	checkedValid := false
 
-	charge := func(op clock.Op) {
-		if e.Meter != nil {
-			e.Meter.Charge(op)
-		}
-	}
-
 	for {
 		if res.Instrs >= fuel {
 			return res, fmt.Errorf("%w after %d instructions", ErrOutOfFuel, res.Instrs)
@@ -80,7 +87,6 @@ func (e *Exec) Run(prog Program, mem []byte) (Result, error) {
 		}
 		ins := prog[pc]
 		res.Instrs++
-		charge(clock.OpVMInstr)
 
 		// The interpreter is total even on unverified programs: a
 		// register field out of range is an illegal instruction, not
@@ -117,7 +123,6 @@ func (e *Exec) Run(prog Program, mem []byte) (Result, error) {
 			regs[ins.A] = regs[ins.B] + uint64(ins.Imm)
 		case OpCheck:
 			res.Checks++
-			charge(clock.OpSFICheck)
 			regs[SandboxReg] = (regs[ins.B] + uint64(ins.Imm)) & mask
 			checkedValid = true
 			pc++

@@ -2,6 +2,7 @@ package threads
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -51,7 +52,20 @@ type Scheduler struct {
 	mu       sync.Mutex
 	nextID   uint64
 	sleepers []sleeper
-	live     int // spawned or promoted, not yet done
+	live     int // spawned or popped up, not yet done
+
+	// carriers are the idle proto-thread carriers (see PopUpProtoOn):
+	// each a Thread, its channels and a host goroutine parked on its
+	// run channel. Guarded by mu. Created on demand, never at boot, so
+	// the list holds at most as many carriers as pop-ups ever ran
+	// inline at once.
+	carriers []*Thread
+	// gone is closed by a runtime cleanup once the scheduler is
+	// unreachable, releasing its parked carriers: they reference only
+	// their channels while parked, so an embedding that drops a
+	// scheduler without Shutdown strands neither goroutines nor the
+	// kernel around it.
+	gone chan struct{}
 
 	cpus   []runqueue
 	rr     atomic.Uint64 // round-robin placement for unaffined threads
@@ -176,9 +190,10 @@ func NewSchedulerCPUs(meter *clock.Meter, ncpu int) *Scheduler {
 	if ncpu <= 0 {
 		ncpu = 1
 	}
-	s := &Scheduler{meter: meter, cpus: make([]runqueue, ncpu)}
+	s := &Scheduler{meter: meter, cpus: make([]runqueue, ncpu), gone: make(chan struct{})}
 	s.idleCond = sync.NewCond(&s.idleMu)
 	s.genCond = sync.NewCond(&s.genMu)
+	runtime.AddCleanup(s, func(gone chan struct{}) { close(gone) }, s.gone)
 	return s
 }
 
@@ -209,21 +224,19 @@ func (s *Scheduler) Parks() uint64 { return s.parks.Load() }
 // NumCPUs no matter how many times the scheduler is pumped.
 func (s *Scheduler) DispatcherSpawns() uint64 { return s.workerSpawns.Load() }
 
-func (s *Scheduler) newThread(name string, proto bool) *Thread {
+func (s *Scheduler) newThread(name string) *Thread {
 	s.mu.Lock()
 	s.nextID++
 	id := s.nextID
 	s.live++
 	s.mu.Unlock()
 	t := &Thread{
-		id:        id,
-		name:      name,
-		sched:     s,
-		proto:     proto,
-		resume:    make(chan struct{}, 1),
-		parked:    make(chan struct{}, 1),
-		protoDone: make(chan bool, 1),
-		done:      make(chan struct{}),
+		id:     id,
+		name:   name,
+		sched:  s,
+		resume: make(chan struct{}, 1),
+		parked: make(chan struct{}, 1),
+		done:   make(chan struct{}),
 	}
 	t.cpu.Store(int32(mmu.NoCPU))
 	t.node.Store(-1)
@@ -258,7 +271,7 @@ func (s *Scheduler) SpawnOn(cpu mmu.CPUID, name string, fn func(*Thread)) *Threa
 
 func (s *Scheduler) spawn(cpu mmu.CPUID, node int32, name string, fn func(*Thread)) *Thread {
 	s.meter.Charge(clock.OpThreadCreate)
-	t := s.newThread(name, false)
+	t := s.newThread(name)
 	if cpu >= 0 && int(cpu) < len(s.cpus) {
 		t.cpu.Store(int32(cpu))
 	}
@@ -276,50 +289,115 @@ func (s *Scheduler) spawn(cpu mmu.CPUID, node int32, name string, fn func(*Threa
 	return t
 }
 
-// PopUpEager turns an event into a thread the expensive way: a full
-// thread is created and scheduled for every event (the baseline the
-// proto-thread optimization is measured against).
-func (s *Scheduler) PopUpEager(name string, fn func(*Thread)) *Thread {
-	return s.Spawn(name, fn)
-}
-
-// PopUpEagerOn is PopUpEager with a CPU affinity.
+// PopUpEagerOn turns an event into a thread the expensive way: a full
+// thread is created and queued on cpu for every event (the baseline
+// the proto-thread optimization is measured against). mmu.NoCPU means
+// no affinity.
 func (s *Scheduler) PopUpEagerOn(cpu mmu.CPUID, name string, fn func(*Thread)) *Thread {
 	return s.SpawnOn(cpu, name, fn)
 }
 
-// PopUpProto runs fn as a proto-thread: it executes immediately on the
-// caller's (interrupt) context for the cheap proto-thread cost. If fn
-// runs to completion without blocking, no thread is ever created. The
-// moment fn blocks, yields or sleeps, the proto-thread is promoted to
-// a real thread (promotion + creation costs are charged) and PopUpProto
-// returns while the new thread continues under the scheduler.
+// PopUpProtoOn runs fn as a proto-thread: it executes immediately, on
+// behalf of the caller's (interrupt) context, for the cheap
+// proto-thread cost. If fn runs to completion without blocking, no
+// thread is ever created and PopUpProtoOn returns nil. The moment fn
+// blocks, yields or sleeps, the proto-thread is promoted to a real
+// thread (promotion + creation costs are charged) and PopUpProtoOn
+// returns it while it continues under the scheduler.
 //
-// The returned thread handle reports, via Promoted, which path was
-// taken; ran is true when fn completed inline.
-func (s *Scheduler) PopUpProto(name string, fn func(*Thread)) (t *Thread, ran bool) {
-	return s.PopUpProtoOn(mmu.NoCPU, name, fn)
+// A promoted thread is queued on (and keeps returning to) cpu, so an
+// interrupt handler that blocks stays on the CPU its event was bound
+// to — and its simulated memory traffic keeps charging that CPU's
+// TLB. mmu.NoCPU means no affinity. The inline path is unaffected.
+//
+// fn runs on a carrier: a Thread with its channels and a parked host
+// goroutine, taken from the scheduler's free list (or made, the first
+// time the list is empty) and handed back when fn completes inline.
+// An inline pop-up therefore starts no goroutine and allocates
+// nothing; only a promoted thread keeps its carrier, which retires
+// with it. Because the carrier of an inline run is reused at once,
+// the *Thread fn receives is valid only until fn returns unless the
+// thread was promoted.
+//
+//paramecium:hotpath
+func (s *Scheduler) PopUpProtoOn(cpu mmu.CPUID, name string, fn func(*Thread)) (promoted *Thread) {
+	s.meter.Charge(clock.OpProtoThread)
+	s.mu.Lock()
+	s.nextID++
+	s.live++
+	var t *Thread
+	if n := len(s.carriers); n > 0 {
+		t = s.carriers[n-1]
+		s.carriers[n-1] = nil
+		s.carriers = s.carriers[:n-1]
+	}
+	id := s.nextID
+	s.mu.Unlock()
+	if t == nil {
+		t = s.newCarrier()
+	}
+	t.id, t.name, t.body = id, name, fn
+	if cpu < 0 || int(cpu) >= len(s.cpus) {
+		cpu = mmu.NoCPU
+	}
+	t.cpu.Store(int32(cpu))
+	t.mu.Lock()
+	t.state, t.promoted = StateRunning, false
+	t.mu.Unlock()
+	t.run <- t
+	if !<-t.protoDone {
+		return t
+	}
+	// Ran to completion: the carrier is parked again (or about to
+	// be), touching none of the thread's fields until the next run.
+	t.body = nil
+	s.mu.Lock()
+	s.live--
+	s.carriers = append(s.carriers, t)
+	s.mu.Unlock()
+	return nil
 }
 
-// PopUpProtoOn is PopUpProto with a CPU affinity for the promotion
-// path: a proto-thread that blocks is queued on (and keeps returning
-// to) the given CPU, so a promoted interrupt handler stays on the CPU
-// its event was bound to — and its simulated memory traffic keeps
-// charging that CPU's TLB. The inline fast path is unaffected.
-// mmu.NoCPU means no affinity.
-func (s *Scheduler) PopUpProtoOn(cpu mmu.CPUID, name string, fn func(*Thread)) (t *Thread, ran bool) {
-	s.meter.Charge(clock.OpProtoThread)
-	t = s.newThread(name, true)
-	if cpu >= 0 && int(cpu) < len(s.cpus) {
-		t.cpu.Store(int32(cpu))
+// newCarrier makes a proto-thread carrier: a Thread whose host
+// goroutine runs the pop-ups handed to it through run, one at a time,
+// until one is promoted (the carrier then retires with that thread),
+// Shutdown closes run on the idle carrier, or the scheduler is
+// collected.
+func (s *Scheduler) newCarrier() *Thread {
+	t := &Thread{
+		sched:     s,
+		proto:     true,
+		resume:    make(chan struct{}, 1),
+		parked:    make(chan struct{}, 1),
+		protoDone: make(chan bool, 1),
+		run:       make(chan *Thread, 1),
+		done:      make(chan struct{}),
 	}
-	t.setState(StateRunning)
-	go func() {
-		fn(t)
-		s.finish(t)
-	}()
-	completed := <-t.protoDone
-	return t, completed
+	t.node.Store(-1)
+	go carry(t.run, s.gone)
+	return t
+}
+
+// carry is a carrier's goroutine. Parked, it holds nothing but its two
+// channels; each pop-up arrives as the carrier's own thread.
+func carry(run <-chan *Thread, gone <-chan struct{}) {
+	for {
+		select {
+		case t, ok := <-run:
+			if !ok || !runPopUp(t) {
+				return
+			}
+		case <-gone:
+			return
+		}
+	}
+}
+
+// runPopUp runs one pop-up body on its carrier and retires the thread,
+// reporting whether the carrier is free for another.
+func runPopUp(t *Thread) (inline bool) {
+	t.body(t)
+	return t.sched.finish(t)
 }
 
 // chargePromotion accounts for turning a proto-thread into a real
@@ -329,14 +407,27 @@ func (s *Scheduler) chargePromotion() {
 	s.meter.Charge(clock.OpThreadCreate)
 }
 
-// finish retires a thread.
-func (s *Scheduler) finish(t *Thread) {
+// finish retires a thread whose body returned, reporting whether it
+// was a proto-thread that completed inline. An inline completion only
+// tells the dispatcher waiting in PopUpProtoOn, which reclaims the
+// carrier: its done channel is never closed, since the carrier lives
+// on under later pop-ups. Every other thread leaves the live count,
+// closes done and hands the CPU back to its dispatcher.
+func (s *Scheduler) finish(t *Thread) (inline bool) {
+	t.mu.Lock()
+	t.state = StateDone
+	inline = t.proto && !t.promoted
+	t.mu.Unlock()
+	if inline {
+		t.protoDone <- true
+		return true
+	}
 	s.mu.Lock()
-	t.setState(StateDone)
 	s.live--
 	s.mu.Unlock()
 	close(t.done)
-	t.stop(true)
+	t.parked <- struct{}{}
+	return false
 }
 
 // ready queues t for dispatch: on its affine CPU when it has one, else
@@ -656,8 +747,8 @@ func (s *Scheduler) dispatcher(cpu int, pool uint64) {
 // It waits for any in-flight RunUntilIdle to finish first. The
 // scheduler remains usable — the next RunUntilIdle simply spawns a
 // fresh pool — so Shutdown is a release of idle resources, not a
-// terminal state. Single-CPU schedulers have no pool and Shutdown is
-// a no-op.
+// terminal state. Idle proto-thread carriers exit too; the next
+// pop-up makes a fresh one.
 func (s *Scheduler) Shutdown() {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
@@ -668,6 +759,13 @@ func (s *Scheduler) Shutdown() {
 		s.genCond.Broadcast()
 	}
 	s.genMu.Unlock()
+	s.mu.Lock()
+	idle := s.carriers
+	s.carriers = nil
+	s.mu.Unlock()
+	for _, t := range idle {
+		close(t.run)
+	}
 }
 
 func (s *Scheduler) dispatchLoop(cpu int, rng *clock.Rand) {

@@ -89,6 +89,11 @@ type Thread struct {
 	parked    chan struct{}
 	protoDone chan bool // true = ran to completion, false = promoted
 
+	// run hands a proto-thread carrier its next pop-up, whose body is
+	// body; nil for threads made by Spawn.
+	run  chan *Thread
+	body func(*Thread)
+
 	done chan struct{} // closed when the thread finishes
 }
 
@@ -188,7 +193,9 @@ func (t *Thread) Promoted() bool {
 }
 
 // Done returns a channel closed when the thread finishes. Intended for
-// the host-side test harness, not for simulated code.
+// the host-side test harness, not for simulated code. A proto-thread
+// that completes inline never closes it: PopUpProtoOn hands out only
+// promoted threads.
 func (t *Thread) Done() <-chan struct{} { return t.done }
 
 func (t *Thread) setState(s State) {
@@ -197,18 +204,19 @@ func (t *Thread) setState(s State) {
 	t.mu.Unlock()
 }
 
-// stop reports "I stopped running" to whoever is waiting: the
-// scheduler (parked) or, for a not-yet-promoted proto-thread, the
-// event dispatcher (protoDone).
-func (t *Thread) stop(completed bool) {
+// stop reports "I stopped running" before a block, yield or sleep to
+// whoever is waiting: the scheduler (parked) or, for a not-yet-promoted
+// proto-thread, the event dispatcher (protoDone) — which is the moment
+// the proto-thread becomes a real thread.
+func (t *Thread) stop() {
 	t.mu.Lock()
-	isProtoFirstStop := t.proto && !t.promoted
-	if isProtoFirstStop && !completed {
+	first := t.proto && !t.promoted
+	if first {
 		t.promoted = true
 	}
 	t.mu.Unlock()
-	if isProtoFirstStop {
-		t.protoDone <- completed
+	if first {
+		t.protoDone <- false
 		return
 	}
 	t.parked <- struct{}{}
@@ -227,7 +235,7 @@ func (t *Thread) Yield() {
 	t.setState(StateReady)
 	s.ready(t)
 	s.mu.Unlock()
-	t.stop(false)
+	t.stop()
 	<-t.resume
 	t.setState(StateRunning)
 }
@@ -245,7 +253,7 @@ func (t *Thread) Sleep(cycles uint64) {
 	deadline := s.meter.Clock.Now() + cycles
 	s.sleepers = append(s.sleepers, sleeper{t: t, deadline: deadline})
 	s.mu.Unlock()
-	t.stop(false)
+	t.stop()
 	<-t.resume
 	t.setState(StateRunning)
 }
@@ -271,7 +279,7 @@ func (t *Thread) blockLocked(register func()) {
 		register()
 	}
 	s.mu.Unlock()
-	t.stop(false)
+	t.stop()
 	<-t.resume
 	t.setState(StateRunning)
 }

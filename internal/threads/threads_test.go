@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"paramecium/internal/clock"
+	"paramecium/internal/mmu"
 )
 
 func newSched() (*Scheduler, *clock.Meter) {
@@ -288,20 +289,16 @@ func TestQueueTryPush(t *testing.T) {
 func TestPopUpProtoRunsToCompletionInline(t *testing.T) {
 	s, meter := newSched()
 	ran := false
-	th, completed := s.PopUpProto("irq", func(*Thread) { ran = true })
-	if !completed || !ran {
-		t.Fatalf("completed=%v ran=%v", completed, ran)
+	th := s.PopUpProtoOn(mmu.NoCPU, "irq", func(*Thread) { ran = true })
+	if th != nil || !ran {
+		t.Fatalf("promoted=%v ran=%v", th != nil, ran)
 	}
-	if th.Promoted() {
-		t.Fatal("non-blocking proto-thread was promoted")
-	}
-	if meter.Count(clock.OpThreadCreate) != 0 {
+	if meter.Count(clock.OpThreadCreate) != 0 || meter.Count(clock.OpPromote) != 0 {
 		t.Fatal("proto path charged a thread creation")
 	}
 	if meter.Count(clock.OpProtoThread) != 1 {
 		t.Fatal("proto-thread cost not charged")
 	}
-	<-th.Done()
 	if s.LiveCount() != 0 {
 		t.Fatalf("live = %d", s.LiveCount())
 	}
@@ -321,12 +318,12 @@ func TestPopUpProtoPromotesOnBlock(t *testing.T) {
 	s.RunUntilIdle()
 
 	handlerDone := false
-	th, completed := s.PopUpProto("irq", func(t2 *Thread) {
+	th := s.PopUpProtoOn(mmu.NoCPU, "irq", func(t2 *Thread) {
 		m.Lock(t2) // blocks: holder owns it -> promotion
 		handlerDone = true
 		m.Unlock(t2)
 	})
-	if completed {
+	if th == nil {
 		t.Fatal("blocking handler reported inline completion")
 	}
 	if !th.Promoted() {
@@ -353,10 +350,10 @@ func TestPopUpProtoPromotesOnBlock(t *testing.T) {
 
 func TestPopUpProtoPromotesOnYield(t *testing.T) {
 	s, meter := newSched()
-	th, completed := s.PopUpProto("irq", func(t2 *Thread) {
+	th := s.PopUpProtoOn(mmu.NoCPU, "irq", func(t2 *Thread) {
 		t2.Yield() // "about to be rescheduled" -> promotion
 	})
-	if completed {
+	if th == nil {
 		t.Fatal("yielding handler reported inline completion")
 	}
 	if !th.Promoted() {
@@ -371,11 +368,11 @@ func TestPopUpProtoPromotesOnYield(t *testing.T) {
 
 func TestPopUpProtoPromotesOnSleep(t *testing.T) {
 	s, _ := newSched()
-	th, completed := s.PopUpProto("irq", func(t2 *Thread) {
+	th := s.PopUpProtoOn(mmu.NoCPU, "irq", func(t2 *Thread) {
 		t2.Sleep(100)
 	})
-	if completed || !th.Promoted() {
-		t.Fatalf("completed=%v promoted=%v", completed, th.Promoted())
+	if th == nil || !th.Promoted() {
+		t.Fatal("sleeping proto-thread not promoted")
 	}
 	s.RunUntilIdle()
 	<-th.Done()
@@ -384,7 +381,7 @@ func TestPopUpProtoPromotesOnSleep(t *testing.T) {
 func TestPopUpEagerAlwaysCreatesThread(t *testing.T) {
 	s, meter := newSched()
 	ran := false
-	s.PopUpEager("irq", func(*Thread) { ran = true })
+	s.PopUpEagerOn(mmu.NoCPU, "irq", func(*Thread) { ran = true })
 	if meter.Count(clock.OpThreadCreate) != 1 {
 		t.Fatal("eager pop-up did not create a thread")
 	}
@@ -403,7 +400,7 @@ func TestProtoCheaperThanEagerForNonBlocking(t *testing.T) {
 	sE, meterE := newSched()
 	w := sE.Meter().Clock.StartWatch()
 	for i := 0; i < 100; i++ {
-		sE.PopUpEager("irq", func(*Thread) {})
+		sE.PopUpEagerOn(mmu.NoCPU, "irq", func(*Thread) {})
 	}
 	sE.RunUntilIdle()
 	eager := w.Elapsed()
@@ -412,7 +409,7 @@ func TestProtoCheaperThanEagerForNonBlocking(t *testing.T) {
 	sP, _ := newSched()
 	w2 := sP.Meter().Clock.StartWatch()
 	for i := 0; i < 100; i++ {
-		sP.PopUpProto("irq", func(*Thread) {})
+		sP.PopUpProtoOn(mmu.NoCPU, "irq", func(*Thread) {})
 	}
 	sP.RunUntilIdle()
 	proto := w2.Elapsed()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"paramecium/internal/clock"
+	"paramecium/internal/mmu"
 )
 
 func newSchedN(n int) (*Scheduler, *clock.Meter) {
@@ -295,10 +296,10 @@ func TestMultiCPUConcurrentSpawn(t *testing.T) {
 // parallel loops are quiescent is picked up by the next run.
 func TestMultiCPUProtoPromotion(t *testing.T) {
 	s, meter := newSchedN(2)
-	th, completed := s.PopUpProto("irq", func(t2 *Thread) {
+	th := s.PopUpProtoOn(mmu.NoCPU, "irq", func(t2 *Thread) {
 		t2.Yield()
 	})
-	if completed {
+	if th == nil {
 		t.Fatal("yielding proto-thread reported inline completion")
 	}
 	if !th.Promoted() {

@@ -96,7 +96,7 @@ func (m *Manager) DemandRegion(ctx mmu.ContextID, base mmu.VAddr, n int, perm mm
 }
 
 // handleFault resolves demand-zero, copy-on-write and swap-in faults.
-func (m *Manager) handleFault(f *hw.TrapFrame) bool {
+func (m *Manager) handleFault(f hw.TrapFrame) bool {
 	k := key{ctx: f.Ctx, vpn: f.Addr.VPN()}
 	m.mu.Lock()
 	p, ok := m.pages[k]

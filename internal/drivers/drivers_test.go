@@ -123,6 +123,48 @@ func TestNetDriverSend(t *testing.T) {
 	}
 }
 
+// A transmit while every receive slot holds a pending frame must leave
+// all of them intact: the frame is staged in the NIC's transmit slot,
+// which reception never uses.
+func TestNetDriverSendKeepsPendingFrames(t *testing.T) {
+	r := newRig()
+	nic := r.newNIC(t)
+	nic.SetTxSink(func([]byte) {})
+	d, err := NewNetDriver("netdrv", nic, r.svc, r.evt, NetDriverConfig{
+		Ctx: mmu.KernelContext, Dispatch: event.DispatchRaw, IOMode: mem.IOExclusive,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.machine.MaskIRQ(nic.IRQ()); err != nil {
+		t.Fatal(err)
+	}
+	frameOf := func(i int) []byte {
+		f := make([]byte, 64)
+		for j := range f {
+			f[j] = byte(i)
+		}
+		return f
+	}
+	for i := 0; i < hw.NICSlots; i++ {
+		if err := nic.Inject(frameOf(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Send(frameOf(0xEE)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.machine.UnmaskIRQ(nic.IRQ()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < hw.NICSlots; i++ {
+		frame, ok := d.Recv()
+		if !ok || string(frame) != string(frameOf(i)) {
+			t.Fatalf("frame %d = %v, %v; want 64 bytes of %d", i, frame, ok, i)
+		}
+	}
+}
+
 func TestNetDriverObjectInterface(t *testing.T) {
 	r := newRig()
 	nic := r.newNIC(t)

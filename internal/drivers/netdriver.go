@@ -196,16 +196,11 @@ func (d *NetDriver) Send(frame []byte) error {
 	regs := d.grant.Region
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Use the last slot as a scratch transmit buffer. A production
-	// driver would manage a transmit ring; one slot is enough for the
-	// synchronous transmit the experiments need.
-	slot := hw.NICSlots - 1
-	data, err := d.nic.SlotData(slot)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrTxFailed, err)
-	}
-	copy(data, frame)
-	if err := regs.WriteReg(hw.NICRegTxSlot, uint64(slot)); err != nil {
+	// Stage the frame in the NIC's transmit slot, which reception never
+	// uses. A production driver would manage a transmit ring; one slot
+	// is enough for the synchronous transmit the experiments need.
+	copy(d.nic.TxData(), frame)
+	if err := regs.WriteReg(hw.NICRegTxSlot, hw.NICTxSlot); err != nil {
 		return fmt.Errorf("%w: %v", ErrTxFailed, err)
 	}
 	if err := regs.WriteReg(hw.NICRegTxLen, uint64(len(frame))); err != nil {

@@ -22,8 +22,13 @@ const (
 	nicRegCount
 )
 
-// NICSlots is the number of packet slots in device memory.
+// NICSlots is the number of receive slots in device memory.
 const NICSlots = 32
+
+// NICTxSlot is the index of the transmit slot, the one slot of device
+// memory beyond the receive slots. Reception never uses it, so a frame
+// staged there cannot overwrite a received one.
+const NICTxSlot = NICSlots
 
 // NICSlotSize is the capacity of one packet slot in bytes.
 const NICSlotSize = 2048
@@ -39,19 +44,19 @@ var ErrRingFull = errors.New("hw: NIC receive ring full")
 // "wire") and leave via the transmit sink.
 //
 // The receive ring and the free-slot list are fixed FIFOs of slot
-// indices, like a real controller's descriptor rings: every slot is
-// on exactly one of them, so neither can overflow and neither ever
-// allocates.
+// indices, like a real controller's descriptor rings: every receive
+// slot is on exactly one of them, so neither can overflow and neither
+// ever allocates. The transmit slot is on neither.
 type NIC struct {
 	baseDevice
 	name string
 	irq  IRQLine
 
 	mu        sync.Mutex
-	slots     [NICSlots][]byte // on-device packet memory
-	rxLens    [NICSlots]int    // frame length held by each slot
-	rx        slotFIFO         // slots holding received frames, oldest first
-	free      slotFIFO         // slots free for reception, FIFO reuse
+	slots     [NICSlots + 1][]byte // on-device packet memory: receive slots, then NICTxSlot
+	rxLens    [NICSlots]int        // frame length held by each slot
+	rx        slotFIFO             // slots holding received frames, oldest first
+	free      slotFIFO             // slots free for reception, FIFO reuse
 	txSink    func(frame []byte)
 	rxDropped uint64
 	txCount   uint64
@@ -88,8 +93,10 @@ func (f *slotFIFO) pop() int {
 // NewNIC builds a NIC raising interrupts on the given line.
 func NewNIC(name string, irq IRQLine) *NIC {
 	n := &NIC{name: name, irq: irq}
-	for i := 0; i < NICSlots; i++ {
+	for i := range n.slots {
 		n.slots[i] = make([]byte, NICSlotSize)
+	}
+	for i := 0; i < NICSlots; i++ {
 		n.free.push(i)
 	}
 	n.region = NewIORegion(name+"-regs", nicRegCount, n.readReg, n.writeReg)
@@ -117,8 +124,8 @@ func (n *NIC) SetTxSink(sink func(frame []byte)) {
 	n.txSink = sink
 }
 
-// SlotData exposes the payload memory of one slot. This models the
-// shared on-device buffer that the paper's I/O space service lets
+// SlotData exposes the payload memory of one receive slot. This models
+// the shared on-device buffer that the paper's I/O space service lets
 // multiple contexts map.
 func (n *NIC) SlotData(slot int) ([]byte, error) {
 	if slot < 0 || slot >= NICSlots {
@@ -126,6 +133,9 @@ func (n *NIC) SlotData(slot int) ([]byte, error) {
 	}
 	return n.slots[slot], nil
 }
+
+// TxData exposes the payload memory of the transmit slot, NICTxSlot.
+func (n *NIC) TxData() []byte { return n.slots[NICTxSlot] }
 
 // Inject delivers a frame from the wire into the receive ring and
 // raises the device interrupt. It fails with ErrRingFull when no slot
@@ -228,7 +238,7 @@ func (n *NIC) transmit() error {
 	defer n.txMu.Unlock()
 	n.mu.Lock()
 	slot, length := int(n.txSlot), int(n.txLen)
-	if slot < 0 || slot >= NICSlots || length < 0 || length > NICSlotSize {
+	if slot < 0 || slot > NICTxSlot || length < 0 || length > NICSlotSize {
 		n.mu.Unlock()
 		return fmt.Errorf("hw: bad transmit descriptor slot=%d len=%d", slot, length)
 	}

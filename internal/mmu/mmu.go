@@ -10,10 +10,12 @@
 // The machine may have any number of virtual CPUs (Config.CPUs). Each
 // CPU carries its own current-context register and its own TLB with its
 // own hit/miss/flush counters, so TLB locality is a per-CPU quantity
-// exactly as on real multiprocessors. Translation is sharded: the
-// contexts map is read-locked only to fetch a page table, and the walk
-// itself takes that context's own lock — unrelated domains fault and
-// translate fully in parallel.
+// exactly as on real multiprocessors. Each TLB is a fixed array that
+// allocates nothing after boot. Translation probes the CPU's TLB first
+// and touches nothing else on a hit; only a miss fetches the context's
+// page table, from a dense table indexed by ContextID that readers load
+// without a lock, and walks it under that context's own lock — unrelated
+// domains fault and translate fully in parallel.
 package mmu
 
 import (
@@ -199,12 +201,13 @@ type PTE struct {
 type pageTable struct {
 	mu      sync.RWMutex
 	entries map[uint64]PTE // keyed by VPN
-	// dead marks a table whose context has been destroyed. Operations
-	// fetch the table under the structure lock and then lock pt.mu;
-	// DestroyContext can complete in that window, so every operation
-	// re-checks dead under pt.mu — a stale fetch then fails exactly
-	// like a fresh lookup of the missing context would.
-	dead bool
+	// dead marks a table whose context has been destroyed. It is set
+	// under mu, and read without a lock by the context-table lookup.
+	// Operations fetch the table and then lock mu; DestroyContext can
+	// complete in that window, so every operation re-checks dead under
+	// mu — a stale fetch then fails exactly like a fresh lookup of the
+	// missing context would.
+	dead atomic.Bool
 }
 
 func newPageTable() *pageTable {
@@ -227,20 +230,20 @@ type cpuState struct {
 // ErrNoContext is returned when an operation names an unknown context.
 var ErrNoContext = errors.New("mmu: no such context")
 
-// ErrExists is returned when creating a context that already exists.
-var ErrExists = errors.New("mmu: context already exists")
-
 // MMU is the memory management unit. All methods are safe for
 // concurrent use.
 type MMU struct {
 	meter *clock.Meter
 	cpus  []cpuState
 
-	// mu guards the contexts map structure only. Translation read-locks
-	// it briefly to fetch a page table; the walk itself runs under that
-	// context's own lock, so unrelated domains translate in parallel.
+	// contexts is the page table of every context, indexed by its ID
+	// (IDs are handed out in sequence and never reused). Readers load
+	// it without a lock. mu serializes the writers — NewContext grows
+	// the table and DestroyContext empties a slot — and SwitchOn holds
+	// it for reading so Destroy's current-on-any-CPU check never
+	// interleaves with a half-done switch.
 	mu       sync.RWMutex
-	contexts map[ContextID]*pageTable
+	contexts atomic.Pointer[ctxTable]
 	nextCtx  ContextID
 	// FlushOnSwitch selects the non-ASID behaviour in which every
 	// context switch flushes the switching CPU's whole TLB (ablation F5).
@@ -249,7 +252,7 @@ type MMU struct {
 
 // Config controls MMU construction.
 type Config struct {
-	TLBSize       int  // entries per CPU; 0 means DefaultTLBSize
+	TLBSize       int  // entries per CPU, at most 1<<29; 0 means DefaultTLBSize
 	FlushOnSwitch bool // flush TLB on every context switch
 	CPUs          int  // virtual CPU count; 0 means 1
 }
@@ -272,14 +275,15 @@ func New(meter *clock.Meter, cfg Config) *MMU {
 	m := &MMU{
 		meter:         meter,
 		cpus:          make([]cpuState, ncpu),
-		contexts:      make(map[ContextID]*pageTable),
 		nextCtx:       1,
 		flushOnSwitch: cfg.FlushOnSwitch,
 	}
 	for i := range m.cpus {
 		m.cpus[i].tlb = newTLB(size)
 	}
-	m.contexts[KernelContext] = newPageTable()
+	t := make(ctxTable, 1, 16)
+	t[KernelContext].Store(newPageTable())
+	m.contexts.Store(&t)
 	return m
 }
 
@@ -295,12 +299,24 @@ func (m *MMU) cpu(id CPUID) *cpuState {
 	return &m.cpus[id]
 }
 
-// pageTableOf fetches a context's page table under the structure lock.
+// ctxTable is the dense context table: slot id holds context id's page
+// table, or nil once the context is destroyed. A published table is
+// never shortened; NewContext fills the next slot in place when the
+// backing array has room (no reader of the shorter table indexes it)
+// and otherwise publishes a copy twice the size.
+type ctxTable []atomic.Pointer[pageTable]
+
+// pageTableOf fetches a live context's page table without a lock.
 func (m *MMU) pageTableOf(id ContextID) (*pageTable, bool) {
-	m.mu.RLock()
-	pt, ok := m.contexts[id]
-	m.mu.RUnlock()
-	return pt, ok
+	t := *m.contexts.Load()
+	if int(id) >= len(t) {
+		return nil, false
+	}
+	pt := t[id].Load()
+	if pt == nil || pt.dead.Load() {
+		return nil, false
+	}
+	return pt, true
 }
 
 // NewContext allocates a fresh MMU context and returns its ID.
@@ -309,7 +325,18 @@ func (m *MMU) NewContext() ContextID {
 	defer m.mu.Unlock()
 	id := m.nextCtx
 	m.nextCtx++
-	m.contexts[id] = newPageTable()
+	old := *m.contexts.Load()
+	var t ctxTable
+	if int(id) < cap(old) {
+		t = old[:id+1]
+	} else {
+		t = make(ctxTable, id+1, 2*cap(old))
+		for i := range old {
+			t[i].Store(old[i].Load())
+		}
+	}
+	t[id].Store(newPageTable())
+	m.contexts.Store(&t)
 	return id
 }
 
@@ -343,20 +370,22 @@ func (m *MMU) DestroyContextFrom(initiator CPUID, id ContextID) error {
 			return fmt.Errorf("mmu: cannot destroy context current on CPU %d", i)
 		}
 	}
-	pt, ok := m.contexts[id]
+	pt, ok := m.pageTableOf(id)
 	if !ok {
 		return ErrNoContext
 	}
-	delete(m.contexts, id)
+	(*m.contexts.Load())[id].Store(nil)
 	// Shoot down the context's TLB entries everywhere and kill the
 	// orphaned table. Holding pt.mu excludes a walk already past the
-	// map check, so it cannot re-insert between the invalidation and
+	// table lookup, so it cannot re-insert between the invalidation and
 	// our return; the dead mark makes any operation that fetched the
-	// table before the delete fail under pt.mu rather than mutate —
-	// or translate into and re-cache — a destroyed context.
+	// table before the slot was emptied fail under pt.mu rather than
+	// mutate — or translate into and re-cache — a destroyed context.
+	// Once every CPU's entries are gone a TLB hit proves its context
+	// live, which is why translation may probe the TLB first.
 	pt.mu.Lock()
-	pt.dead = true
-	clear(pt.entries)
+	pt.dead.Store(true)
+	pt.entries = nil
 	var remote uint64
 	for i := range m.cpus {
 		c := &m.cpus[i]
@@ -381,11 +410,9 @@ func (m *MMU) DestroyContextFrom(initiator CPUID, id ContextID) error {
 	return nil
 }
 
-// HasContext reports whether id names a live context.
+// HasContext reports whether id names a live context, lock-free.
 func (m *MMU) HasContext(id ContextID) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.contexts[id]
+	_, ok := m.pageTableOf(id)
 	return ok
 }
 
@@ -412,7 +439,7 @@ func (m *MMU) SwitchOn(cpu CPUID, id ContextID) error {
 	// can never interleave with a half-done switch.
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if _, ok := m.contexts[id]; !ok {
+	if _, ok := m.pageTableOf(id); !ok {
 		return ErrNoContext
 	}
 	c.mu.Lock()
@@ -445,12 +472,9 @@ func (m *MMU) CrossSwitch(to ContextID) error { return m.CrossSwitchOn(BootCPU, 
 // executes as if on its own processor, so one call's transient target
 // context is never observable to a concurrent call, and the charge
 // sequence is deterministic under any interleaving: always exactly one
-// OpCtxSwitch per leg.
+// OpCtxSwitch per leg. The liveness check takes no lock.
 func (m *MMU) CrossSwitchOn(cpu CPUID, to ContextID) error {
-	m.mu.RLock()
-	_, ok := m.contexts[to]
-	m.mu.RUnlock()
-	if !ok {
+	if _, ok := m.pageTableOf(to); !ok {
 		return ErrNoContext
 	}
 	m.meter.ChargeFor(uint32(to), clock.OpCtxSwitch)
@@ -496,7 +520,7 @@ func (m *MMU) MapTaggedOn(initiator CPUID, id ContextID, va VAddr, frame uint64,
 	}
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-	if pt.dead {
+	if pt.dead.Load() {
 		return ErrNoContext
 	}
 	pt.entries[va.VPN()] = PTE{Frame: frame, Perm: perm, Valid: true, Tag: tag}
@@ -522,7 +546,7 @@ func (m *MMU) UnmapOn(initiator CPUID, id ContextID, va VAddr) error {
 	}
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-	if pt.dead {
+	if pt.dead.Load() {
 		return ErrNoContext
 	}
 	delete(pt.entries, va.VPN())
@@ -548,7 +572,7 @@ func (m *MMU) ProtectOn(initiator CPUID, id ContextID, va VAddr, perm Perm) erro
 	}
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-	if pt.dead {
+	if pt.dead.Load() {
 		return ErrNoContext
 	}
 	pte, ok := pt.entries[va.VPN()]
@@ -580,8 +604,7 @@ func (m *MMU) invalidateAll(initiator CPUID, id ContextID, vpn uint64) {
 	for i := range m.cpus {
 		c := &m.cpus[i]
 		c.mu.Lock()
-		if c.tlb.present(id, vpn) {
-			c.tlb.invalidate(id, vpn)
+		if c.tlb.invalidate(id, vpn) {
 			if CPUID(i) != initiator {
 				c.tlb.shootdowns++
 				remote++
@@ -608,7 +631,7 @@ func (m *MMU) Lookup(id ContextID, va VAddr) (PTE, bool) {
 	}
 	pt.mu.RLock()
 	defer pt.mu.RUnlock()
-	if pt.dead {
+	if pt.dead.Load() {
 		return PTE{}, false
 	}
 	pte, ok := pt.entries[va.VPN()]
@@ -624,24 +647,28 @@ func (m *MMU) Lookup(id ContextID, va VAddr) (PTE, bool) {
 // under that context's lock — translations in unrelated contexts, or
 // on distinct CPUs, never serialize on a global mutex.
 //
+// The TLB is probed before the context is looked up: a hit proves the
+// context live, because DestroyContextFrom removes the context's
+// entries from every CPU's TLB, under that CPU's lock, before it
+// returns. A probe in an unknown context counts as a miss.
+//
 //paramecium:hotpath
 func (m *MMU) TranslateOn(cpu CPUID, id ContextID, va VAddr, access Access) (PAddr, Fault) {
 	c := m.cpu(cpu)
-	pt, ok := m.pageTableOf(id)
-	if !ok {
-		return 0, Fault{Kind: FaultBadContext, Access: access, site: site{id, va}}
-	}
 	vpn := va.VPN()
 	c.mu.Lock()
-	if e, hit := c.tlb.lookup(id, vpn); hit {
-		frame, perm := e.frame, e.perm
-		c.mu.Unlock()
+	frame, perm, hit := c.tlb.lookup(id, vpn)
+	c.mu.Unlock()
+	if hit {
 		if !perm.Has(access.perm()) {
 			return 0, Fault{Kind: FaultProtection, Access: access, Present: perm, site: site{id, va}}
 		}
 		return PAddr(frame<<PageShift | va.Offset()), Fault{}
 	}
-	c.mu.Unlock()
+	pt, ok := m.pageTableOf(id)
+	if !ok {
+		return 0, Fault{Kind: FaultBadContext, Access: access, site: site{id, va}}
+	}
 	// TLB miss: hardware walk of the page table. The refill is inserted
 	// while still holding the table's read lock, so a concurrent
 	// Map/Unmap/Protect (write lock + shoot-down) cannot interleave
@@ -651,7 +678,7 @@ func (m *MMU) TranslateOn(cpu CPUID, id ContextID, va VAddr, access Access) (PAd
 		m.meter.Emit(int(cpu), probe.KindTLBMiss, uint32(id), vpn, 0)
 	}
 	pt.mu.RLock()
-	if pt.dead {
+	if pt.dead.Load() {
 		pt.mu.RUnlock()
 		return 0, Fault{Kind: FaultBadContext, Access: access, site: site{id, va}}
 	}
@@ -726,7 +753,7 @@ func (m *MMU) TLBStatsOn(cpu CPUID) CPUTLBStats {
 		Misses:     c.tlb.misses,
 		Flushes:    c.tlb.flushes,
 		Shootdowns: c.tlb.shootdowns,
-		Entries:    len(c.tlb.entries),
+		Entries:    c.tlb.live,
 	}
 }
 

@@ -3,6 +3,7 @@ package netstack
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -290,6 +291,46 @@ func TestGoFilter(t *testing.T) {
 	}
 	if err := s.DetachFilter("drop-odd"); err == nil {
 		t.Fatal("double detach succeeded")
+	}
+}
+
+// Deliver iterates the filter list outside the stack lock, so Attach
+// and Detach must never edit a list a delivery may be reading. Run
+// under -race. Each filter yields, so the churn lands between a
+// delivery's reads of the list.
+func TestDeliverDuringFilterChurn(t *testing.T) {
+	s, _ := newTestStack(t)
+	ep, _ := s.Bind(7)
+	pass := func(name string) Filter {
+		return FilterFunc{FName: name, Fn: func([]byte) bool { runtime.Gosched(); return true }}
+	}
+	s.AttachFilter(pass("churn"))
+	s.AttachFilter(pass("fixed"))
+	const rounds = 1000
+	done := make(chan error)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			if err := s.DetachFilter("churn"); err != nil {
+				done <- err
+				return
+			}
+			s.AttachFilter(pass("churn"))
+		}
+		done <- nil
+	}()
+	frame := BuildUDPFrame(macA, macB, ipB, ipA, 1, 7, []byte("x"))
+	for i := 0; i < rounds; i++ {
+		s.Deliver(frame)
+		ep.Recv()
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Delivered != rounds || st.Filtered != 0 {
+		t.Fatalf("stats = %+v, want %d delivered, none filtered", st, rounds)
+	}
+	if got := s.Filters(); len(got) != 2 || got[0] != "fixed" || got[1] != "churn" {
+		t.Fatalf("filters = %v", got)
 	}
 }
 

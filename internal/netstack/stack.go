@@ -3,6 +3,7 @@ package netstack
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"paramecium/internal/clock"
@@ -49,7 +50,9 @@ type Stack struct {
 	Addr   IP
 	HWAddr MAC
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// filters is copy-on-write: Attach and Detach build a new slice,
+	// so the snapshot Deliver iterates outside the lock never changes.
 	filters   []Filter
 	endpoints map[uint16]*Endpoint
 	stats     Stats
@@ -121,7 +124,7 @@ var BroadcastMAC = MAC{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
 func (s *Stack) AttachFilter(f Filter) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.filters = append(s.filters, f)
+	s.filters = append(s.filters[:len(s.filters):len(s.filters)], f)
 }
 
 // DetachFilter removes the named filter.
@@ -130,7 +133,7 @@ func (s *Stack) DetachFilter(name string) error {
 	defer s.mu.Unlock()
 	for i, f := range s.filters {
 		if f.Name() == name {
-			s.filters = append(s.filters[:i], s.filters[i+1:]...)
+			s.filters = slices.Concat(s.filters[:i], s.filters[i+1:])
 			return nil
 		}
 	}

@@ -65,6 +65,16 @@ type Report struct {
 	Benchmarks map[string]*Result `json:"benchmarks"`
 }
 
+// The benchmark pairs the ratio gates compare.
+const (
+	pSerial   = "BenchmarkP0_SerializedProxyCall"
+	pParallel = "BenchmarkP1_ParallelProxyCall"
+	sBase     = "BenchmarkP9_TopologyScaling/cpus=1/work=invoke"
+	sScaled   = "BenchmarkP9_TopologyScaling/cpus=16/work=invoke"
+	gInOrder  = "BenchmarkP8_MixedTargetBatch/targets=2/size=16/mode=inorder"
+	gGrouped  = "BenchmarkP8_MixedTargetBatch/targets=2/size=16/mode=grouped"
+)
+
 func main() {
 	in := flag.String("in", "-", "benchmark output to parse ('-' for stdin)")
 	out := flag.String("out", "", "write the JSON report here (empty: stdout)")
@@ -72,14 +82,8 @@ func main() {
 	threshold := flag.Float64("threshold", 0.20, "maximum allowed cycles/op regression, as a fraction")
 	benchtime := flag.String("benchtime", "", "the -benchtime the run used (e.g. 2000x), recorded in the report and checked against the baseline")
 	minParallel := flag.Float64("minparallel", 0, "minimum serialized-to-parallel ns/op ratio (P0/P1); 0 disables the ratio gate")
-	pSerial := flag.String("pserial", "BenchmarkP0_SerializedProxyCall", "serialized benchmark for the ratio gate")
-	pParallel := flag.String("pparallel", "BenchmarkP1_ParallelProxyCall", "parallel benchmark for the ratio gate")
 	minScaling := flag.Float64("minscaling", 0, "minimum single-CPU-to-scaled ns/op ratio on the topology-scaling invoke pair; 0 disables the scaling gate")
-	sBase := flag.String("sbase", "BenchmarkP9_TopologyScaling/cpus=1/work=invoke", "single-CPU benchmark for the scaling gate")
-	sScaled := flag.String("sscaled", "BenchmarkP9_TopologyScaling/cpus=16/work=invoke", "scaled-up benchmark for the scaling gate")
 	minGrouped := flag.Float64("mingrouped", 0, "minimum in-order-to-grouped cycles/op ratio on the mixed-target batch pair; 0 disables the grouped-dispatch gate")
-	gInOrder := flag.String("ginorder", "BenchmarkP8_MixedTargetBatch/targets=2/size=16/mode=inorder", "in-order benchmark for the grouped-dispatch gate")
-	gGrouped := flag.String("ggrouped", "BenchmarkP8_MixedTargetBatch/targets=2/size=16/mode=grouped", "grouped benchmark for the grouped-dispatch gate")
 	allocGate := flag.String("allocgate", "", "comma-separated benchmarks whose allocs/op must not exceed the baseline (empty: no allocs gate)")
 	flag.Parse()
 
@@ -138,7 +142,7 @@ func main() {
 	// or below — 1. Gated against the current run alone, no baseline
 	// needed.
 	if *minParallel > 0 {
-		p0, p1 := report.Benchmarks[*pSerial], report.Benchmarks[*pParallel]
+		p0, p1 := report.Benchmarks[pSerial], report.Benchmarks[pParallel]
 		switch {
 		case report.GoMaxProcs < 2:
 			// With one processor there is no parallelism for the ratio
@@ -146,16 +150,16 @@ func main() {
 			// work, and the ratio is pure noise around 1. Skip, loudly.
 			fmt.Fprintln(os.Stderr, "note: ratio gate skipped at GOMAXPROCS=1 (no parallelism to measure)")
 		case p0 == nil || p1 == nil:
-			fmt.Fprintf(os.Stderr, "FAIL: ratio gate needs both %s and %s in the run\n", *pSerial, *pParallel)
+			fmt.Fprintf(os.Stderr, "FAIL: ratio gate needs both %s and %s in the run\n", pSerial, pParallel)
 			os.Exit(1)
 		case p0.NsPerOp <= 0 || p1.NsPerOp <= 0:
-			fmt.Fprintf(os.Stderr, "FAIL: ratio gate needs ns/op for %s and %s\n", *pSerial, *pParallel)
+			fmt.Fprintf(os.Stderr, "FAIL: ratio gate needs ns/op for %s and %s\n", pSerial, pParallel)
 			os.Exit(1)
 		default:
 			ratio := p0.NsPerOp / p1.NsPerOp
 			if ratio < *minParallel {
 				fmt.Fprintf(os.Stderr, "FAIL: serialized/parallel ratio %.2f < %.2f required (%s %.1f ns/op vs %s %.1f ns/op) — the parallel plane has re-serialized\n",
-					ratio, *minParallel, *pSerial, p0.NsPerOp, *pParallel, p1.NsPerOp)
+					ratio, *minParallel, pSerial, p0.NsPerOp, pParallel, p1.NsPerOp)
 				os.Exit(1)
 			}
 			fmt.Fprintf(os.Stderr, "benchgate: serialized/parallel ratio %.2f (>= %.2f required)\n", ratio, *minParallel)
@@ -173,7 +177,7 @@ func main() {
 	// needed; skipped below 4 processors, where the floor cannot be
 	// reached even in principle.
 	if *minScaling > 0 {
-		s1, s16 := report.Benchmarks[*sBase], report.Benchmarks[*sScaled]
+		s1, s16 := report.Benchmarks[sBase], report.Benchmarks[sScaled]
 		switch {
 		case report.GoMaxProcs < 4:
 			// The ratio is capped by host parallelism: at GOMAXPROCS<4 a
@@ -181,16 +185,16 @@ func main() {
 			// machine scales. Skip, loudly.
 			fmt.Fprintf(os.Stderr, "note: scaling gate skipped at GOMAXPROCS=%d (needs >=4 processors to measure scaling)\n", report.GoMaxProcs)
 		case s1 == nil || s16 == nil:
-			fmt.Fprintf(os.Stderr, "FAIL: scaling gate needs both %s and %s in the run\n", *sBase, *sScaled)
+			fmt.Fprintf(os.Stderr, "FAIL: scaling gate needs both %s and %s in the run\n", sBase, sScaled)
 			os.Exit(1)
 		case s1.NsPerOp <= 0 || s16.NsPerOp <= 0:
-			fmt.Fprintf(os.Stderr, "FAIL: scaling gate needs ns/op for %s and %s\n", *sBase, *sScaled)
+			fmt.Fprintf(os.Stderr, "FAIL: scaling gate needs ns/op for %s and %s\n", sBase, sScaled)
 			os.Exit(1)
 		default:
 			ratio := s1.NsPerOp / s16.NsPerOp
 			if ratio < *minScaling {
 				fmt.Fprintf(os.Stderr, "FAIL: cpus=1/cpus=16 scaling ratio %.2f < %.2f required (%s %.1f ns/op vs %s %.1f ns/op) — the topology no longer scales\n",
-					ratio, *minScaling, *sBase, s1.NsPerOp, *sScaled, s16.NsPerOp)
+					ratio, *minScaling, sBase, s1.NsPerOp, sScaled, s16.NsPerOp)
 				os.Exit(1)
 			}
 			fmt.Fprintf(os.Stderr, "benchgate: cpus=1/cpus=16 scaling ratio %.2f (>= %.2f required)\n", ratio, *minScaling)
@@ -207,19 +211,19 @@ func main() {
 	// a crossing per entry — either way the vectoring contract broke).
 	// Gated against the current run alone, no baseline needed.
 	if *minGrouped > 0 {
-		gi, gg := report.Benchmarks[*gInOrder], report.Benchmarks[*gGrouped]
+		gi, gg := report.Benchmarks[gInOrder], report.Benchmarks[gGrouped]
 		switch {
 		case gi == nil || gg == nil:
-			fmt.Fprintf(os.Stderr, "FAIL: grouped-dispatch gate needs both %s and %s in the run\n", *gInOrder, *gGrouped)
+			fmt.Fprintf(os.Stderr, "FAIL: grouped-dispatch gate needs both %s and %s in the run\n", gInOrder, gGrouped)
 			os.Exit(1)
 		case gi.CyclesPerOp <= 0 || gg.CyclesPerOp <= 0:
-			fmt.Fprintf(os.Stderr, "FAIL: grouped-dispatch gate needs cycles/op for %s and %s\n", *gInOrder, *gGrouped)
+			fmt.Fprintf(os.Stderr, "FAIL: grouped-dispatch gate needs cycles/op for %s and %s\n", gInOrder, gGrouped)
 			os.Exit(1)
 		default:
 			ratio := gi.CyclesPerOp / gg.CyclesPerOp
 			if ratio < *minGrouped {
 				fmt.Fprintf(os.Stderr, "FAIL: in-order/grouped ratio %.2f < %.2f required (%s %.1f cycles/op vs %s %.1f cycles/op) — grouped dispatch no longer amortizes mixed-target crossings\n",
-					ratio, *minGrouped, *gInOrder, gi.CyclesPerOp, *gGrouped, gg.CyclesPerOp)
+					ratio, *minGrouped, gInOrder, gi.CyclesPerOp, gGrouped, gg.CyclesPerOp)
 				os.Exit(1)
 			}
 			fmt.Fprintf(os.Stderr, "benchgate: in-order/grouped ratio %.2f (>= %.2f required)\n", ratio, *minGrouped)

@@ -26,6 +26,8 @@ const (
 	msgDrain = 3 // release the lock held by the "long" worker
 )
 
+// main runs the demo on a one-CPU machine, so the NIC interrupt is
+// routed to the boot CPU.
 func main() {
 	log.SetFlags(0)
 	machine := hw.New(hw.Config{PhysFrames: 64})
@@ -56,7 +58,7 @@ func main() {
 	sched.RunUntilIdle()
 
 	// Active-message dispatcher: NIC interrupt -> proto-thread.
-	if err := events.RegisterIRQ(nic.IRQ(), "active-msg", mmu.KernelContext, event.DispatchProto,
+	if err := events.RegisterIRQOn(nic.IRQ(), "active-msg", mmu.KernelContext, event.DispatchProto, mmu.BootCPU,
 		func(f hw.TrapFrame, t *threads.Thread) {
 			regs := nic.IORegion()
 			for {

@@ -9,8 +9,8 @@ import (
 // ChargePath enforces the cost-model discipline on raw data movement:
 // in the data-plane packages, any statement that moves payload bytes —
 // a call to PhysMem.Read/Write or a builtin copy over byte slices —
-// must be dominated by a clock charge (Meter.Charge/ChargeN, or a call
-// to a same-package function that itself charges) on every path from
+// must be dominated by a clock charge (Meter.ChargeFor/ChargeNFor, or a
+// call to a same-package function that itself charges) on every path from
 // the function's entry. No crossing or copy is ever free.
 //
 // The PhysMem methods themselves are the raw DRAM primitive and sit
@@ -117,16 +117,14 @@ func namedTypeName(t types.Type) string {
 	return ""
 }
 
-// isDirectCharge reports a Meter.Charge/ChargeN call or one of their
-// attributed forms (ChargeFor/ChargeNFor, which charge identically and
-// additionally name the paying domain for the cycle ledger).
+// isDirectCharge reports a Meter.ChargeFor/ChargeNFor call.
 func (cp *chargePath) isDirectCharge(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	switch sel.Sel.Name {
-	case "Charge", "ChargeN", "ChargeFor", "ChargeNFor":
+	case "ChargeFor", "ChargeNFor":
 	default:
 		return false
 	}

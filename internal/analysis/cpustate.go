@@ -12,15 +12,11 @@ import (
 // a frame's .CPU field, or a vp.ID() — never by indexing with an
 // unrelated integer, which silently reads another CPU's state.
 //
-// It also polices the boot-CPU compatibility shims: referencing the
-// BootCPU constant is only allowed in functions whose doc comment
-// says so ("boot CPU"), making every implicit initiator choice an
-// explicit, documented decision. The same rule covers the machine's
-// compat ACCESS forms — Machine.Load/Store/Touch/TouchTagged delegate
-// to their *On counterparts with BootCPU as the initiator, so calling
-// one is choosing the boot CPU without writing it down: new call sites
-// are flagged unless the calling function's doc acknowledges the
-// choice, shrinking the compat surface to genuinely boot-time code.
+// It also polices the boot CPU as an initiator: every operation that
+// touches per-CPU state takes its CPU explicitly, and referencing the
+// BootCPU constant is only allowed in functions whose doc comment says
+// so ("boot CPU"), making every such choice an explicit, documented
+// decision.
 var CPUState = &Analyzer{
 	Name: "cpustate",
 	Doc:  "per-CPU state must be reached through a blessed CPU identity",
@@ -53,7 +49,6 @@ func runCPUState(pass *Pass) error {
 				checkCPUIndexing(pass, fn)
 			}
 			checkBootCPUUse(pass, fn)
-			checkBootCPUCompatCalls(pass, fn)
 		}
 	}
 	return nil
@@ -139,42 +134,6 @@ func describeIndex(e ast.Expr) string {
 		return "field " + exprString(e)
 	}
 	return "an unrelated expression"
-}
-
-// bootCPUCompatMethods are the Machine access forms that delegate to
-// the boot CPU: each has a *On counterpart taking the initiating CPU.
-var bootCPUCompatMethods = map[string]bool{
-	"Load":        true,
-	"Store":       true,
-	"Touch":       true,
-	"TouchTagged": true,
-}
-
-// checkBootCPUCompatCalls flags calls of the boot-CPU compatibility
-// access quartet in functions whose doc does not acknowledge the boot
-// CPU. Matching is by the receiver's named type (Machine), never by
-// method name alone: Load and Store on atomics, rings, segments and
-// name-space snapshots are unrelated.
-func checkBootCPUCompatCalls(pass *Pass, fn *ast.FuncDecl) {
-	if strings.Contains(strings.ToLower(funcDoc(fn)), "boot cpu") {
-		return
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !bootCPUCompatMethods[sel.Sel.Name] {
-			return true
-		}
-		if t := pass.TypesInfo.TypeOf(sel.X); namedTypeName(t) != "Machine" {
-			return true
-		}
-		pass.Reportf(call.Pos(), "%s is the boot-CPU compatibility access form; call %sOn with the initiating CPU, or document the boot-CPU choice in the doc comment",
-			exprString(sel), sel.Sel.Name)
-		return true
-	})
 }
 
 // checkBootCPUUse flags BootCPU references in functions whose doc does

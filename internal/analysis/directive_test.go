@@ -15,7 +15,7 @@ func TestMalformedDirective(t *testing.T) {
 
 type Meter struct{}
 
-func (m *Meter) Charge(op int) {}
+func (m *Meter) ChargeFor(payer uint32, op int) {}
 
 func move(dst, src []byte) {
 	//paralint:ignore chargepath
@@ -52,7 +52,7 @@ func TestSuppressionRequiresMatchingAnalyzer(t *testing.T) {
 
 type Meter struct{}
 
-func (m *Meter) Charge(op int) {}
+func (m *Meter) ChargeFor(payer uint32, op int) {}
 
 func move(dst, src []byte) {
 	//paralint:ignore lockorder wrong analyzer named here

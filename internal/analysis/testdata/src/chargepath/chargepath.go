@@ -5,8 +5,8 @@ package chargepath
 // Meter mirrors the clock meter's charging surface.
 type Meter struct{}
 
-func (m *Meter) Charge(op int)            {}
-func (m *Meter) ChargeN(op int, n uint64) {}
+func (m *Meter) ChargeFor(payer uint32, op int)            {}
+func (m *Meter) ChargeNFor(payer uint32, op int, n uint64) {}
 
 // PhysMem mirrors the raw DRAM primitive.
 type PhysMem struct{}
@@ -19,7 +19,10 @@ type dev struct {
 	phys  *PhysMem
 }
 
-const opCopy = 1
+const (
+	payer  = 0
+	opCopy = 1
+)
 
 // badCopy moves bytes with no charge anywhere.
 func (d *dev) badCopy(dst, src []byte) {
@@ -33,7 +36,7 @@ func (d *dev) badPhysWrite(pa uint64, buf []byte) {
 
 // goodCopy charges before moving.
 func (d *dev) goodCopy(dst, src []byte) {
-	d.meter.ChargeN(opCopy, uint64(len(src)))
+	d.meter.ChargeNFor(payer, opCopy, uint64(len(src)))
 	copy(dst, src)
 }
 
@@ -41,13 +44,13 @@ func (d *dev) goodCopy(dst, src []byte) {
 // undominated.
 func (d *dev) chargeLate(dst, src []byte) {
 	copy(dst, src) // want `copy of payload bytes is not dominated by a clock charge`
-	d.meter.ChargeN(opCopy, uint64(len(src)))
+	d.meter.ChargeNFor(payer, opCopy, uint64(len(src)))
 }
 
 // oneArm charges on one branch only, which does not dominate.
 func (d *dev) oneArm(pa uint64, buf []byte, fast bool) {
 	if fast {
-		d.meter.Charge(opCopy)
+		d.meter.ChargeFor(payer, opCopy)
 	}
 	d.phys.Read(pa, buf) // want `PhysMem\.Read is not dominated by a clock charge`
 }
@@ -55,9 +58,9 @@ func (d *dev) oneArm(pa uint64, buf []byte, fast bool) {
 // bothArms charges on every branch, which does.
 func (d *dev) bothArms(pa uint64, buf []byte, fast bool) {
 	if fast {
-		d.meter.Charge(opCopy)
+		d.meter.ChargeFor(payer, opCopy)
 	} else {
-		d.meter.ChargeN(opCopy, 2)
+		d.meter.ChargeNFor(payer, opCopy, 2)
 	}
 	d.phys.Read(pa, buf)
 }
@@ -68,7 +71,7 @@ func (d *dev) viaHelper(dst, src []byte) {
 	copy(dst, src)
 }
 
-func (d *dev) chargeCopy(n int) { d.meter.ChargeN(opCopy, uint64(n)) }
+func (d *dev) chargeCopy(n int) { d.meter.ChargeNFor(payer, opCopy, uint64(n)) }
 
 // mirror is a PhysMem method: the raw primitive sits below the cost
 // model and is exempt.

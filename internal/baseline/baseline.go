@@ -89,15 +89,15 @@ func (m *Monolith) Syscall(name string, args ...any) ([]any, error) {
 	m.calls++
 	m.mu.Unlock()
 
-	m.meter.Charge(clock.OpTrapEnter)
-	defer m.meter.Charge(clock.OpTrapExit)
+	m.meter.ChargeFor(clock.KernelDomain, clock.OpTrapEnter)
+	defer m.meter.ChargeFor(clock.KernelDomain, clock.OpTrapExit)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoService, name)
 	}
-	m.meter.ChargeN(clock.OpCopyWord, wordsOf(args))
-	m.meter.Charge(clock.OpIndirect)
+	m.meter.ChargeNFor(clock.KernelDomain, clock.OpCopyWord, wordsOf(args))
+	m.meter.ChargeFor(clock.KernelDomain, clock.OpIndirect)
 	res, err := s(args...)
-	m.meter.ChargeN(clock.OpCopyWord, wordsOf(res))
+	m.meter.ChargeNFor(clock.KernelDomain, clock.OpCopyWord, wordsOf(res))
 	return res, err
 }
 
@@ -154,8 +154,8 @@ func NewNetPath(m *Monolith, port uint16) *NetPath {
 // fast, but immutable. Header processing and the payload copy are
 // charged on the same terms as the Paramecium stack's.
 func (p *NetPath) Deliver(frame []byte) {
-	p.m.meter.ChargeN(clock.OpCall, 3)
-	p.m.meter.ChargeN(clock.OpCopyWord, uint64(len(frame)+7)/8)
+	p.m.meter.ChargeNFor(clock.KernelDomain, clock.OpCall, 3)
+	p.m.meter.ChargeNFor(clock.KernelDomain, clock.OpCopyWord, uint64(len(frame)+7)/8)
 	eth, err := netstack.ParseFrame(frame)
 	if err != nil || eth.EtherType != netstack.EtherTypeIP {
 		p.drop()

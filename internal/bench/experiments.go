@@ -52,7 +52,7 @@ func T1Invocation() Table {
 	// Direct procedure call: the compiler-level baseline.
 	n := 0
 	direct := perOp(w, iters, func() {
-		w.K.Meter.Charge(clock.OpCall)
+		w.K.Meter.ChargeFor(clock.KernelDomain, clock.OpCall)
 		n++
 	})
 
@@ -189,6 +189,9 @@ type interruptRig struct {
 	q       *threads.Queue
 }
 
+// newInterruptRig binds IRQ 3 to a handler under dispatch policy d,
+// routed to the boot CPU; with blockers the handler takes the rig's
+// mutex, so it blocks whenever holdMutex has parked a holder.
 func newInterruptRig(d event.Dispatch, blockers bool) *interruptRig {
 	machine := hw.New(hw.Config{PhysFrames: 16})
 	sched := threads.NewScheduler(machine.Meter)
@@ -206,17 +209,17 @@ func newInterruptRig(d event.Dispatch, blockers bool) *interruptRig {
 			r.mtx.Unlock(th)
 		}
 	}
-	if err := events.RegisterIRQ(3, "bench", mmu.KernelContext, d, handler); err != nil {
+	if err := events.RegisterIRQOn(3, "bench", mmu.KernelContext, d, mmu.BootCPU, handler); err != nil {
 		panic(err)
 	}
 	return r
 }
 
-// fire delivers one interrupt and runs the system to idle, returning
-// the cycles consumed.
+// fire delivers one interrupt to the boot CPU and runs the system to
+// idle, returning the cycles consumed.
 func (r *interruptRig) fire() uint64 {
 	watch := r.machine.Meter.Clock.StartWatch()
-	if err := r.machine.RaiseIRQ(3); err != nil {
+	if err := r.machine.RaiseIRQOn(3, mmu.BootCPU); err != nil {
 		panic(err)
 	}
 	r.sched.RunUntilIdle()
@@ -240,7 +243,8 @@ func (r *interruptRig) release() {
 }
 
 // T3Interrupt measures interrupt-to-completion cost per dispatch
-// policy, including the promotion path.
+// policy, including the promotion path. Every interrupt arrives on
+// the boot CPU.
 func T3Interrupt() Table {
 	t := Table{
 		ID:     "T3",
@@ -255,7 +259,7 @@ func T3Interrupt() Table {
 			if blocking && d == event.DispatchProto {
 				r.holdMutex()
 				watch := r.machine.Meter.Clock.StartWatch()
-				if err := r.machine.RaiseIRQ(3); err != nil {
+				if err := r.machine.RaiseIRQOn(3, mmu.BootCPU); err != nil {
 					panic(err)
 				}
 				r.release()
@@ -595,8 +599,8 @@ func F3BlockingFraction() Table {
 	return t
 }
 
-// runBlockingMix delivers events of which pct% block on a held mutex,
-// returning average cycles per event.
+// runBlockingMix delivers events to the boot CPU, of which pct% block
+// on a held mutex, returning average cycles per event.
 func runBlockingMix(d event.Dispatch, pct, events int) uint64 {
 	machine := hw.New(hw.Config{PhysFrames: 16})
 	sched := threads.NewScheduler(machine.Meter)
@@ -607,7 +611,7 @@ func runBlockingMix(d event.Dispatch, pct, events int) uint64 {
 		panic(err)
 	}
 	shouldBlock := false
-	if err := evts.RegisterIRQ(3, "mix", mmu.KernelContext, d, func(f hw.TrapFrame, th *threads.Thread) {
+	if err := evts.RegisterIRQOn(3, "mix", mmu.KernelContext, d, mmu.BootCPU, func(f hw.TrapFrame, th *threads.Thread) {
 		if shouldBlock && th != nil {
 			mtx.Lock(th)
 			mtx.Unlock(th)
@@ -627,14 +631,14 @@ func runBlockingMix(d event.Dispatch, pct, events int) uint64 {
 				mtx.Unlock(th)
 			})
 			sched.RunUntilIdle()
-			if err := machine.RaiseIRQ(3); err != nil {
+			if err := machine.RaiseIRQOn(3, mmu.BootCPU); err != nil {
 				panic(err)
 			}
 			q.TryPush(struct{}{})
 			sched.RunUntilIdle()
 			continue
 		}
-		if err := machine.RaiseIRQ(3); err != nil {
+		if err := machine.RaiseIRQOn(3, mmu.BootCPU); err != nil {
 			panic(err)
 		}
 		sched.RunUntilIdle()
@@ -756,7 +760,7 @@ func measureProxyCall(costs clock.CostModel, flushOnSwitch bool) uint64 {
 	clientDom := k.NewDomain("client")
 
 	// Server touches its own memory per call (a page of state).
-	if err := k.Mem.AllocPage(serverDom.Ctx, 0x10000, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := k.Mem.AllocPageOn(mmu.BootCPU, serverDom.Ctx, 0x10000, mmu.PermRead|mmu.PermWrite); err != nil {
 		panic(err)
 	}
 	decl := obj.MustInterfaceDecl("bench.touch.v1", obj.MethodDecl{Name: "touch", NumIn: 0, NumOut: 0})
@@ -767,7 +771,7 @@ func measureProxyCall(costs clock.CostModel, flushOnSwitch bool) uint64 {
 	}
 	buf := make([]byte, 64)
 	bi.MustBind("touch", func(...any) ([]any, error) {
-		return nil, k.Machine.Load(serverDom.Ctx, 0x10000, buf)
+		return nil, k.Machine.LoadOn(mmu.BootCPU, serverDom.Ctx, 0x10000, buf)
 	})
 	if err := k.Register("/services/touch", server, serverDom.Ctx); err != nil {
 		panic(err)

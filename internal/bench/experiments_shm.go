@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"paramecium/internal/mmu"
 	"paramecium/internal/obj"
 	"paramecium/internal/shm"
 )
@@ -208,12 +209,13 @@ func (h *BulkShare) Run(n int) {
 	}
 }
 
-// Finish revokes the grant inside the measurement window: the unmap
-// pays the per-remote-CPU TLB shootdown charge for any page a remote
-// CPU still holds cached — the "plus shootdown" half of the claim
-// (zero remotes on this single-CPU world, charged exactly as such).
+// Finish revokes the grant from the boot CPU inside the measurement
+// window: the unmap pays the per-remote-CPU TLB shootdown charge for
+// any page a remote CPU still holds cached — the "plus shootdown" half
+// of the claim (zero remotes on this single-CPU world, charged exactly
+// as such).
 func (h *BulkShare) Finish() {
-	if err := h.grant.Revoke(); err != nil {
+	if err := h.grant.RevokeFrom(mmu.BootCPU); err != nil {
 		panic(err)
 	}
 }

@@ -155,7 +155,7 @@ func (v *Validator) ChainDepth(delegate string) int {
 
 func (v *Validator) chargeVerify() {
 	if v.meter != nil {
-		v.meter.Charge(clock.OpSigVerify)
+		v.meter.ChargeFor(clock.KernelDomain, clock.OpSigVerify)
 	}
 }
 

@@ -86,7 +86,7 @@ func DigestImage(meter *clock.Meter, image []byte) Digest {
 		if blocks == 0 {
 			blocks = 1
 		}
-		meter.ChargeN(clock.OpDigestBlock, blocks)
+		meter.ChargeNFor(clock.KernelDomain, clock.OpDigestBlock, blocks)
 	}
 	return sha256.Sum256(image)
 }

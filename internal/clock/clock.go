@@ -227,9 +227,8 @@ func (m CostModel) WithCost(op Op, cycles uint64) CostModel {
 // cannot import the MMU, so domain contexts appear here as their raw
 // uint32 ids; KernelDomain mirrors mmu.KernelContext.
 const (
-	// KernelDomain is the ledger row charges land on when no explicit
-	// payer is known: plain Charge/ChargeN, boot-time machinery,
-	// teardown sweeps.
+	// KernelDomain is the ledger row for charges no domain is known to
+	// owe: boot-time machinery, scheduling, interrupts, teardown sweeps.
 	KernelDomain uint32 = 0
 	// IdleSlot is the ledger's pseudo-operation slot for clock advances
 	// outside any costed operation — the scheduler fast-forwarding
@@ -284,7 +283,8 @@ type probeSink struct {
 }
 
 // Meter couples a Clock with a CostModel and per-operation counters.
-// Subsystems hold a *Meter and call Charge for every costed operation.
+// Subsystems hold a *Meter and call ChargeFor for every costed
+// operation, naming the domain that pays.
 type Meter struct {
 	Clock *Clock
 	Model CostModel
@@ -347,18 +347,6 @@ func (m *Meter) Emit(cpu int, kind probe.Kind, domain uint32, a, b uint64) {
 	}
 }
 
-// Charge advances the clock by the cost of op and counts the event,
-// attributed to the kernel domain.
-func (m *Meter) Charge(op Op) {
-	m.ChargeNFor(KernelDomain, op, 1)
-}
-
-// ChargeN charges n occurrences of op at once, attributed to the
-// kernel domain.
-func (m *Meter) ChargeN(op Op, n uint64) {
-	m.ChargeNFor(KernelDomain, op, n)
-}
-
 // ChargeFor charges one occurrence of op, attributing its cycles to
 // the paying domain's ledger row when tracing is enabled.
 func (m *Meter) ChargeFor(payer uint32, op Op) {
@@ -366,10 +354,9 @@ func (m *Meter) ChargeFor(payer uint32, op Op) {
 }
 
 // ChargeNFor charges n occurrences of op at once, attributing the
-// cycles to payer. Subsystems that know the responsible domain — the
-// proxy's caller, the context touching memory, the context whose
-// mapping a shootdown serves — use this form; the plain forms bill the
-// kernel.
+// cycles to payer: the proxy's caller, the context touching memory, the
+// context whose mapping a shootdown serves, or KernelDomain for work
+// the nucleus does on no domain's behalf.
 func (m *Meter) ChargeNFor(payer uint32, op Op, n uint64) {
 	if n == 0 {
 		return

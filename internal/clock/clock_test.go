@@ -127,9 +127,9 @@ func TestCostOutOfRange(t *testing.T) {
 
 func TestMeterChargeAdvancesAndCounts(t *testing.T) {
 	m := NewMeter(DefaultCosts())
-	m.Charge(OpTrapEnter)
-	m.Charge(OpTrapEnter)
-	m.Charge(OpCall)
+	m.ChargeFor(KernelDomain, OpTrapEnter)
+	m.ChargeFor(KernelDomain, OpTrapEnter)
+	m.ChargeFor(KernelDomain, OpCall)
 	wantCycles := 2*m.Model.Cost(OpTrapEnter) + m.Model.Cost(OpCall)
 	if got := m.Clock.Now(); got != wantCycles {
 		t.Fatalf("clock = %d, want %d", got, wantCycles)
@@ -147,22 +147,22 @@ func TestMeterChargeAdvancesAndCounts(t *testing.T) {
 
 func TestMeterChargeN(t *testing.T) {
 	m := NewMeter(DefaultCosts())
-	m.ChargeN(OpCopyWord, 128)
+	m.ChargeNFor(KernelDomain, OpCopyWord, 128)
 	if got := m.Count(OpCopyWord); got != 128 {
 		t.Fatalf("Count = %d, want 128", got)
 	}
 	if got := m.Clock.Now(); got != 128*m.Model.Cost(OpCopyWord) {
 		t.Fatalf("clock = %d", got)
 	}
-	m.ChargeN(OpCopyWord, 0) // must be a no-op
+	m.ChargeNFor(KernelDomain, OpCopyWord, 0) // must be a no-op
 	if got := m.Count(OpCopyWord); got != 128 {
-		t.Fatalf("ChargeN(0) changed count to %d", got)
+		t.Fatalf("ChargeNFor(0) changed count to %d", got)
 	}
 }
 
 func TestMeterResetCounts(t *testing.T) {
 	m := NewMeter(DefaultCosts())
-	m.Charge(OpSchedule)
+	m.ChargeFor(KernelDomain, OpSchedule)
 	before := m.Clock.Now()
 	m.ResetCounts()
 	if got := m.Count(OpSchedule); got != 0 {
@@ -175,8 +175,8 @@ func TestMeterResetCounts(t *testing.T) {
 
 func TestMeterSnapshot(t *testing.T) {
 	m := NewMeter(DefaultCosts())
-	m.ChargeN(OpTLBMiss, 3)
-	m.Charge(OpTrapExit)
+	m.ChargeNFor(KernelDomain, OpTLBMiss, 3)
+	m.ChargeFor(KernelDomain, OpTrapExit)
 	snap := m.Snapshot()
 	if snap[OpTLBMiss] != 3 || snap[OpTrapExit] != 1 {
 		t.Fatalf("snapshot = %v", snap)
@@ -185,8 +185,8 @@ func TestMeterSnapshot(t *testing.T) {
 
 func TestMeterChargeOutOfRangeOp(t *testing.T) {
 	m := NewMeter(DefaultCosts())
-	m.Charge(Op(-1)) // must not panic
-	m.Charge(Op(NumOps))
+	m.ChargeFor(KernelDomain, Op(-1)) // must not panic
+	m.ChargeFor(KernelDomain, Op(NumOps))
 	if got := m.Clock.Now(); got != 0 {
 		t.Fatalf("out-of-range charge advanced clock to %d", got)
 	}
@@ -276,12 +276,12 @@ func TestRandBytesCoversTail(t *testing.T) {
 }
 
 // Property: the clock equals the sum of (count × cost) over all ops when
-// only Charge is used.
+// only ChargeFor is used.
 func TestMeterAccountingInvariant(t *testing.T) {
 	f := func(ops []uint8) bool {
 		m := NewMeter(DefaultCosts())
 		for _, o := range ops {
-			m.Charge(Op(int(o) % NumOps))
+			m.ChargeFor(KernelDomain, Op(int(o)%NumOps))
 		}
 		var want uint64
 		snap := m.Snapshot()

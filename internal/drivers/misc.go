@@ -38,7 +38,8 @@ type TimerDriverConfig struct {
 	Dispatch event.Dispatch
 }
 
-// NewTimerDriver builds a timer driver over t.
+// NewTimerDriver builds a timer driver over t. Its tick interrupt is
+// routed to the boot CPU.
 func NewTimerDriver(class string, t *hw.Timer, svc *mem.Service, evt *event.Service, cfg TimerDriverConfig) (*TimerDriver, error) {
 	grant, err := svc.AllocIOSpace(cfg.Ctx, t.IORegion().Name, mem.IOExclusive)
 	if err != nil {
@@ -65,7 +66,7 @@ func NewTimerDriver(class string, t *hw.Timer, svc *mem.Service, evt *event.Serv
 	}).MustBind("poll", func(...any) ([]any, error) {
 		return []any{d.timer.Poll()}, nil
 	})
-	if err := evt.RegisterIRQ(t.IRQ(), class+"-tick", cfg.Ctx, cfg.Dispatch, func(hw.TrapFrame, *threads.Thread) {
+	if err := evt.RegisterIRQOn(t.IRQ(), class+"-tick", cfg.Ctx, cfg.Dispatch, mmu.BootCPU, func(hw.TrapFrame, *threads.Thread) {
 		d.ticks++
 		for _, fn := range d.subs {
 			fn()

@@ -76,7 +76,8 @@ type NetDriverConfig struct {
 	IOMode mem.IOMode
 }
 
-// NewNetDriver builds and starts a network driver for nic.
+// NewNetDriver builds and starts a network driver for nic. Its receive
+// interrupt is routed to the boot CPU.
 func NewNetDriver(class string, nic *hw.NIC, svc *mem.Service, evt *event.Service, cfg NetDriverConfig) (*NetDriver, error) {
 	grant, err := svc.AllocIOSpace(cfg.Ctx, nic.IORegion().Name, cfg.IOMode)
 	if err != nil {
@@ -113,7 +114,7 @@ func NewNetDriver(class string, nic *hw.NIC, svc *mem.Service, evt *event.Servic
 		return []any{rx, tx, dr}, nil
 	})
 
-	if err := evt.RegisterIRQ(d.line, class+"-rx", cfg.Ctx, cfg.Dispatch, func(hw.TrapFrame, *threads.Thread) {
+	if err := evt.RegisterIRQOn(d.line, class+"-rx", cfg.Ctx, cfg.Dispatch, mmu.BootCPU, func(hw.TrapFrame, *threads.Thread) {
 		d.drainRing()
 	}); err != nil {
 		_ = svc.ReleaseIOSpace(grant)

@@ -9,8 +9,9 @@ import (
 // CPU is one virtual processor of the simulated machine. Each CPU owns
 // a current-context register and a private TLB (both live in the MMU,
 // keyed by the CPU's ID) and counts the traps and interrupts delivered
-// to it. Memory accesses performed through a CPU charge that CPU's TLB,
-// so translation locality is a per-CPU quantity.
+// to it. Memory accesses name the CPU they run on (Machine.LoadOn and
+// its siblings) and charge that CPU's TLB, so translation locality is a
+// per-CPU quantity.
 type CPU struct {
 	id mmu.CPUID
 	m  *Machine
@@ -26,32 +27,14 @@ func (c *CPU) ID() mmu.CPUID { return c.id }
 // Machine reports the machine the CPU belongs to.
 func (c *CPU) Machine() *Machine { return c.m }
 
-// Current reports the CPU's active MMU context, lock-free.
-func (c *CPU) Current() mmu.ContextID { return c.m.MMU.CurrentOn(c.id) }
-
-// Switch makes id the CPU's active context.
-func (c *CPU) Switch(id mmu.ContextID) error { return c.m.MMU.SwitchOn(c.id, id) }
-
-// Load reads simulated memory through this CPU's MMU state.
-func (c *CPU) Load(ctx mmu.ContextID, va mmu.VAddr, buf []byte) error {
-	return c.m.accessOn(c.id, ctx, va, buf, mmu.AccessRead)
-}
-
-// Store writes simulated memory through this CPU's MMU state.
-func (c *CPU) Store(ctx mmu.ContextID, va mmu.VAddr, buf []byte) error {
-	return c.m.accessOn(c.id, ctx, va, buf, mmu.AccessWrite)
-}
-
-// Touch performs a zero-length access on this CPU; see Machine.Touch.
-func (c *CPU) Touch(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access) error {
-	return faultErr(c.m.translateWithFaults(c.id, ctx, va, access, 0))
-}
-
-// TouchTagged is Touch with a caller-supplied token (see
-// Machine.TouchTagged) that reports the fault the access left
-// unresolved by value, Kind FaultNone when it translated. It never
-// allocates: the cross-domain proxy touches its entry slots through
-// it, and its own fault handler has already consumed the fault.
+// TouchTagged performs a zero-length access of the given kind at va on
+// this CPU, delivering token in the trap frame of any resulting page
+// fault, and reports the fault the access left unresolved by value,
+// Kind FaultNone when it translated. The cross-domain proxy touches its
+// interface entry slots through it with AccessExec: the token keys the
+// call frame, so any number of concurrent calls through the same entry
+// page each reach their own arguments and results. It never allocates,
+// and the proxy's own fault handler has already consumed the fault.
 func (c *CPU) TouchTagged(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, token uint64) mmu.Fault {
 	_, f, _ := c.m.translateWithFaults(c.id, ctx, va, access, token)
 	return f
@@ -60,15 +43,6 @@ func (c *CPU) TouchTagged(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, to
 // Stats reports the traps and interrupts delivered to this CPU.
 func (c *CPU) Stats() (traps, irqs uint64) {
 	return c.traps.Load(), c.irqs.Load()
-}
-
-// TLBStats reports this CPU's TLB counters — hits, misses, flushes and
-// the cross-CPU shootdowns it received (entries its TLB held that a
-// map/unmap/protect on another CPU had to invalidate, one IPI charge
-// each). Per-CPU shootdown counts are how a workload sees which CPUs
-// were actually paying for page-mapping churn elsewhere in the machine.
-func (c *CPU) TLBStats() mmu.CPUTLBStats {
-	return c.m.MMU.TLBStatsOn(c.id)
 }
 
 // CPULease is a claim on one virtual CPU for the duration of an

@@ -134,7 +134,7 @@ func TestPerCPULoadsUseOwnTLB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MMU.Map(mmu.KernelContext, 0x1000, frame, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := m.MMU.MapOn(mmu.BootCPU, mmu.KernelContext, 0x1000, frame, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 8)
@@ -145,7 +145,7 @@ func TestPerCPULoadsUseOwnTLB(t *testing.T) {
 			defer wg.Done()
 			b := make([]byte, 8)
 			for i := 0; i < 10; i++ {
-				if err := c.Load(mmu.KernelContext, 0x1000, b); err != nil {
+				if err := c.Machine().LoadOn(c.ID(), mmu.KernelContext, 0x1000, b); err != nil {
 					t.Error(err)
 					return
 				}
@@ -153,7 +153,7 @@ func TestPerCPULoadsUseOwnTLB(t *testing.T) {
 		}(m.CPUByID(mmu.CPUID(cpu)))
 	}
 	wg.Wait()
-	if err := m.Store(mmu.KernelContext, 0x1000, buf); err != nil {
+	if err := m.StoreOn(mmu.BootCPU, mmu.KernelContext, 0x1000, buf); err != nil {
 		t.Fatal(err)
 	}
 	s0, s1 := m.MMU.TLBStatsOn(0), m.MMU.TLBStatsOn(1)

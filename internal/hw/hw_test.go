@@ -65,7 +65,7 @@ func TestIRQDispatchAndMasking(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RaiseIRQ(3); err != nil {
+	if err := m.RaiseIRQOn(3, mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1 {
@@ -75,7 +75,7 @@ func TestIRQDispatchAndMasking(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := m.RaiseIRQ(3); err != nil {
+		if err := m.RaiseIRQOn(3, mmu.BootCPU); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,10 +92,10 @@ func TestIRQDispatchAndMasking(t *testing.T) {
 
 func TestIRQBadLine(t *testing.T) {
 	m := newTestMachine()
-	if err := m.RaiseIRQ(-1); !errors.Is(err, ErrBadIRQ) {
+	if err := m.RaiseIRQOn(-1, mmu.BootCPU); !errors.Is(err, ErrBadIRQ) {
 		t.Fatalf("RaiseIRQ(-1): %v", err)
 	}
-	if err := m.RaiseIRQ(NumIRQLines); !errors.Is(err, ErrBadIRQ) {
+	if err := m.RaiseIRQOn(NumIRQLines, mmu.BootCPU); !errors.Is(err, ErrBadIRQ) {
 		t.Fatalf("RaiseIRQ(max): %v", err)
 	}
 	if _, err := m.SetIRQHandler(NumIRQLines, nil); !errors.Is(err, ErrBadIRQ) {
@@ -111,7 +111,7 @@ func TestIRQBadLine(t *testing.T) {
 
 func TestIRQNoHandlerDropsAndCounts(t *testing.T) {
 	m := newTestMachine()
-	if err := m.RaiseIRQ(5); !errors.Is(err, ErrNoHandler) {
+	if err := m.RaiseIRQOn(5, mmu.BootCPU); !errors.Is(err, ErrNoHandler) {
 		t.Fatalf("err = %v", err)
 	}
 	_, _, dropped := m.Stats()
@@ -127,15 +127,15 @@ func TestLoadStoreThroughMMU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MMU.Map(ctx, 0x10000, frame, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := m.MMU.MapOn(mmu.BootCPU, ctx, 0x10000, frame, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
 	msg := []byte("paramecium")
-	if err := m.Store(ctx, 0x10004, msg); err != nil {
+	if err := m.StoreOn(mmu.BootCPU, ctx, 0x10004, msg); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(msg))
-	if err := m.Load(ctx, 0x10004, got); err != nil {
+	if err := m.LoadOn(mmu.BootCPU, ctx, 0x10004, got); err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(msg) {
@@ -146,7 +146,7 @@ func TestLoadStoreThroughMMU(t *testing.T) {
 func TestStoreToUnmappedFaults(t *testing.T) {
 	m := newTestMachine()
 	ctx := m.MMU.NewContext()
-	err := m.Store(ctx, 0x2000, []byte{1})
+	err := m.StoreOn(mmu.BootCPU, ctx, 0x2000, []byte{1})
 	f, ok := errors.Unwrap(err).(*mmu.Fault)
 	if !ok {
 		t.Fatalf("err = %v, want *mmu.Fault", err)
@@ -166,19 +166,19 @@ func TestPageFaultHandlerResolvesAndRetries(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := m.MMU.Map(f.Ctx, f.Addr, frame, mmu.PermRead|mmu.PermWrite); err != nil {
+		if err := m.MMU.MapOn(mmu.BootCPU, f.Ctx, f.Addr, frame, mmu.PermRead|mmu.PermWrite); err != nil {
 			return false
 		}
 		return true
 	})
-	if err := m.Store(ctx, 0x5000, []byte("demand paged")); err != nil {
+	if err := m.StoreOn(mmu.BootCPU, ctx, 0x5000, []byte("demand paged")); err != nil {
 		t.Fatalf("store after resolving fault: %v", err)
 	}
 	if faults != 1 {
 		t.Fatalf("faults = %d, want 1", faults)
 	}
 	// Second access must not fault again.
-	if err := m.Store(ctx, 0x5000, []byte("again")); err != nil {
+	if err := m.StoreOn(mmu.BootCPU, ctx, 0x5000, []byte("again")); err != nil {
 		t.Fatal(err)
 	}
 	if faults != 1 {
@@ -190,7 +190,7 @@ func TestPageFaultHandlerDeclines(t *testing.T) {
 	m := newTestMachine()
 	ctx := m.MMU.NewContext()
 	m.SetTrapHandler(TrapPageFault, func(TrapFrame) bool { return false })
-	err := m.Load(ctx, 0x1000, make([]byte, 1))
+	err := m.LoadOn(mmu.BootCPU, ctx, 0x1000, make([]byte, 1))
 	if _, ok := err.(*mmu.Fault); !ok {
 		t.Fatalf("err = %v, want the fault", err)
 	}
@@ -206,7 +206,7 @@ func TestPageFaultHandlerLiesDetected(t *testing.T) {
 		calls++
 		return true
 	})
-	err := m.Load(ctx, 0x1000, make([]byte, 1))
+	err := m.LoadOn(mmu.BootCPU, ctx, 0x1000, make([]byte, 1))
 	if err == nil {
 		t.Fatal("access succeeded without a mapping")
 	}
@@ -220,10 +220,10 @@ func TestAccessSpanningPages(t *testing.T) {
 	ctx := m.MMU.NewContext()
 	f1, _ := m.Phys.AllocFrame()
 	f2, _ := m.Phys.AllocFrame()
-	if err := m.MMU.Map(ctx, 0x1000, f1, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := m.MMU.MapOn(mmu.BootCPU, ctx, 0x1000, f1, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MMU.Map(ctx, 0x2000, f2, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := m.MMU.MapOn(mmu.BootCPU, ctx, 0x2000, f2, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
 	data := make([]byte, 256)
@@ -231,11 +231,11 @@ func TestAccessSpanningPages(t *testing.T) {
 		data[i] = byte(i)
 	}
 	va := mmu.VAddr(0x2000 - 100)
-	if err := m.Store(ctx, va, data); err != nil {
+	if err := m.StoreOn(mmu.BootCPU, ctx, va, data); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 256)
-	if err := m.Load(ctx, va, got); err != nil {
+	if err := m.LoadOn(mmu.BootCPU, ctx, va, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
@@ -249,7 +249,7 @@ func TestTouchExecRaisesProtectionFault(t *testing.T) {
 	m := newTestMachine()
 	ctx := m.MMU.NewContext()
 	frame, _ := m.Phys.AllocFrame()
-	if err := m.MMU.Map(ctx, 0x8000, frame, mmu.PermRead); err != nil {
+	if err := m.MMU.MapOn(mmu.BootCPU, ctx, 0x8000, frame, mmu.PermRead); err != nil {
 		t.Fatal(err)
 	}
 	handled := false
@@ -260,7 +260,7 @@ func TestTouchExecRaisesProtectionFault(t *testing.T) {
 		}
 		return false
 	})
-	if err := m.Touch(ctx, 0x8000, mmu.AccessExec); err == nil {
+	if err := m.TouchOn(mmu.BootCPU, ctx, 0x8000, mmu.AccessExec); err == nil {
 		t.Fatal("exec touch on non-exec page succeeded")
 	}
 	if !handled {

@@ -5,8 +5,8 @@
 //
 // The machine is deliberately not an instruction-set simulator.
 // Components execute as Go code (or as PVM bytecode, package sandbox),
-// but every access to *simulated memory* goes through Load/Store and
-// therefore through the MMU, and every privileged transition (trap,
+// but every access to *simulated memory* goes through LoadOn/StoreOn
+// and therefore through the MMU, and every privileged transition (trap,
 // interrupt, context switch) is charged on the shared cycle meter. This
 // is exactly the level of detail the paper's arguments live at: counts
 // of protection-boundary crossings, faults and run-time checks.
@@ -223,7 +223,8 @@ func (m *Machine) MaskIRQ(line IRQLine) error {
 	return nil
 }
 
-// UnmaskIRQ re-enables a line and delivers any pending interrupts.
+// UnmaskIRQ re-enables a line and delivers any pending interrupts to
+// the boot CPU.
 func (m *Machine) UnmaskIRQ(line IRQLine) error {
 	if line < 0 || line >= NumIRQLines {
 		return fmt.Errorf("%w: %d", ErrBadIRQ, line)
@@ -234,7 +235,7 @@ func (m *Machine) UnmaskIRQ(line IRQLine) error {
 	m.irqMasked[line] = false
 	m.mu.Unlock()
 	for i := 0; i < pending; i++ {
-		if err := m.RaiseIRQ(line); err != nil {
+		if err := m.RaiseIRQOn(line, mmu.BootCPU); err != nil {
 			return err
 		}
 	}
@@ -268,17 +269,11 @@ func (m *Machine) RaiseTrap(frame TrapFrame) (bool, error) {
 	return h(frame), nil
 }
 
-// RaiseIRQ delivers an asynchronous interrupt on the given line to the
-// boot CPU. Masked lines accumulate pending counts; unhandled lines
-// drop the interrupt and count it.
-func (m *Machine) RaiseIRQ(line IRQLine) error {
-	return m.RaiseIRQOn(line, mmu.BootCPU)
-}
-
 // RaiseIRQOn delivers an interrupt on the given line to one CPU: the
 // trap frame carries that CPU's ID and active context, so the handler
 // runs against the interrupted CPU's MMU state. Concurrent interrupts
-// on distinct CPUs dispatch in parallel.
+// on distinct CPUs dispatch in parallel. Masked lines accumulate
+// pending counts; unhandled lines drop the interrupt and count it.
 func (m *Machine) RaiseIRQOn(line IRQLine, cpu mmu.CPUID) error {
 	if line < 0 || line >= NumIRQLines {
 		return fmt.Errorf("%w: %d", ErrBadIRQ, line)
@@ -301,7 +296,7 @@ func (m *Machine) RaiseIRQOn(line IRQLine, cpu mmu.CPUID) error {
 	m.irqsDelivered.Add(1)
 	m.cpus[cpu].irqs.Add(1)
 	m.mu.Unlock()
-	m.Meter.Charge(clock.OpInterrupt)
+	m.Meter.ChargeFor(clock.KernelDomain, clock.OpInterrupt)
 	h(TrapFrame{Vector: -1, IRQ: line, Ctx: m.MMU.CurrentOn(cpu), CPU: cpu})
 	return nil
 }
@@ -311,42 +306,12 @@ func (m *Machine) Stats() (traps, irqs, dropped uint64) {
 	return m.trapsDelivered.Load(), m.irqsDelivered.Load(), m.irqsDropped.Load()
 }
 
-// Load reads len(buf) bytes of simulated memory at va in context ctx
-// on the boot CPU. Page faults are delivered as traps; if the
-// page-fault handler reports the fault resolved, the access is retried
-// (once per page). Per-CPU accesses go through CPU.Load.
-func (m *Machine) Load(ctx mmu.ContextID, va mmu.VAddr, buf []byte) error {
-	return m.accessOn(mmu.BootCPU, ctx, va, buf, mmu.AccessRead)
-}
-
-// Store writes buf to simulated memory at va in context ctx on the
-// boot CPU.
-func (m *Machine) Store(ctx mmu.ContextID, va mmu.VAddr, buf []byte) error {
-	return m.accessOn(mmu.BootCPU, ctx, va, buf, mmu.AccessWrite)
-}
-
-// Touch performs a zero-length access of the given kind at va on the
-// boot CPU: it runs the full translation (and fault) machinery without
-// moving data.
-func (m *Machine) Touch(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access) error {
-	return m.TouchTagged(ctx, va, access, 0)
-}
-
-// TouchTagged is Touch with a caller-supplied token delivered in the
-// trap frame of any resulting page fault. Proxy invocation uses it
-// with AccessExec on interface entry slots: the token keys the call
-// frame, so any number of concurrent calls through the same entry page
-// each reach their own arguments and results. It runs on the boot CPU;
-// CPU.TouchTagged is the per-CPU form, which reports the fault by
-// value.
-func (m *Machine) TouchTagged(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, token uint64) error {
-	return faultErr(m.translateWithFaults(mmu.BootCPU, ctx, va, access, token))
-}
-
 // LoadOn reads len(buf) bytes of simulated memory at va in context ctx
-// through the named CPU's MMU state: the initiator-threaded form of
-// Load, used wherever the accessing CPU is known (thread execution
-// contexts, lease holders).
+// through the named CPU's MMU state, so the access populates (and its
+// misses charge) that CPU's TLB. Page faults are delivered as traps; if
+// the page-fault handler reports the fault resolved, the access is
+// retried (once per page). Code with no dispatched CPU passes
+// mmu.BootCPU.
 func (m *Machine) LoadOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, buf []byte) error {
 	return m.accessOn(cpu, ctx, va, buf, mmu.AccessRead)
 }
@@ -360,13 +325,7 @@ func (m *Machine) StoreOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, buf []
 // TouchOn performs a zero-length access of the given kind at va on the
 // named CPU: the full translation (and fault) machinery, no data.
 func (m *Machine) TouchOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, access mmu.Access) error {
-	return m.TouchTaggedOn(cpu, ctx, va, access, 0)
-}
-
-// TouchTaggedOn is TouchOn with a caller-supplied token delivered in
-// the trap frame of any resulting page fault; see Machine.TouchTagged.
-func (m *Machine) TouchTaggedOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, token uint64) error {
-	return faultErr(m.translateWithFaults(cpu, ctx, va, access, token))
+	return faultErr(m.translateWithFaults(cpu, ctx, va, access, 0))
 }
 
 // accessOn moves buf through the MMU page by page on one CPU: the

@@ -29,7 +29,7 @@ func TestOversubscribedLeaseNodeAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("alloc frame: %v", err)
 		}
-		if err := m.MMU.Map(ctx, p.va, frame, mmu.PermRead|mmu.PermWrite); err != nil {
+		if err := m.MMU.MapOn(mmu.BootCPU, ctx, p.va, frame, mmu.PermRead|mmu.PermWrite); err != nil {
 			t.Fatalf("map %#x: %v", p.va, err)
 		}
 		if err := m.Phys.SetFrameNode(frame, p.home); err != nil {
@@ -41,7 +41,7 @@ func TestOversubscribedLeaseNodeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("alloc untagged frame: %v", err)
 	}
-	if err := m.MMU.Map(ctx, untaggedVA, frame, mmu.PermRead); err != nil {
+	if err := m.MMU.MapOn(mmu.BootCPU, ctx, untaggedVA, frame, mmu.PermRead); err != nil {
 		t.Fatalf("map untagged: %v", err)
 	}
 

@@ -134,7 +134,7 @@ func (s *Service) DestroyDomain(ctx mmu.ContextID) error {
 		frame := s.pages[k]
 		delete(s.pages, k)
 		delete(s.handlers, k)
-		_ = s.machine.MMU.Unmap(ctx, mmu.VAddr(k.vpn<<mmu.PageShift))
+		_ = s.machine.MMU.UnmapOn(mmu.BootCPU, ctx, mmu.VAddr(k.vpn<<mmu.PageShift))
 		_, _ = s.machine.Phys.Unref(frame)
 	}
 	for k := range s.handlers {
@@ -153,7 +153,7 @@ func (s *Service) DestroyDomain(ctx mmu.ContextID) error {
 	}
 	delete(s.arenas, ctx)
 	s.mu.Unlock()
-	return s.machine.MMU.DestroyContext(ctx)
+	return s.machine.MMU.DestroyContextFrom(mmu.BootCPU, ctx)
 }
 
 // ShareBase is where kernel-brokered mappings — shared-memory segments
@@ -210,41 +210,17 @@ func (s *Service) ReleaseVA(ctx mmu.ContextID, base mmu.VAddr, npages int) {
 	a.free[npages] = append(a.free[npages], base)
 }
 
-// AllocPage allocates a fresh exclusive page at va in ctx, initiating
-// any TLB shootdown from the boot CPU (see AllocPageOn).
-func (s *Service) AllocPage(ctx mmu.ContextID, va mmu.VAddr, perm mmu.Perm) error {
-	return s.AllocPageOn(mmu.BootCPU, ctx, va, perm)
-}
-
-// AllocPageOn is AllocPage initiated from the given CPU, so shootdown
-// cycles are charged from the true initiator's perspective. On a NUMA
-// machine the fresh frame's home node follows first-touch policy: the
-// page is homed on the initiating CPU's node, so the allocator's own
-// accesses are local and everyone else's pay the node distance.
+// AllocPageOn allocates a fresh exclusive page at va in ctx, initiating
+// any TLB shootdown from the given CPU, so shootdown cycles are charged
+// from the true initiator's perspective. On a NUMA machine the fresh
+// frame's home node follows first-touch policy: the page is homed on
+// the initiating CPU's node, so the allocator's own accesses are local
+// and everyone else's pay the node distance.
 func (s *Service) AllocPageOn(initiator mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, perm mmu.Perm) error {
 	node := int32(mmu.NoNode)
 	if s.machine.Topology() != nil {
 		node = s.machine.NodeOfCPU(initiator)
 	}
-	return s.allocPage(initiator, node, ctx, va, perm)
-}
-
-// AllocPageOnNode is AllocPage with an explicit home node: the frame
-// is homed on the named NUMA node regardless of who allocates it, the
-// policy for services that place producer/consumer buffers
-// deliberately. Node -1 (mmu.NoNode) leaves the frame untagged, so
-// no access to it is ever charged as remote. The map itself initiates
-// from the boot CPU, like AllocPage.
-func (s *Service) AllocPageOnNode(node int32, ctx mmu.ContextID, va mmu.VAddr, perm mmu.Perm) error {
-	if t := s.machine.Topology(); t != nil && (node < -1 || int(node) >= t.Nodes) {
-		return fmt.Errorf("mem: no NUMA node %d (machine has %d)", node, t.Nodes)
-	}
-	return s.allocPage(mmu.BootCPU, node, ctx, va, perm)
-}
-
-// allocPage is the shared allocation path: fresh frame, map from the
-// initiator, home-node tag.
-func (s *Service) allocPage(initiator mmu.CPUID, node int32, ctx mmu.ContextID, va mmu.VAddr, perm mmu.Perm) error {
 	key := pageKey{ctx: ctx, vpn: va.VPN()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -266,26 +242,21 @@ func (s *Service) allocPage(initiator mmu.CPUID, node int32, ctx mmu.ContextID, 
 	return nil
 }
 
-// AllocRange allocates n consecutive exclusive pages starting at va.
+// AllocRange allocates n consecutive exclusive pages starting at va,
+// initiating any TLB shootdown from the boot CPU.
 func (s *Service) AllocRange(ctx mmu.ContextID, va mmu.VAddr, n int, perm mmu.Perm) error {
 	for i := 0; i < n; i++ {
-		if err := s.AllocPage(ctx, va+mmu.VAddr(i*mmu.PageSize), perm); err != nil {
+		if err := s.AllocPageOn(mmu.BootCPU, ctx, va+mmu.VAddr(i*mmu.PageSize), perm); err != nil {
 			return fmt.Errorf("mem: page %d of %d: %w", i, n, err)
 		}
 	}
 	return nil
 }
 
-// SharePage maps the page at fromVA in fromCtx into toCtx at toVA with
-// the given permissions, sharing the underlying frame, initiating any
-// TLB shootdown from the boot CPU (see SharePageOn). "Pages can be
-// allocated exclusively or shared among different protection domains."
-func (s *Service) SharePage(fromCtx mmu.ContextID, fromVA mmu.VAddr, toCtx mmu.ContextID, toVA mmu.VAddr, perm mmu.Perm) error {
-	return s.SharePageOn(mmu.BootCPU, fromCtx, fromVA, toCtx, toVA, perm)
-}
-
-// SharePageOn is SharePage initiated from the given CPU, so shootdown
-// cycles are charged from the true initiator's perspective.
+// SharePageOn maps the page at fromVA in fromCtx into toCtx at toVA
+// with the given permissions, sharing the underlying frame, initiating
+// any TLB shootdown from the given CPU. "Pages can be allocated
+// exclusively or shared among different protection domains."
 func (s *Service) SharePageOn(initiator mmu.CPUID, fromCtx mmu.ContextID, fromVA mmu.VAddr, toCtx mmu.ContextID, toVA mmu.VAddr, perm mmu.Perm) error {
 	fromKey := pageKey{ctx: fromCtx, vpn: fromVA.VPN()}
 	toKey := pageKey{ctx: toCtx, vpn: toVA.VPN()}
@@ -309,14 +280,8 @@ func (s *Service) SharePageOn(initiator mmu.CPUID, fromCtx mmu.ContextID, fromVA
 	return nil
 }
 
-// FreePage unmaps va from ctx and drops the frame reference, initiating
-// any TLB shootdown from the boot CPU (see FreePageOn).
-func (s *Service) FreePage(ctx mmu.ContextID, va mmu.VAddr) error {
-	return s.FreePageOn(mmu.BootCPU, ctx, va)
-}
-
-// FreePageOn is FreePage initiated from the given CPU, so shootdown
-// cycles are charged from the true initiator's perspective.
+// FreePageOn unmaps va from ctx and drops the frame reference,
+// initiating any TLB shootdown from the given CPU.
 func (s *Service) FreePageOn(initiator mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr) error {
 	key := pageKey{ctx: ctx, vpn: va.VPN()}
 	s.mu.Lock()
@@ -334,14 +299,8 @@ func (s *Service) FreePageOn(initiator mmu.CPUID, ctx mmu.ContextID, va mmu.VAdd
 	return err
 }
 
-// Protect changes the permissions of a managed page, initiating any TLB
-// shootdown from the boot CPU (see ProtectOn).
-func (s *Service) Protect(ctx mmu.ContextID, va mmu.VAddr, perm mmu.Perm) error {
-	return s.ProtectOn(mmu.BootCPU, ctx, va, perm)
-}
-
-// ProtectOn is Protect initiated from the given CPU, so shootdown
-// cycles are charged from the true initiator's perspective.
+// ProtectOn changes the permissions of a managed page, initiating any
+// TLB shootdown from the given CPU.
 func (s *Service) ProtectOn(initiator mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, perm mmu.Perm) error {
 	key := pageKey{ctx: ctx, vpn: va.VPN()}
 	s.mu.Lock()

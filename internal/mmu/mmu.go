@@ -174,11 +174,12 @@ type ContextID uint32
 const KernelContext ContextID = 0
 
 // CPUID names one virtual CPU of the simulated machine. CPU 0 is the
-// boot CPU; every legacy single-CPU entry point operates on it.
+// boot CPU.
 type CPUID int
 
-// BootCPU is the CPU the machine boots on, and the CPU every
-// non-suffixed (single-CPU compatibility) method operates on.
+// BootCPU is the CPU the machine boots on. Code with no dispatched CPU
+// of its own (boot, teardown, uniprocessor experiments) passes it to
+// the CPU-taking forms explicitly.
 const BootCPU CPUID = 0
 
 // NoCPU is the sentinel for "no CPU": a thread that has never been
@@ -203,7 +204,7 @@ type pageTable struct {
 	entries map[uint64]PTE // keyed by VPN
 	// dead marks a table whose context has been destroyed. It is set
 	// under mu, and read without a lock by the context-table lookup.
-	// Operations fetch the table and then lock mu; DestroyContext can
+	// Operations fetch the table and then lock mu; DestroyContextFrom can
 	// complete in that window, so every operation re-checks dead under
 	// mu — a stale fetch then fails exactly like a fresh lookup of the
 	// missing context would.
@@ -340,15 +341,6 @@ func (m *MMU) NewContext() ContextID {
 	return id
 }
 
-// DestroyContext removes a context, invalidating all of its TLB entries
-// on every CPU. The teardown initiates from the boot CPU (the nucleus'
-// memory service runs there); see DestroyContextFrom for the
-// initiator-aware form. Destroying the kernel context or a context that
-// is current on any CPU is an error.
-func (m *MMU) DestroyContext(id ContextID) error {
-	return m.DestroyContextFrom(BootCPU, id)
-}
-
 // DestroyContextFrom removes a context, invalidating all of its TLB
 // entries on every CPU. Each REMOTE CPU (one other than the initiator)
 // whose TLB actually held entries for the context costs one
@@ -416,17 +408,10 @@ func (m *MMU) HasContext(id ContextID) bool {
 	return ok
 }
 
-// Current reports the boot CPU's active context. Lock-free: the context
-// register is read on every cross-domain fault.
-func (m *MMU) Current() ContextID { return m.CurrentOn(BootCPU) }
-
 // CurrentOn reports the active context of one CPU, lock-free.
 func (m *MMU) CurrentOn(cpu CPUID) ContextID {
 	return ContextID(m.cpu(cpu).current.Load())
 }
-
-// Switch makes id the active context on the boot CPU.
-func (m *MMU) Switch(id ContextID) error { return m.SwitchOn(BootCPU, id) }
 
 // SwitchOn makes id the active context on one CPU, charging the
 // context-switch cost. Switching to the already-active context is free.
@@ -435,7 +420,7 @@ func (m *MMU) Switch(id ContextID) error { return m.SwitchOn(BootCPU, id) }
 func (m *MMU) SwitchOn(cpu CPUID, id ContextID) error {
 	c := m.cpu(cpu)
 	// Hold the structure read-lock across the register write so
-	// DestroyContext's current-on-any-CPU check (under the write lock)
+	// DestroyContextFrom's current-on-any-CPU check (under the write lock)
 	// can never interleave with a half-done switch.
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -459,10 +444,6 @@ func (m *MMU) SwitchOn(cpu CPUID, id ContextID) error {
 	}
 	return nil
 }
-
-// CrossSwitch models one leg of a cross-domain call's context-switch
-// pair on the boot CPU; see CrossSwitchOn.
-func (m *MMU) CrossSwitch(to ContextID) error { return m.CrossSwitchOn(BootCPU, to) }
 
 // CrossSwitchOn models one leg of a cross-domain call's context-switch
 // pair (caller→target on entry, target→caller on return) on the given
@@ -491,24 +472,11 @@ func (m *MMU) CrossSwitchOn(cpu CPUID, to ContextID) error {
 	return nil
 }
 
-// Map installs a translation for the page containing va in context id,
-// initiating any shootdown from the boot CPU (the single-CPU
-// compatibility form; see MapOn).
-func (m *MMU) Map(id ContextID, va VAddr, frame uint64, perm Perm) error {
-	return m.MapTaggedOn(BootCPU, id, va, frame, perm, nil)
-}
-
 // MapOn is Map initiated from the given CPU: that CPU invalidates its
 // own stale TLB entry for free, and only other CPUs holding the entry
 // are charged a shootdown IPI.
 func (m *MMU) MapOn(initiator CPUID, id ContextID, va VAddr, frame uint64, perm Perm) error {
 	return m.MapTaggedOn(initiator, id, va, frame, perm, nil)
-}
-
-// MapTagged is Map with an owner tag stored in the PTE, initiating from
-// the boot CPU.
-func (m *MMU) MapTagged(id ContextID, va VAddr, frame uint64, perm Perm, tag any) error {
-	return m.MapTaggedOn(BootCPU, id, va, frame, perm, tag)
 }
 
 // MapTaggedOn is MapOn with an owner tag stored in the PTE.
@@ -528,13 +496,6 @@ func (m *MMU) MapTaggedOn(initiator CPUID, id ContextID, va VAddr, frame uint64,
 	return nil
 }
 
-// Unmap removes the translation for the page containing va, initiating
-// any shootdown from the boot CPU (the single-CPU compatibility form;
-// see UnmapOn).
-func (m *MMU) Unmap(id ContextID, va VAddr) error {
-	return m.UnmapOn(BootCPU, id, va)
-}
-
 // UnmapOn is Unmap initiated from the given CPU: that CPU invalidates
 // its own stale TLB entry for free, and only other CPUs holding the
 // entry are charged a shootdown IPI.
@@ -552,13 +513,6 @@ func (m *MMU) UnmapOn(initiator CPUID, id ContextID, va VAddr) error {
 	delete(pt.entries, va.VPN())
 	m.invalidateAll(initiator, id, va.VPN())
 	return nil
-}
-
-// Protect changes the permissions of an existing mapping, initiating
-// any shootdown from the boot CPU (the single-CPU compatibility form;
-// see ProtectOn).
-func (m *MMU) Protect(id ContextID, va VAddr, perm Perm) error {
-	return m.ProtectOn(BootCPU, id, va, perm)
 }
 
 // ProtectOn is Protect initiated from the given CPU: that CPU
@@ -595,8 +549,7 @@ func (m *MMU) ProtectOn(initiator CPUID, id ContextID, va VAddr, perm Perm) erro
 // OpTLBShootdown is charged once per such CPU, and the receiving CPU's
 // Shootdowns counter records it. CPUs that never cached the page cost
 // nothing — the charge partitions exactly across the CPUs that did.
-// The *On entry points thread the true initiator through; the
-// non-suffixed compatibility forms initiate from the boot CPU. On a
+// Every entry point threads its true initiator through. On a
 // uniprocessor the remote set is always empty, so single-CPU cost
 // baselines are unchanged.
 func (m *MMU) invalidateAll(initiator CPUID, id ContextID, vpn uint64) {
@@ -698,38 +651,19 @@ func (m *MMU) TranslateOn(cpu CPUID, id ContextID, va VAddr, access Access) (PAd
 	return PAddr(pte.Frame<<PageShift | va.Offset()), Fault{}
 }
 
-// FlushTLB empties every CPU's TLB, charging one flush per CPU.
-func (m *MMU) FlushTLB() {
-	for i := range m.cpus {
-		m.FlushTLBOn(CPUID(i))
-	}
-}
-
 // FlushTLBOn empties one CPU's TLB, charging the flush cost.
 func (m *MMU) FlushTLBOn(cpu CPUID) {
 	c := m.cpu(cpu)
 	c.mu.Lock()
 	c.tlb.flush()
 	c.mu.Unlock()
-	m.meter.Charge(clock.OpTLBFlush)
+	m.meter.ChargeFor(clock.KernelDomain, clock.OpTLBFlush)
 	if probe.Enabled() {
 		m.meter.Emit(int(cpu), probe.KindTLBFlush, uint32(KernelContext), 0, 0)
 	}
 }
 
-// TLBStats reports hits and misses summed over every CPU (the
-// single-CPU view the original experiments read).
-func (m *MMU) TLBStats() (hits, misses uint64) {
-	for i := range m.cpus {
-		s := m.TLBStatsOn(CPUID(i))
-		hits += s.Hits
-		misses += s.Misses
-	}
-	return hits, misses
-}
-
-// CPUTLBStats is a snapshot of one CPU's TLB counters. (The aggregate
-// TLBStats method predates it and keeps its two-value shape.)
+// CPUTLBStats is a snapshot of one CPU's TLB counters.
 type CPUTLBStats struct {
 	Hits    uint64
 	Misses  uint64

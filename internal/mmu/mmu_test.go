@@ -54,7 +54,7 @@ func TestKernelContextExists(t *testing.T) {
 	if !m.HasContext(KernelContext) {
 		t.Fatal("kernel context missing after New")
 	}
-	if m.Current() != KernelContext {
+	if m.CurrentOn(BootCPU) != KernelContext {
 		t.Fatal("initial current context is not the kernel context")
 	}
 }
@@ -70,7 +70,7 @@ func TestNewContextDistinctIDs(t *testing.T) {
 func TestMapTranslateRoundTrip(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x4000, 7, PermRead|PermWrite); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x4000, 7, PermRead|PermWrite); err != nil {
 		t.Fatal(err)
 	}
 	pa, flt := m.TranslateOn(BootCPU, ctx, 0x4123, AccessRead)
@@ -92,7 +92,7 @@ func TestTranslateFaults(t *testing.T) {
 		t.Fatalf("unmapped page: fault = %v, want FaultNoMapping", f.Kind)
 	}
 
-	if err := m.Map(ctx, 0x9000, 1, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x9000, 1, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	_, f = m.TranslateOn(BootCPU, ctx, 0x9000, AccessWrite)
@@ -118,7 +118,7 @@ func TestProtectionFaultFromTLBHit(t *testing.T) {
 	// (copy-on-write, proxies) reliable.
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x2000, 3, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x2000, 3, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	if _, flt := m.TranslateOn(BootCPU, ctx, 0x2000, AccessRead); flt.Kind != FaultNone {
@@ -132,13 +132,13 @@ func TestProtectionFaultFromTLBHit(t *testing.T) {
 func TestExecPermission(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x1000, 2, PermRead|PermExec); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x1000, 2, PermRead|PermExec); err != nil {
 		t.Fatal(err)
 	}
 	if _, flt := m.TranslateOn(BootCPU, ctx, 0x1000, AccessExec); flt.Kind != FaultNone {
 		t.Fatalf("exec on r-x page: %v", flt.Kind)
 	}
-	if err := m.Protect(ctx, 0x1000, PermRead); err != nil {
+	if err := m.ProtectOn(BootCPU, ctx, 0x1000, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	if _, flt := m.TranslateOn(BootCPU, ctx, 0x1000, AccessExec); flt.Kind == FaultNone {
@@ -149,13 +149,13 @@ func TestExecPermission(t *testing.T) {
 func TestUnmap(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x3000, 4, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x3000, 4, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	if _, flt := m.TranslateOn(BootCPU, ctx, 0x3000, AccessRead); flt.Kind != FaultNone {
 		t.Fatal(flt.Kind)
 	}
-	if err := m.Unmap(ctx, 0x3000); err != nil {
+	if err := m.UnmapOn(BootCPU, ctx, 0x3000); err != nil {
 		t.Fatal(err)
 	}
 	if _, flt := m.TranslateOn(BootCPU, ctx, 0x3000, AccessRead); flt.Kind == FaultNone {
@@ -166,13 +166,13 @@ func TestUnmap(t *testing.T) {
 func TestProtectInvalidatesTLB(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x5000, 5, PermRead|PermWrite); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x5000, 5, PermRead|PermWrite); err != nil {
 		t.Fatal(err)
 	}
 	if _, flt := m.TranslateOn(BootCPU, ctx, 0x5000, AccessWrite); flt.Kind != FaultNone {
 		t.Fatal(flt.Kind)
 	}
-	if err := m.Protect(ctx, 0x5000, PermRead); err != nil {
+	if err := m.ProtectOn(BootCPU, ctx, 0x5000, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	if _, flt := m.TranslateOn(BootCPU, ctx, 0x5000, AccessWrite); flt.Kind == FaultNone {
@@ -183,10 +183,10 @@ func TestProtectInvalidatesTLB(t *testing.T) {
 func TestProtectUnmappedPage(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Protect(ctx, 0x7000, PermRead); err == nil {
+	if err := m.ProtectOn(BootCPU, ctx, 0x7000, PermRead); err == nil {
 		t.Fatal("Protect on unmapped page succeeded")
 	}
-	if err := m.Protect(ContextID(999), 0x7000, PermRead); !errors.Is(err, ErrNoContext) {
+	if err := m.ProtectOn(BootCPU, ContextID(999), 0x7000, PermRead); !errors.Is(err, ErrNoContext) {
 		t.Fatalf("Protect in bad context: %v", err)
 	}
 }
@@ -195,23 +195,23 @@ func TestSwitchChargesAndValidates(t *testing.T) {
 	m, meter := newTestMMU(Config{})
 	ctx := m.NewContext()
 	before := meter.Count(clock.OpCtxSwitch)
-	if err := m.Switch(ctx); err != nil {
+	if err := m.SwitchOn(BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
 	if meter.Count(clock.OpCtxSwitch) != before+1 {
 		t.Fatal("Switch did not charge a context switch")
 	}
-	if m.Current() != ctx {
+	if m.CurrentOn(BootCPU) != ctx {
 		t.Fatal("Current() wrong after Switch")
 	}
 	// Switching to the same context is free.
-	if err := m.Switch(ctx); err != nil {
+	if err := m.SwitchOn(BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
 	if meter.Count(clock.OpCtxSwitch) != before+1 {
 		t.Fatal("self-switch charged a context switch")
 	}
-	if err := m.Switch(ContextID(404)); !errors.Is(err, ErrNoContext) {
+	if err := m.SwitchOn(BootCPU, ContextID(404)); !errors.Is(err, ErrNoContext) {
 		t.Fatalf("Switch to missing context: %v", err)
 	}
 }
@@ -219,17 +219,17 @@ func TestSwitchChargesAndValidates(t *testing.T) {
 func TestFlushOnSwitchConfig(t *testing.T) {
 	m, meter := newTestMMU(Config{FlushOnSwitch: true})
 	ctx := m.NewContext()
-	if err := m.Map(KernelContext, 0x1000, 1, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, KernelContext, 0x1000, 1, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	if _, flt := m.TranslateOn(BootCPU, KernelContext, 0x1000, AccessRead); flt.Kind != FaultNone {
 		t.Fatal(flt.Kind)
 	}
 	missesBefore := meter.Count(clock.OpTLBMiss)
-	if err := m.Switch(ctx); err != nil {
+	if err := m.SwitchOn(BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Switch(KernelContext); err != nil {
+	if err := m.SwitchOn(BootCPU, KernelContext); err != nil {
 		t.Fatal(err)
 	}
 	if _, flt := m.TranslateOn(BootCPU, KernelContext, 0x1000, AccessRead); flt.Kind != FaultNone {
@@ -243,17 +243,17 @@ func TestFlushOnSwitchConfig(t *testing.T) {
 func TestASIDTaggedTLBSurvivesSwitch(t *testing.T) {
 	m, meter := newTestMMU(Config{}) // default: ASID-tagged, no flush
 	ctx := m.NewContext()
-	if err := m.Map(KernelContext, 0x1000, 1, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, KernelContext, 0x1000, 1, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	if _, flt := m.TranslateOn(BootCPU, KernelContext, 0x1000, AccessRead); flt.Kind != FaultNone {
 		t.Fatal(flt.Kind)
 	}
 	misses := meter.Count(clock.OpTLBMiss)
-	if err := m.Switch(ctx); err != nil {
+	if err := m.SwitchOn(BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Switch(KernelContext); err != nil {
+	if err := m.SwitchOn(BootCPU, KernelContext); err != nil {
 		t.Fatal(err)
 	}
 	if _, flt := m.TranslateOn(BootCPU, KernelContext, 0x1000, AccessRead); flt.Kind != FaultNone {
@@ -267,7 +267,7 @@ func TestASIDTaggedTLBSurvivesSwitch(t *testing.T) {
 func TestTLBChargesMissOnlyOnce(t *testing.T) {
 	m, meter := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x8000, 8, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x8000, 8, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	if _, flt := m.TranslateOn(BootCPU, ctx, 0x8000, AccessRead); flt.Kind != FaultNone {
@@ -282,8 +282,7 @@ func TestTLBChargesMissOnlyOnce(t *testing.T) {
 	if meter.Count(clock.OpTLBMiss) != misses {
 		t.Fatal("hot page charged additional TLB misses")
 	}
-	hits, _ := m.TLBStats()
-	if hits < 10 {
+	if hits := m.TLBStatsOn(BootCPU).Hits; hits < 10 {
 		t.Fatalf("TLB hits = %d, want >= 10", hits)
 	}
 }
@@ -293,7 +292,7 @@ func TestTLBEviction(t *testing.T) {
 	ctx := m.NewContext()
 	for i := 0; i < 8; i++ {
 		va := VAddr(uint64(i) << PageShift)
-		if err := m.Map(ctx, va, uint64(i), PermRead); err != nil {
+		if err := m.MapOn(BootCPU, ctx, va, uint64(i), PermRead); err != nil {
 			t.Fatal(err)
 		}
 		if _, flt := m.TranslateOn(BootCPU, ctx, va, AccessRead); flt.Kind != FaultNone {
@@ -316,13 +315,13 @@ func TestTLBEviction(t *testing.T) {
 func TestDestroyContext(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x1000, 1, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x1000, 1, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	if _, flt := m.TranslateOn(BootCPU, ctx, 0x1000, AccessRead); flt.Kind != FaultNone {
 		t.Fatal(flt.Kind)
 	}
-	if err := m.DestroyContext(ctx); err != nil {
+	if err := m.DestroyContextFrom(BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
 	if m.HasContext(ctx) {
@@ -331,10 +330,10 @@ func TestDestroyContext(t *testing.T) {
 	if _, flt := m.TranslateOn(BootCPU, ctx, 0x1000, AccessRead); flt.Kind == FaultNone {
 		t.Fatal("translate in destroyed context succeeded")
 	}
-	if err := m.DestroyContext(KernelContext); err == nil {
+	if err := m.DestroyContextFrom(BootCPU, KernelContext); err == nil {
 		t.Fatal("destroyed the kernel context")
 	}
-	if err := m.DestroyContext(ctx); !errors.Is(err, ErrNoContext) {
+	if err := m.DestroyContextFrom(BootCPU, ctx); !errors.Is(err, ErrNoContext) {
 		t.Fatalf("double destroy: %v", err)
 	}
 }
@@ -342,10 +341,10 @@ func TestDestroyContext(t *testing.T) {
 func TestDestroyCurrentContextRefused(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Switch(ctx); err != nil {
+	if err := m.SwitchOn(BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DestroyContext(ctx); err == nil {
+	if err := m.DestroyContextFrom(BootCPU, ctx); err == nil {
 		t.Fatal("destroyed the active context")
 	}
 }
@@ -356,7 +355,7 @@ func TestLookupAndMappings(t *testing.T) {
 	if _, ok := m.Lookup(ctx, 0x1000); ok {
 		t.Fatal("Lookup found a mapping in empty context")
 	}
-	if err := m.MapTagged(ctx, 0x1000, 9, PermRead, "tag"); err != nil {
+	if err := m.MapTaggedOn(BootCPU, ctx, 0x1000, 9, PermRead, "tag"); err != nil {
 		t.Fatal(err)
 	}
 	pte, ok := m.Lookup(ctx, 0x1000)
@@ -378,7 +377,7 @@ func TestTranslatePreservesOffsetProperty(t *testing.T) {
 	ctx := m.NewContext()
 	f := func(vpn uint16, off uint16, frame uint16) bool {
 		va := VAddr(uint64(vpn)<<PageShift | uint64(off)%PageSize)
-		if err := m.Map(ctx, va, uint64(frame), PermRead); err != nil {
+		if err := m.MapOn(BootCPU, ctx, va, uint64(frame), PermRead); err != nil {
 			return false
 		}
 		pa, flt := m.TranslateOn(BootCPU, ctx, va, AccessRead)

@@ -222,7 +222,7 @@ func TestDestroyDuringTranslateAndCrossSwitch(t *testing.T) {
 	for i := range ids {
 		ids[i] = m.NewContext()
 		for p := 0; p < pages; p++ {
-			if err := m.Map(ids[i], VAddr(p*PageSize), uint64(p+1), PermRead); err != nil {
+			if err := m.MapOn(BootCPU, ids[i], VAddr(p*PageSize), uint64(p+1), PermRead); err != nil {
 				t.Fatal(err)
 			}
 		}

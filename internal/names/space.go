@@ -95,7 +95,7 @@ func NewSpace(meter *clock.Meter) *Space {
 
 func (s *Space) chargeHops(n int) {
 	if s.meter != nil && n > 0 {
-		s.meter.ChargeN(clock.OpNameLookupHop, uint64(n))
+		s.meter.ChargeNFor(clock.KernelDomain, clock.OpNameLookupHop, uint64(n))
 	}
 }
 

@@ -224,13 +224,13 @@ func (v *View) resolveOnce(c string) (obj.Instance, string, error) {
 			// Override hits cost one hop regardless of depth: the
 			// binding is immediate.
 			if v.meter != nil {
-				v.meter.Charge(clock.OpNameLookupHop)
+				v.meter.ChargeFor(clock.KernelDomain, clock.OpNameLookupHop)
 			}
 			return inst, "", nil
 		}
 		if target, ok := os.aliases[c]; ok {
 			if v.meter != nil {
-				v.meter.Charge(clock.OpNameLookupHop)
+				v.meter.ChargeFor(clock.KernelDomain, clock.OpNameLookupHop)
 			}
 			return nil, target, nil
 		}

@@ -218,8 +218,8 @@ func (s *Stack) Deliver(frame []byte) {
 	// copy per word, so the stack's own cost is visible in virtual
 	// time alongside the filters'.
 	if s.meter != nil {
-		s.meter.ChargeN(clock.OpCall, 3)
-		s.meter.ChargeN(clock.OpCopyWord, uint64(len(frame)+7)/8)
+		s.meter.ChargeNFor(clock.KernelDomain, clock.OpCall, 3)
+		s.meter.ChargeNFor(clock.KernelDomain, clock.OpCopyWord, uint64(len(frame)+7)/8)
 	}
 	eth, err := ParseFrame(frame)
 	if err != nil || eth.EtherType != EtherTypeIP {

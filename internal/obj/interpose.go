@@ -163,7 +163,7 @@ func (ii *interposedIface) State() any           { return ii.target.State() }
 func (ii *interposedIface) Invoke(method string, args ...any) ([]any, error) {
 	st := ii.ip.state.Load()
 	if st.meter != nil {
-		st.meter.Charge(clock.OpIndirect)
+		st.meter.ChargeFor(clock.KernelDomain, clock.OpIndirect)
 	}
 	if w, ok := st.wraps[ii.name][method]; ok {
 		next := func(a ...any) ([]any, error) {
@@ -187,7 +187,7 @@ func (ii *interposedIface) Resolve(method string) (MethodHandle, error) {
 	return MethodHandle{decl: th.decl, call: func(args ...any) ([]any, error) {
 		st := ii.ip.state.Load()
 		if st.meter != nil {
-			st.meter.Charge(clock.OpIndirect)
+			st.meter.ChargeFor(clock.KernelDomain, clock.OpIndirect)
 		}
 		if w, ok := st.wraps[ii.name][method]; ok {
 			return w(th.Call, args...)

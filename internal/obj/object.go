@@ -215,7 +215,7 @@ func newBoundInterface(decl *InterfaceDecl, state any, meter *clock.Meter) *Boun
 					return nil, fmt.Errorf("%w: %q.%s", ErrUnbound, decl.Name, md.Name)
 				}
 				if meter != nil {
-					meter.Charge(clock.OpIndirect)
+					meter.ChargeFor(clock.KernelDomain, clock.OpIndirect)
 				}
 				return m.fn(args...)
 			},
@@ -225,7 +225,7 @@ func newBoundInterface(decl *InterfaceDecl, state any, meter *clock.Meter) *Boun
 					return nil, fmt.Errorf("%w: %q.%s", ErrUnbound, decl.Name, md.Name)
 				}
 				if meter != nil {
-					meter.Charge(clock.OpIndirect)
+					meter.ChargeFor(clock.KernelDomain, clock.OpIndirect)
 				}
 				if m.into != nil {
 					return m.into(out, args...)

@@ -219,7 +219,7 @@ func (f *Factory) CloseTarget(ctx mmu.ContextID) {
 
 // OnCloseTarget registers a hook to run inside every future
 // CloseTarget, after the target context is condemned. The kernel wires
-// the shared-memory registry's CondemnDomain here, so destroying a
+// the shared-memory registry's CondemnDomainFrom here, so destroying a
 // domain fails pending segment attaches through the same sweep that
 // condemns its proxies.
 func (f *Factory) OnCloseTarget(h func(mmu.ContextID)) {

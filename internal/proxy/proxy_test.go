@@ -7,6 +7,7 @@ import (
 	"paramecium/internal/clock"
 	"paramecium/internal/hw"
 	"paramecium/internal/mem"
+	"paramecium/internal/mmu"
 	"paramecium/internal/obj"
 )
 
@@ -228,7 +229,7 @@ func TestProxySameDomainSkipsSwitch(t *testing.T) {
 	// fault but not the context switches.
 	f, svc, m := setup()
 	ctx := svc.NewDomain()
-	if err := m.MMU.Switch(ctx); err != nil {
+	if err := m.MMU.SwitchOn(mmu.BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
 	p, err := f.New(ctx, ctx, newCalc(m.Meter))

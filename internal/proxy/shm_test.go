@@ -147,7 +147,7 @@ func TestMisaddressedGrantFailsBeforeCrossing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ok.Revoke(); err != nil {
+	if err := ok.RevokeFrom(mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := iv.Invoke("attach", ok.Ref()); !errors.Is(err, shm.ErrRevoked) {

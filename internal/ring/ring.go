@@ -47,10 +47,11 @@ var (
 	// ErrGeometry reports an unusable slot count or size at New.
 	ErrGeometry = errors.New("ring: bad geometry")
 	// ErrCorrupt reports a control word the peer wrote that no
-	// well-behaved producer could have: a tail more than a ring's
-	// worth ahead of the head (or behind it), or a record length above
-	// the slot size. The words live in memory the producer can write,
-	// so the consumer checks them rather than trusting them; the ring
+	// well-behaved peer could have: a tail more than a ring's worth
+	// ahead of the head (or behind it), a head ahead of the tail or
+	// more than a ring behind it, or a record length above the slot
+	// size. The words live in memory both sides can write, so each
+	// side checks the peer's words rather than trusting them; the ring
 	// stays as it was, and the caller decides whether to hang up.
 	ErrCorrupt = errors.New("ring: corrupt control word")
 )
@@ -84,9 +85,10 @@ type Ring struct {
 // New creates and formats a ring of slots records of up to slotBytes
 // payload each, owned by the producer context and granted read-write
 // to the consumer context. Teardown of either domain through the
-// registry's CondemnDomain sweep hangs the ring up: the sweep
+// registry's CondemnDomainFrom sweep hangs the ring up: the sweep
 // destroys segments the producer owns and revokes grants addressed to
-// the consumer.
+// the consumer. A construction that fails after the segment exists
+// destroys it again from the boot CPU.
 func New(meter *clock.Meter, reg *shm.Registry, producer, consumer mmu.ContextID, slots, slotBytes int) (*Ring, error) {
 	if slots < 1 || slotBytes < 0 {
 		return nil, fmt.Errorf("%w: %d slots of %d bytes", ErrGeometry, slots, slotBytes)
@@ -100,12 +102,12 @@ func New(meter *clock.Meter, reg *shm.Registry, producer, consumer mmu.ContextID
 	}
 	grant, err := seg.Grant(consumer, shm.RW)
 	if err != nil {
-		_ = seg.Destroy()
+		_ = seg.DestroyFrom(mmu.BootCPU)
 		return nil, err
 	}
 	att, err := reg.Attach(grant.Ref())
 	if err != nil {
-		_ = seg.Destroy()
+		_ = seg.DestroyFrom(mmu.BootCPU)
 		return nil, err
 	}
 	r := &Ring{
@@ -127,7 +129,7 @@ func New(meter *clock.Meter, reg *shm.Registry, producer, consumer mmu.ContextID
 	}{{offMagic, magic}, {offSlots, uint64(slots)}, {offSlotSize, uint64(slotBytes)}} {
 		binary.LittleEndian.PutUint64(w[:], init.val)
 		if err := seg.Store(init.off, w[:]); err != nil {
-			_ = seg.Destroy()
+			_ = seg.DestroyFrom(mmu.BootCPU)
 			return nil, err
 		}
 	}
@@ -163,10 +165,10 @@ func (r *Ring) GrantRef() shm.GrantRef { return r.grant.Ref() }
 // domain) in-place payload access around ProduceOffset/PushInPlace.
 func (r *Ring) Segment() *shm.Segment { return r.seg }
 
-// Close destroys the backing segment. Both endpoints fail afterwards;
-// the consumer side observes ErrHangup. Domain teardown does this
-// implicitly for rings the dying domain produces.
-func (r *Ring) Close() error { return r.seg.Destroy() }
+// Close destroys the backing segment from the boot CPU. Both endpoints
+// fail afterwards; the consumer side observes ErrHangup. Domain
+// teardown does this implicitly for rings the dying domain produces.
+func (r *Ring) Close() error { return r.seg.DestroyFrom(mmu.BootCPU) }
 
 func (r *Ring) descOff(count uint64) int {
 	return descBase + int(count%uint64(r.slots))*8
@@ -205,7 +207,11 @@ func (p *Producer) Pending() int { return p.pending }
 // reserve ensures the next slot is free, refreshing the head cache
 // from shared memory when the ring looks full. A revoked consumer
 // grant surfaces as ErrHangup rather than letting the producer fill
-// slots nobody will ever drain.
+// slots nobody will ever drain. The consumer writes the head word, so
+// a refreshed head ahead of the tail, or more than a ring behind it,
+// is ErrCorrupt and leaves the cache as it was: trusting it would let
+// tail-head wrap, and the producer would overwrite undrained slots
+// without ever reporting ErrFull.
 //
 //paramecium:hotpath
 func (p *Producer) reserve() error {
@@ -216,7 +222,11 @@ func (p *Producer) reserve() error {
 		if err := p.r.seg.Load(offHead, p.w[:]); err != nil {
 			return err
 		}
-		p.headCache = binary.LittleEndian.Uint64(p.w[:])
+		head := binary.LittleEndian.Uint64(p.w[:])
+		if p.tail-head > uint64(p.r.slots) {
+			return ErrCorrupt
+		}
+		p.headCache = head
 		if p.tail-p.headCache == uint64(p.r.slots) {
 			return ErrFull
 		}
@@ -322,14 +332,18 @@ func (p *Producer) Notify() error {
 
 // Hangup revokes the consumer's grant: the shm tombstone this leaves
 // behind is the ring's end-of-stream signal. The consumer's next
-// access fails with ErrHangup. The hangup flight-recorder event is
-// stamped on the boot CPU — grant revocation is a control-plane
-// operation with no CPU identity of its own.
+// access fails with ErrHangup. The revocation initiates, and the
+// hangup flight-recorder event is stamped, on the boot CPU — grant
+// revocation is a control-plane operation with no CPU identity of its
+// own. Hanging up a ring that is already hung up reports ErrHangup.
 func (p *Producer) Hangup() error {
+	if p.r.grant.Revoked() {
+		return ErrHangup
+	}
 	if probe.Enabled() {
 		p.r.meter.Emit(int(mmu.BootCPU), probe.KindHangup, p.r.producerCtx, uint64(p.r.seg.ID()), 0)
 	}
-	return p.r.grant.Revoke()
+	return p.r.grant.RevokeFrom(mmu.BootCPU)
 }
 
 // Consumer is the draining endpoint: it owns the head word and reads

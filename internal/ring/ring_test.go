@@ -10,6 +10,7 @@ import (
 	"paramecium/internal/clock"
 	"paramecium/internal/hw"
 	"paramecium/internal/mem"
+	"paramecium/internal/mmu"
 	"paramecium/internal/obj"
 	"paramecium/internal/shm"
 )
@@ -242,7 +243,7 @@ func TestRingHangupByCondemn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg.CondemnDomain(consCtx)
+	reg.CondemnDomainFrom(mmu.BootCPU, consCtx)
 	if err := r.Producer().Push([]byte("z")); !errors.Is(err, ErrHangup) {
 		t.Fatalf("push to condemned consumer = %v, want ErrHangup", err)
 	}
@@ -255,7 +256,7 @@ func TestRingHangupByCondemn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg.CondemnDomain(prodCtx)
+	reg.CondemnDomainFrom(mmu.BootCPU, prodCtx)
 	if _, err := r2.Consumer().Pop(nil); !errors.Is(err, ErrHangup) {
 		t.Fatalf("pop from condemned producer = %v, want ErrHangup", err)
 	}
@@ -452,5 +453,61 @@ func TestRingConsumerRejectsCorruptWords(t *testing.T) {
 	write(offTail, 1+slots)
 	if n, err := c.Len(); err != nil || n != slots {
 		t.Fatalf("len with a full ring's tail = %d, %v, want %d", n, err, slots)
+	}
+}
+
+// TestRingProducerRejectsCorruptHead: the consumer writes the head word
+// through its own mapping, so a hostile one can write anything there.
+// A head ahead of the tail, or more than a ring behind it, would make
+// tail-head wrap: the producer would never report ErrFull and would
+// overwrite records the consumer has not drained. The producer reports
+// ErrCorrupt instead and keeps its view of the ring.
+func TestRingProducerRejectsCorruptHead(t *testing.T) {
+	const slots = 4
+	r, _, _, _ := newTestRing(t, slots, 16)
+	p, c := r.Producer(), r.Consumer()
+	att := c.Attachment()
+	writeHead := func(v uint64) {
+		t.Helper()
+		var w [8]byte
+		binary64(w[:], v)
+		if err := att.Store(offHead, w[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	push := func(i int) error { return p.Push([]byte(fmt.Sprintf("rec-%d", i))) }
+
+	// Fill, drain and refill, so the tail (8) is more than a ring ahead
+	// of zero and the producer's cached head (4) says the ring is full.
+	buf := make([]byte, 16)
+	for i := 0; i < 2*slots; i++ {
+		if i == slots {
+			for j := 0; j < slots; j++ {
+				if _, err := c.Pop(buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := push(i); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+	}
+	for _, head := range []uint64{2*slots + 1, 1 << 62, ^uint64(0), slots - 1, 0} {
+		writeHead(head)
+		if err := push(99); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("push with head %d: err = %v, want ErrCorrupt", head, err)
+		}
+	}
+	// With the true head back the ring is full, and every undrained
+	// record is intact.
+	writeHead(slots)
+	if err := push(99); !errors.Is(err, ErrFull) {
+		t.Fatalf("push after repair: err = %v, want ErrFull", err)
+	}
+	for i := slots; i < 2*slots; i++ {
+		n, err := c.Pop(buf)
+		if err != nil || string(buf[:n]) != fmt.Sprintf("rec-%d", i) {
+			t.Fatalf("pop %d = %q, %v", i, buf[:n], err)
+		}
 	}
 }

@@ -51,8 +51,8 @@ type Exec struct {
 func (e *Exec) Run(prog Program, mem []byte) (Result, error) {
 	res, err := e.run(prog, mem)
 	if e.Meter != nil {
-		e.Meter.ChargeN(clock.OpVMInstr, res.Instrs)
-		e.Meter.ChargeN(clock.OpSFICheck, res.Checks)
+		e.Meter.ChargeNFor(clock.KernelDomain, clock.OpVMInstr, res.Instrs)
+		e.Meter.ChargeNFor(clock.KernelDomain, clock.OpSFICheck, res.Checks)
 	}
 	return res, err
 }

@@ -26,7 +26,7 @@ func TestRevokeFromInitiator(t *testing.T) {
 		},
 		{
 			name:      "from the boot CPU",
-			revoke:    func(r *Registry, ref GrantRef) error { return r.Revoke(ref) },
+			revoke:    func(r *Registry, ref GrantRef) error { return r.RevokeFrom(mmu.BootCPU, ref) },
 			wantIPIs:  2, // one per page CPU 1 held cached
 			wantStats: 2,
 		},
@@ -92,7 +92,7 @@ func TestTombstoneChurnBounded(t *testing.T) {
 		if _, err := reg.Attach(g.Ref()); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
-		if err := reg.Revoke(g.Ref()); err != nil {
+		if err := reg.RevokeFrom(mmu.BootCPU, g.Ref()); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 		refs = append(refs, g.Ref())
@@ -115,7 +115,7 @@ func TestTombstoneChurnBounded(t *testing.T) {
 
 	// The segments created above are still live; tear them down and
 	// confirm their tombstones go with them.
-	reg.CondemnDomain(owner)
+	reg.CondemnDomainFrom(mmu.BootCPU, owner)
 	if got := reg.Tombstones(); got != 0 {
 		t.Fatalf("tombstones after owner teardown = %d, want 0 (all segments destroyed)", got)
 	}
@@ -144,17 +144,17 @@ func TestDestroySweepsTombstones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Revoke(g.Ref()); err != nil {
+	if err := reg.RevokeFrom(mmu.BootCPU, g.Ref()); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Revoke(og.Ref()); err != nil {
+	if err := reg.RevokeFrom(mmu.BootCPU, og.Ref()); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Tombstones(); got != 2 {
 		t.Fatalf("tombstones = %d, want 2", got)
 	}
 
-	if err := seg.Destroy(); err != nil {
+	if err := seg.DestroyFrom(mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
 	// Only the destroyed segment's tombstone is swept; the other
@@ -185,7 +185,7 @@ func TestSetMaxTombstonesZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Revoke(g.Ref()); err != nil {
+	if err := reg.RevokeFrom(mmu.BootCPU, g.Ref()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Attach(g.Ref()); !errors.Is(err, ErrNoGrant) {
@@ -197,7 +197,7 @@ func TestSetMaxTombstonesZero(t *testing.T) {
 }
 
 // TestTeardownShootdownThroughDomainDestroy exercises the full
-// DestroyContext teardown charge through the mem service: a second CPU
+// DestroyContextFrom teardown charge through the mem service: a second CPU
 // caches a domain's page, the domain is destroyed from the boot CPU,
 // and the remote CPU is charged its context-invalidation IPI on top of
 // the per-page unmap shootdown.
@@ -205,7 +205,7 @@ func TestTeardownShootdownThroughDomainDestroy(t *testing.T) {
 	_, svc, machine := newTestRegistry(t, 2)
 	ctx := svc.NewDomain()
 	va := mmu.VAddr(0x4000)
-	if err := svc.AllocPage(ctx, va, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := svc.AllocPageOn(mmu.BootCPU, ctx, va, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
 	// CPU 1 caches the page; nothing else in the domain is cached.

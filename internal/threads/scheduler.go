@@ -1,7 +1,6 @@
 package threads
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -20,9 +19,9 @@ import (
 // owns the sleep queue and charges all thread-related costs.
 //
 // Scheduler CPU k IS machine CPU k: the run-queue index, the
-// mmu.CPUID a thread reports through LastCPU, and the per-CPU TLB the
-// thread's Load/Store traffic charges (through the attached Exec
-// plane) are one identity. CPU affinity arguments are therefore typed
+// mmu.CPUID a thread reports through LastCPU, and the per-CPU TLB a
+// thread body charges when it passes that ID to hw.Machine.LoadOn are
+// one identity. CPU affinity arguments are therefore typed
 // mmu.CPUID end to end, with mmu.NoCPU for "no affinity".
 //
 // Placement and steal order, in priority:
@@ -70,11 +69,6 @@ type Scheduler struct {
 	cpus   []runqueue
 	rr     atomic.Uint64 // round-robin placement for unaffined threads
 	nready atomic.Int64  // threads queued across all run queues
-
-	// exec is the machine access plane dispatched threads run their
-	// simulated memory traffic against (hw.Machine implements it).
-	// Attached once at boot, before any thread body runs.
-	exec Exec
 
 	// NUMA shape for placement, mirroring the machine topology's
 	// contiguous layout (CPU k lives on node k / cpusPerNode). Zero
@@ -139,32 +133,6 @@ type nodeCounter struct {
 	c atomic.Uint64
 	_ [56]byte
 }
-
-// Exec is the simulated-machine access surface dispatched threads run
-// against: the initiator-threaded Load/Store/Touch forms of
-// hw.Machine. The scheduler holds it so every thread body's simulated
-// access goes through the CPU the thread is dispatched on.
-type Exec interface {
-	LoadOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, buf []byte) error
-	StoreOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, buf []byte) error
-	TouchOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, access mmu.Access) error
-	TouchTaggedOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, token uint64) error
-}
-
-// ErrNoExec is returned by thread memory accesses when no machine
-// access plane has been attached (a scheduler running without a
-// machine, as in unit tests).
-var ErrNoExec = errors.New("threads: no machine access plane attached")
-
-// ErrNotDispatched is returned by thread memory accesses from a thread
-// that has never been dispatched and carries no CPU binding: it has no
-// CPU identity to charge against yet.
-var ErrNotDispatched = errors.New("threads: thread has no CPU identity (never dispatched)")
-
-// AttachExec wires the machine access plane thread bodies perform
-// their simulated memory traffic through. Called once at boot, before
-// any thread body runs; the kernel attaches the machine itself.
-func (s *Scheduler) AttachExec(e Exec) { s.exec = e }
 
 // SetTopology teaches placement the machine's NUMA shape: nodes
 // contiguous groups of cpusPerNode CPUs, matching hw.Topology's
@@ -270,7 +238,7 @@ func (s *Scheduler) SpawnOn(cpu mmu.CPUID, name string, fn func(*Thread)) *Threa
 }
 
 func (s *Scheduler) spawn(cpu mmu.CPUID, node int32, name string, fn func(*Thread)) *Thread {
-	s.meter.Charge(clock.OpThreadCreate)
+	s.meter.ChargeFor(clock.KernelDomain, clock.OpThreadCreate)
 	t := s.newThread(name)
 	if cpu >= 0 && int(cpu) < len(s.cpus) {
 		t.cpu.Store(int32(cpu))
@@ -321,7 +289,7 @@ func (s *Scheduler) PopUpEagerOn(cpu mmu.CPUID, name string, fn func(*Thread)) *
 //
 //paramecium:hotpath
 func (s *Scheduler) PopUpProtoOn(cpu mmu.CPUID, name string, fn func(*Thread)) (promoted *Thread) {
-	s.meter.Charge(clock.OpProtoThread)
+	s.meter.ChargeFor(clock.KernelDomain, clock.OpProtoThread)
 	s.mu.Lock()
 	s.nextID++
 	s.live++
@@ -403,8 +371,8 @@ func runPopUp(t *Thread) (inline bool) {
 // chargePromotion accounts for turning a proto-thread into a real
 // thread. Callers hold s.mu.
 func (s *Scheduler) chargePromotion() {
-	s.meter.Charge(clock.OpPromote)
-	s.meter.Charge(clock.OpThreadCreate)
+	s.meter.ChargeFor(clock.KernelDomain, clock.OpPromote)
+	s.meter.ChargeFor(clock.KernelDomain, clock.OpThreadCreate)
 }
 
 // finish retires a thread whose body returned, reporting whether it
@@ -528,7 +496,7 @@ func (s *Scheduler) runSequential() int {
 // dispatch hands the processor to t and waits for it to stop running.
 func (s *Scheduler) dispatch(cpu int, t *Thread) {
 	t.cpu.Store(int32(cpu))
-	s.meter.Charge(clock.OpSchedule)
+	s.meter.ChargeFor(clock.KernelDomain, clock.OpSchedule)
 	t.resume <- struct{}{}
 	<-t.parked // until the thread stops running again
 }

@@ -11,10 +11,9 @@ import (
 
 // TestTopologyTLBMissPartition64 is the 64-CPU identity stress: one
 // thread per non-boot CPU, each loading its own private page a few
-// times. Because thread accesses carry the dispatching CPU's identity,
-// each page's single TLB miss must land on the CPU the thread actually
-// ran on — never on the boot CPU as the old compatibility forms would
-// have charged it. Work stealing may migrate an affined thread before
+// times through the CPU it reports as LastCPU. Because scheduler CPU k
+// is machine CPU k, each page's single TLB miss must land on the CPU
+// the thread actually ran on — never on the boot CPU. Work stealing may migrate an affined thread before
 // its first dispatch, so the assertion partitions misses against each
 // thread's recorded LastCPU, not its spawn target: per CPU, the miss
 // delta equals the number of threads that ran there, and the deltas sum
@@ -34,7 +33,7 @@ func TestTopologyTLBMissPartition64(t *testing.T) {
 		if err != nil {
 			t.Fatalf("alloc frame %d: %v", k, err)
 		}
-		if err := machine.MMU.Map(ctx, vaOf(k), frame, mmu.PermRead|mmu.PermWrite); err != nil {
+		if err := machine.MMU.MapOn(mmu.BootCPU, ctx, vaOf(k), frame, mmu.PermRead|mmu.PermWrite); err != nil {
 			t.Fatalf("map page %d: %v", k, err)
 		}
 	}
@@ -45,7 +44,6 @@ func TestTopologyTLBMissPartition64(t *testing.T) {
 	}
 
 	sched := NewSchedulerCPUs(machine.Meter, ncpu)
-	sched.AttachExec(machine)
 	sched.SetTopology(nodes, perNode)
 
 	var mu sync.Mutex
@@ -60,8 +58,8 @@ func TestTopologyTLBMissPartition64(t *testing.T) {
 			if cpu == mmu.NoCPU {
 				errs = append(errs, fmt.Sprintf("thread %d running with NoCPU identity", k))
 			}
-			for r := 0; r < 4; r++ {
-				if err := th.Load(ctx, vaOf(k), buf[:]); err != nil {
+			for r := 0; r < 4 && cpu != mmu.NoCPU; r++ {
+				if err := machine.LoadOn(cpu, ctx, vaOf(k), buf[:]); err != nil {
 					errs = append(errs, fmt.Sprintf("thread %d load %d: %v", k, r, err))
 					break
 				}

@@ -26,14 +26,14 @@ func TestDemandZeroPaging(t *testing.T) {
 		t.Fatal("page resident before first touch")
 	}
 	free := machine.Phys.FreeFrames()
-	if err := machine.Store(ctx, 0x10008, []byte("lazy")); err != nil {
+	if err := machine.StoreOn(mmu.BootCPU, ctx, 0x10008, []byte("lazy")); err != nil {
 		t.Fatal(err)
 	}
 	if machine.Phys.FreeFrames() != free-1 {
 		t.Fatal("expected exactly one frame allocated")
 	}
 	buf := make([]byte, 4)
-	if err := machine.Load(ctx, 0x10008, buf); err != nil {
+	if err := machine.LoadOn(mmu.BootCPU, ctx, 0x10008, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "lazy" {
@@ -44,7 +44,7 @@ func TestDemandZeroPaging(t *testing.T) {
 		t.Fatalf("demand faults = %d", demand)
 	}
 	// Touch another page in the region.
-	if err := machine.Store(ctx, 0x12000, []byte("x")); err != nil {
+	if err := machine.StoreOn(mmu.BootCPU, ctx, 0x12000, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	demand, _, _, _ = m.Stats()
@@ -71,7 +71,7 @@ func TestCopyOnWrite(t *testing.T) {
 	if err := m.DemandRegion(parent, 0x10000, 2, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := machine.Store(parent, 0x10000, []byte("original")); err != nil {
+	if err := machine.StoreOn(mmu.BootCPU, parent, 0x10000, []byte("original")); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Clone(parent, 0x10000, child, 0x20000, 2); err != nil {
@@ -79,7 +79,7 @@ func TestCopyOnWrite(t *testing.T) {
 	}
 	// Child reads the parent's data without copying.
 	buf := make([]byte, 8)
-	if err := machine.Load(child, 0x20000, buf); err != nil {
+	if err := machine.LoadOn(mmu.BootCPU, child, 0x20000, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "original" {
@@ -90,16 +90,16 @@ func TestCopyOnWrite(t *testing.T) {
 		t.Fatal("reads caused COW faults")
 	}
 	// Child writes: gets a private copy; parent unchanged.
-	if err := machine.Store(child, 0x20000, []byte("childown")); err != nil {
+	if err := machine.StoreOn(mmu.BootCPU, child, 0x20000, []byte("childown")); err != nil {
 		t.Fatal(err)
 	}
-	if err := machine.Load(parent, 0x10000, buf); err != nil {
+	if err := machine.LoadOn(mmu.BootCPU, parent, 0x10000, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "original" {
 		t.Fatalf("parent sees %q after child write", buf)
 	}
-	if err := machine.Load(child, 0x20000, buf); err != nil {
+	if err := machine.LoadOn(mmu.BootCPU, child, 0x20000, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "childown" {
@@ -111,7 +111,7 @@ func TestCopyOnWrite(t *testing.T) {
 	}
 	// Parent writes its (now sole) copy: upgraded in place, no copy.
 	free := machine.Phys.FreeFrames()
-	if err := machine.Store(parent, 0x10000, []byte("parent2!")); err != nil {
+	if err := machine.StoreOn(mmu.BootCPU, parent, 0x10000, []byte("parent2!")); err != nil {
 		t.Fatal(err)
 	}
 	if machine.Phys.FreeFrames() != free {
@@ -134,18 +134,18 @@ func TestCloneOfUntouchedPagesStaysLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 	free := machine.Phys.FreeFrames()
-	if err := machine.Store(child, 0x20000, []byte("c")); err != nil {
+	if err := machine.StoreOn(mmu.BootCPU, child, 0x20000, []byte("c")); err != nil {
 		t.Fatal(err)
 	}
 	if machine.Phys.FreeFrames() != free-1 {
 		t.Fatal("clone of untouched page did not stay lazy")
 	}
 	// Parent's page is still untouched and independent.
-	if err := machine.Store(parent, 0x10000, []byte("p")); err != nil {
+	if err := machine.StoreOn(mmu.BootCPU, parent, 0x10000, []byte("p")); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 1)
-	if err := machine.Load(child, 0x20000, buf); err != nil {
+	if err := machine.LoadOn(mmu.BootCPU, child, 0x20000, buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 'c' {
@@ -159,7 +159,7 @@ func TestSwapOutIn(t *testing.T) {
 	if err := m.DemandRegion(ctx, 0x10000, 1, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := machine.Store(ctx, 0x10000, []byte("persist me")); err != nil {
+	if err := machine.StoreOn(mmu.BootCPU, ctx, 0x10000, []byte("persist me")); err != nil {
 		t.Fatal(err)
 	}
 	free := machine.Phys.FreeFrames()
@@ -174,7 +174,7 @@ func TestSwapOutIn(t *testing.T) {
 	}
 	// Touch: swap-in restores contents.
 	buf := make([]byte, 10)
-	if err := machine.Load(ctx, 0x10000, buf); err != nil {
+	if err := machine.LoadOn(mmu.BootCPU, ctx, 0x10000, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "persist me" {
@@ -199,7 +199,7 @@ func TestEvictErrors(t *testing.T) {
 	if err := m.Evict(ctx, 0x5000); !errors.Is(err, ErrNotMapped) {
 		t.Fatalf("untouched: %v", err)
 	}
-	if err := machine.Store(ctx, 0x5000, []byte("x")); err != nil {
+	if err := machine.StoreOn(mmu.BootCPU, ctx, 0x5000, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Evict(ctx, 0x5000); err != nil {
@@ -234,7 +234,7 @@ func TestWorkingSetLargerThanMemory(t *testing.T) {
 				}
 			}
 		}
-		if err := machine.Store(ctx, va, []byte{byte(i + 1)}); err != nil {
+		if err := machine.StoreOn(mmu.BootCPU, ctx, va, []byte{byte(i + 1)}); err != nil {
 			t.Fatalf("page %d: %v", i, err)
 		}
 	}
@@ -254,7 +254,7 @@ func TestWorkingSetLargerThanMemory(t *testing.T) {
 			}
 		}
 		buf := make([]byte, 1)
-		if err := machine.Load(ctx, va, buf); err != nil {
+		if err := machine.LoadOn(mmu.BootCPU, ctx, va, buf); err != nil {
 			t.Fatalf("page %d: %v", i, err)
 		}
 		if buf[0] != byte(i+1) {
@@ -269,7 +269,7 @@ func TestCloneSwappedPageRefused(t *testing.T) {
 	if err := m.DemandRegion(a, 0x1000, 1, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := machine.Store(a, 0x1000, []byte("x")); err != nil {
+	if err := machine.StoreOn(mmu.BootCPU, a, 0x1000, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Evict(a, 0x1000); err != nil {

@@ -8,16 +8,15 @@ import (
 
 // CPU is one virtual processor of the simulated machine. Each CPU owns
 // a current-context register and a private TLB (both live in the MMU,
-// keyed by the CPU's ID) and counts the traps and interrupts delivered
-// to it. Memory accesses name the CPU they run on (Machine.LoadOn and
-// its siblings) and charge that CPU's TLB, so translation locality is a
+// keyed by the CPU's ID) and counts the interrupts delivered to it.
+// Memory accesses name the CPU they run on (Machine.LoadOn and its
+// siblings) and charge that CPU's TLB, so translation locality is a
 // per-CPU quantity.
 type CPU struct {
 	id mmu.CPUID
 	m  *Machine
 
 	leased atomic.Bool
-	traps  atomic.Uint64
 	irqs   atomic.Uint64
 }
 
@@ -40,9 +39,9 @@ func (c *CPU) TouchTagged(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, to
 	return f
 }
 
-// Stats reports the traps and interrupts delivered to this CPU.
-func (c *CPU) Stats() (traps, irqs uint64) {
-	return c.traps.Load(), c.irqs.Load()
+// Stats reports the interrupts delivered to this CPU.
+func (c *CPU) Stats() (irqs uint64) {
+	return c.irqs.Load()
 }
 
 // CPULease is a claim on one virtual CPU for the duration of an

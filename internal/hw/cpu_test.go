@@ -115,10 +115,10 @@ func TestRaiseIRQOnDeliversCPU(t *testing.T) {
 	if got == nil || got.CPU != 1 || got.Ctx != ctx {
 		t.Fatalf("frame = %+v, want CPU 1 ctx %d", got, ctx)
 	}
-	if _, irqs := m.CPUByID(1).Stats(); irqs != 1 {
+	if irqs := m.CPUByID(1).Stats(); irqs != 1 {
 		t.Fatalf("CPU1 irqs = %d, want 1", irqs)
 	}
-	if _, irqs := m.CPUByID(0).Stats(); irqs != 0 {
+	if irqs := m.CPUByID(0).Stats(); irqs != 0 {
 		t.Fatalf("CPU0 irqs = %d, want 0", irqs)
 	}
 	if err := m.RaiseIRQOn(3, 7); err == nil {

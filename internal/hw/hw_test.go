@@ -2,6 +2,8 @@ package hw
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"paramecium/internal/clock"
@@ -114,7 +116,7 @@ func TestIRQNoHandlerDropsAndCounts(t *testing.T) {
 	if err := m.RaiseIRQOn(5, mmu.BootCPU); !errors.Is(err, ErrNoHandler) {
 		t.Fatalf("err = %v", err)
 	}
-	_, _, dropped := m.Stats()
+	_, dropped := m.Stats()
 	if dropped != 1 {
 		t.Fatalf("dropped = %d", dropped)
 	}
@@ -498,5 +500,62 @@ func TestTrapVectorString(t *testing.T) {
 	}
 	if TrapVector(99).String() != "trap(99)" {
 		t.Fatal("unknown trap name wrong")
+	}
+}
+
+// TestTrapTableRacesDelivery installs and swaps trap handlers while
+// other CPUs raise traps: each trap is delivered through either the
+// table before a write or the one after it, so a vector that is never
+// touched by the writer is reached every time, and a vector swapped
+// between two handlers always reaches one of them.
+func TestTrapTableRacesDelivery(t *testing.T) {
+	m := New(Config{PhysFrames: 64, CPUs: 2})
+	const stable, swapped, churned = TrapUserBase, TrapUserBase + 1, TrapUserBase + 2
+	var hits atomic.Int64
+	m.SetTrapHandler(stable, func(TrapFrame) bool { hits.Add(1); return true })
+	yes := func(TrapFrame) bool { return true }
+	also := func(TrapFrame) bool { return true }
+	m.SetTrapHandler(swapped, yes)
+
+	stop := make(chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				m.SetTrapHandler(swapped, also)
+				m.SetTrapHandler(churned+TrapVector(i%8), yes)
+			} else {
+				m.SetTrapHandler(swapped, yes)
+				m.SetTrapHandler(churned+TrapVector(i%8), nil)
+			}
+		}
+	}()
+	const perCPU = 2000
+	var wg sync.WaitGroup
+	for cpu := 0; cpu < 2; cpu++ {
+		wg.Add(1)
+		go func(cpu mmu.CPUID) {
+			defer wg.Done()
+			for i := 0; i < perCPU; i++ {
+				for _, v := range []TrapVector{stable, swapped} {
+					if ok, err := m.RaiseTrap(TrapFrame{Vector: v, Ctx: mmu.KernelContext, CPU: cpu}); !ok || err != nil {
+						t.Errorf("trap %v on cpu %d = %v, %v", v, cpu, ok, err)
+						return
+					}
+				}
+			}
+		}(mmu.CPUID(cpu))
+	}
+	wg.Wait()
+	close(stop)
+	<-writerDone
+	if got := hits.Load(); got != 2*perCPU {
+		t.Fatalf("stable vector reached %d times, want %d", got, 2*perCPU)
 	}
 }

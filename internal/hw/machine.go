@@ -15,6 +15,7 @@ package hw
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -107,22 +108,26 @@ type Machine struct {
 	// machine (in which case no access is ever charged as remote).
 	topo *Topology
 
-	// mu guards the handler tables, device list and IRQ state. The
-	// trap hot path (RaiseTrap) only ever read-locks it, so concurrent
-	// page faults dispatch in parallel.
+	// traps is the trap vector table, an immutable map published by
+	// pointer: SetTrapHandler copies it on write under mu, and RaiseTrap
+	// reads it with one atomic load and no lock. Vectors are installed
+	// at boot, so the copy costs nothing per trap.
+	traps atomic.Pointer[map[TrapVector]TrapHandler]
+
+	// mu guards the IRQ state and device list, and serializes trap
+	// table writers. Trap delivery never takes it.
 	mu         sync.RWMutex
-	trapTable  map[TrapVector]TrapHandler
 	irqTable   [NumIRQLines]TrapHandler
 	irqMasked  [NumIRQLines]bool
 	irqPending [NumIRQLines]int
 	devices    []Device
 	iospaces   map[string]*IORegion
 
-	// stats, atomic: counted on the concurrent fault path.
-	trapsDelivered atomic.Uint64
-	irqsDelivered  atomic.Uint64
-	irqsDropped    atomic.Uint64
-	sharedLeases   atomic.Uint64
+	// stats, atomic: counted on the concurrent interrupt and lease
+	// paths.
+	irqsDelivered atomic.Uint64
+	irqsDropped   atomic.Uint64
+	sharedLeases  atomic.Uint64
 }
 
 // Config controls machine construction.
@@ -171,13 +176,13 @@ func New(cfg Config) *Machine {
 	mmuCfg.CPUs = ncpu
 	meter := clock.NewMeter(costs)
 	m := &Machine{
-		Meter:     meter,
-		MMU:       mmu.New(meter, mmuCfg),
-		Phys:      mmu.NewPhysMem(frames),
-		topo:      topo,
-		trapTable: make(map[TrapVector]TrapHandler),
-		iospaces:  make(map[string]*IORegion),
+		Meter:    meter,
+		MMU:      mmu.New(meter, mmuCfg),
+		Phys:     mmu.NewPhysMem(frames),
+		topo:     topo,
+		iospaces: make(map[string]*IORegion),
 	}
+	m.traps.Store(&map[TrapVector]TrapHandler{})
 	m.cpus = make([]*CPU, ncpu)
 	for i := range m.cpus {
 		m.cpus[i] = &CPU{id: mmu.CPUID(i), m: m}
@@ -190,13 +195,15 @@ func New(cfg Config) *Machine {
 func (m *Machine) SetTrapHandler(v TrapVector, h TrapHandler) TrapHandler {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	prev := m.trapTable[v]
+	old := *m.traps.Load()
+	next := maps.Clone(old)
 	if h == nil {
-		delete(m.trapTable, v)
+		delete(next, v)
 	} else {
-		m.trapTable[v] = h
+		next[v] = h
 	}
-	return prev
+	m.traps.Store(&next)
+	return old[v]
 }
 
 // SetIRQHandler installs the handler for an interrupt line.
@@ -252,11 +259,7 @@ func (m *Machine) RaiseTrap(frame TrapFrame) (bool, error) {
 		// CPU the machine does not have.
 		return false, fmt.Errorf("hw: no CPU %d (machine has %d)", frame.CPU, len(m.cpus))
 	}
-	m.mu.RLock()
-	h := m.trapTable[frame.Vector]
-	m.mu.RUnlock()
-	m.trapsDelivered.Add(1)
-	m.cpus[frame.CPU].traps.Add(1)
+	h := (*m.traps.Load())[frame.Vector]
 	// The trapping context pays for both protection-boundary legs.
 	m.Meter.ChargeFor(uint32(frame.Ctx), clock.OpTrapEnter)
 	defer m.Meter.ChargeFor(uint32(frame.Ctx), clock.OpTrapExit)
@@ -301,9 +304,9 @@ func (m *Machine) RaiseIRQOn(line IRQLine, cpu mmu.CPUID) error {
 	return nil
 }
 
-// Stats reports delivery counters.
-func (m *Machine) Stats() (traps, irqs, dropped uint64) {
-	return m.trapsDelivered.Load(), m.irqsDelivered.Load(), m.irqsDropped.Load()
+// Stats reports the interrupts delivered and dropped.
+func (m *Machine) Stats() (irqs, dropped uint64) {
+	return m.irqsDelivered.Load(), m.irqsDropped.Load()
 }
 
 // LoadOn reads len(buf) bytes of simulated memory at va in context ctx

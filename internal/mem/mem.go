@@ -15,6 +15,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -61,16 +62,20 @@ type pageKey struct {
 type Service struct {
 	machine *hw.Machine
 
-	// mu guards the page, handler and grant tables. Fault dispatch —
-	// the cross-domain invocation hot path — only read-locks it, and
-	// the registered call-back runs outside the lock entirely, so any
-	// number of faults (including on the same page) dispatch
-	// concurrently and handlers may re-enter the service.
-	mu       sync.RWMutex
-	pages    map[pageKey]uint64 // mapped page -> frame
-	handlers map[pageKey]FaultHandler
-	grants   map[string][]*IOGrant // region name -> active grants
-	arenas   map[mmu.ContextID]*vaArena
+	// handlers is the fault call-back table, published by pointer:
+	// writers copy it under mu and store the copy (setHandler), and
+	// fault dispatch — the cross-domain invocation hot path — reads it
+	// with one atomic load and takes no lock. The call-back runs
+	// outside mu, so any number of faults (including on the same page)
+	// dispatch concurrently and handlers may re-enter the service.
+	handlers atomic.Pointer[handlerTable]
+
+	// mu guards the page and grant tables and the VA arenas, and
+	// serializes handler-table writers.
+	mu     sync.RWMutex
+	pages  map[pageKey]uint64    // mapped page -> frame
+	grants map[string][]*IOGrant // region name -> active grants
+	arenas map[mmu.ContextID]*vaArena
 
 	faultsResolved atomic.Uint64
 	faultsUnknown  atomic.Uint64
@@ -80,12 +85,12 @@ type Service struct {
 // trap handler.
 func New(machine *hw.Machine) *Service {
 	s := &Service{
-		machine:  machine,
-		pages:    make(map[pageKey]uint64),
-		handlers: make(map[pageKey]FaultHandler),
-		grants:   make(map[string][]*IOGrant),
-		arenas:   make(map[mmu.ContextID]*vaArena),
+		machine: machine,
+		pages:   make(map[pageKey]uint64),
+		grants:  make(map[string][]*IOGrant),
+		arenas:  make(map[mmu.ContextID]*vaArena),
 	}
+	s.handlers.Store(&handlerTable{})
 	machine.SetTrapHandler(hw.TrapPageFault, s.handleFault)
 	return s
 }
@@ -96,10 +101,7 @@ func (s *Service) Machine() *hw.Machine { return s.machine }
 // handleFault dispatches a page fault to the per-page call-back, if
 // one is registered.
 func (s *Service) handleFault(f hw.TrapFrame) bool {
-	key := pageKey{ctx: f.Ctx, vpn: f.Addr.VPN()}
-	s.mu.RLock()
-	h := s.handlers[key]
-	s.mu.RUnlock()
+	h := (*s.handlers.Load())[f.Ctx][f.Addr.VPN()]
 	if h == nil {
 		s.faultsUnknown.Add(1)
 		return false
@@ -133,14 +135,13 @@ func (s *Service) DestroyDomain(ctx mmu.ContextID) error {
 	for _, k := range keys {
 		frame := s.pages[k]
 		delete(s.pages, k)
-		delete(s.handlers, k)
 		_ = s.machine.MMU.UnmapOn(mmu.BootCPU, ctx, mmu.VAddr(k.vpn<<mmu.PageShift))
 		_, _ = s.machine.Phys.Unref(frame)
 	}
-	for k := range s.handlers {
-		if k.ctx == ctx {
-			delete(s.handlers, k)
-		}
+	if old := *s.handlers.Load(); old[ctx] != nil {
+		next := maps.Clone(old)
+		delete(next, ctx)
+		s.handlers.Store(&next)
 	}
 	for name, gs := range s.grants {
 		kept := gs[:0]
@@ -291,7 +292,9 @@ func (s *Service) FreePageOn(initiator mmu.CPUID, ctx mmu.ContextID, va mmu.VAdd
 		return fmt.Errorf("%w: ctx %d va %#x", ErrNoPage, ctx, uint64(va))
 	}
 	delete(s.pages, key)
-	delete(s.handlers, key)
+	if (*s.handlers.Load())[ctx][key.vpn] != nil {
+		s.setHandler(ctx, key.vpn, nil)
+	}
 	if err := s.machine.MMU.UnmapOn(initiator, ctx, va); err != nil {
 		return err
 	}
@@ -327,32 +330,65 @@ func (s *Service) RegisterFaultHandler(ctx mmu.ContextID, va mmu.VAddr, h FaultH
 	if h == nil {
 		return errors.New("mem: nil fault handler")
 	}
-	key := pageKey{ctx: ctx, vpn: va.VPN()}
+	vpn := va.VPN()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.handlers[key]; dup {
+	if (*s.handlers.Load())[ctx][vpn] != nil {
 		return fmt.Errorf("%w: ctx %d va %#x", ErrHandlerBusy, ctx, uint64(va))
 	}
-	s.handlers[key] = h
+	s.setHandler(ctx, vpn, h)
 	return nil
 }
 
 // UnregisterFaultHandler removes a page's fault call-back. It prevents
 // new dispatches but does not wait for call-backs already dispatched:
-// fault dispatch runs the handler outside the service's lock, so a
-// handler may still be executing when Unregister returns. A caller
-// that needs quiescence before tearing down handler-owned state must
-// track its own in-flight calls — as proxy.Proxy.Close does with its
-// in-flight counter.
+// fault dispatch runs the handler without any lock, so a handler may
+// still be executing when Unregister returns. A caller that needs
+// quiescence before tearing down handler-owned state must track its
+// own in-flight calls — as proxy.Proxy.Close does with its in-flight
+// counter.
 func (s *Service) UnregisterFaultHandler(ctx mmu.ContextID, va mmu.VAddr) error {
-	key := pageKey{ctx: ctx, vpn: va.VPN()}
+	vpn := va.VPN()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.handlers[key]; !ok {
+	if (*s.handlers.Load())[ctx][vpn] == nil {
 		return fmt.Errorf("%w: ctx %d va %#x", ErrNoPage, ctx, uint64(va))
 	}
-	delete(s.handlers, key)
+	s.setHandler(ctx, vpn, nil)
 	return nil
+}
+
+// handlerTable maps each context's pages, by page number, to their
+// fault call-backs. Keying by context, then page, keeps both lookups on
+// the runtime's integer-key fast paths. A published table and its
+// inner maps are never written again.
+type handlerTable map[mmu.ContextID]map[uint64]FaultHandler
+
+// setHandler publishes a copy of the handler table in which ctx's page
+// vpn has call-back h, or none when h is nil. Only ctx's own page map
+// is copied besides the outer map. Callers hold s.mu, so writers never
+// lose each other's edits; a fault in flight keeps whichever table it
+// loaded. Handlers are registered once per proxy entry page or
+// demand-paged page, at bind or setup time, so no fault pays for a
+// copy.
+func (s *Service) setHandler(ctx mmu.ContextID, vpn uint64, h FaultHandler) {
+	old := *s.handlers.Load()
+	pages := maps.Clone(old[ctx])
+	if h == nil {
+		delete(pages, vpn)
+	} else {
+		if pages == nil {
+			pages = make(map[uint64]FaultHandler)
+		}
+		pages[vpn] = h
+	}
+	next := maps.Clone(old)
+	if len(pages) == 0 {
+		delete(next, ctx)
+	} else {
+		next[ctx] = pages
+	}
+	s.handlers.Store(&next)
 }
 
 // FaultStats reports resolved and unresolved fault counts.

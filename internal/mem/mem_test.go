@@ -2,6 +2,8 @@ package mem
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"paramecium/internal/hw"
@@ -418,4 +420,91 @@ func TestReserveVAArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ReleaseVA(a, r2, 3)
+}
+
+// TestFaultHandlersRaceFaults churns the handler table through all its
+// writers — RegisterFaultHandler, UnregisterFaultHandler, FreePageOn
+// and DestroyDomain — while two CPUs fault on registered pages. Each
+// fault dispatches through either the table before a write or the one
+// after it: a page the writer never touches reaches its handler on
+// every fault, and a page swapped between two handlers reaches one of
+// them or, between the unregister and the register, none.
+func TestFaultHandlersRaceFaults(t *testing.T) {
+	m := hw.New(hw.Config{PhysFrames: 64, CPUs: 2})
+	s := New(m)
+	ctx := s.NewDomain()
+	const stable, swapped = mmu.VAddr(0x5000), mmu.VAddr(0x6000)
+	var stableHits, swappedHits atomic.Int64
+	if err := s.RegisterFaultHandler(ctx, stable, func(hw.TrapFrame) bool { stableHits.Add(1); return false }); err != nil {
+		t.Fatal(err)
+	}
+	onSwapped := func(hw.TrapFrame) bool { swappedHits.Add(1); return false }
+	if err := s.RegisterFaultHandler(ctx, swapped, onSwapped); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	writerDone := make(chan error, 1)
+	go func() {
+		writerDone <- func() error {
+			nop := func(hw.TrapFrame) bool { return false }
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return nil
+				default:
+				}
+				if err := s.UnregisterFaultHandler(ctx, swapped); err != nil {
+					return err
+				}
+				if err := s.RegisterFaultHandler(ctx, swapped, onSwapped); err != nil {
+					return err
+				}
+				// A mapped page with a handler, dropped by FreePageOn.
+				va := mmu.VAddr(0x10000 + (i%4)*mmu.PageSize)
+				if err := s.AllocPageOn(mmu.BootCPU, ctx, va, mmu.PermRead); err != nil {
+					return err
+				}
+				if err := s.RegisterFaultHandler(ctx, va, nop); err != nil {
+					return err
+				}
+				if err := s.FreePageOn(mmu.BootCPU, ctx, va); err != nil {
+					return err
+				}
+				// Another domain's handlers, dropped by DestroyDomain.
+				other := s.NewDomain()
+				if err := s.RegisterFaultHandler(other, stable, nop); err != nil {
+					return err
+				}
+				if err := s.DestroyDomain(other); err != nil {
+					return err
+				}
+			}
+		}()
+	}()
+	const perCPU = 1000
+	_, unknownBefore := s.FaultStats()
+	var wg sync.WaitGroup
+	for cpu := 0; cpu < 2; cpu++ {
+		wg.Add(1)
+		go func(cpu mmu.CPUID) {
+			defer wg.Done()
+			for i := 0; i < perCPU; i++ {
+				_ = m.TouchOn(cpu, ctx, stable, mmu.AccessRead)
+				_ = m.TouchOn(cpu, ctx, swapped, mmu.AccessRead)
+			}
+		}(mmu.CPUID(cpu))
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-writerDone; err != nil {
+		t.Fatal(err)
+	}
+	if got := stableHits.Load(); got != 2*perCPU {
+		t.Fatalf("untouched page's handler ran %d times, want %d", got, 2*perCPU)
+	}
+	_, unknownAfter := s.FaultStats()
+	if got := swappedHits.Load() + int64(unknownAfter-unknownBefore); got != 2*perCPU {
+		t.Fatalf("swapped page: %d handled + %d unhandled faults, want %d in all", swappedHits.Load(), unknownAfter-unknownBefore, 2*perCPU)
+	}
 }

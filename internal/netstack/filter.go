@@ -52,7 +52,8 @@ var ErrFilterFailed = errors.New("netstack: filter execution failed")
 // PVMFilter runs a PVM program per frame. With Sandboxed set, the
 // program is the SFI-rewritten form and runs with enforcement (the
 // Exokernel/SPIN-style placement); otherwise it runs check-free (the
-// certified placement).
+// certified placement). Prog must not change after construction: the
+// constructors decide once whether it can store into its segment.
 type PVMFilter struct {
 	FName     string
 	Prog      sandbox.Program
@@ -60,7 +61,14 @@ type PVMFilter struct {
 	Sandboxed bool
 	Fuel      uint64
 
-	seg [FilterSegSize]byte
+	// storeFree is set by the constructors for a program without st8,
+	// st16, st32 or st64: it writes nothing into its segment, so a run
+	// leaves only the frame bytes behind. The zero value assumes stores.
+	storeFree bool
+	// dirty is the segment's high-water mark: bytes at and past it are
+	// zero. Accept clears only [end of the new frame, dirty).
+	dirty int
+	seg   [FilterSegSize]byte
 }
 
 // NewCertifiedFilter builds a check-free filter from a source program.
@@ -68,7 +76,7 @@ func NewCertifiedFilter(name string, prog sandbox.Program, meter *clock.Meter) (
 	if err := sandbox.Verify(prog); err != nil {
 		return nil, err
 	}
-	return &PVMFilter{FName: name, Prog: prog, Meter: meter}, nil
+	return &PVMFilter{FName: name, Prog: prog, Meter: meter, storeFree: storeFree(prog)}, nil
 }
 
 // NewSandboxedFilter builds an SFI-enforced filter: the program is
@@ -78,7 +86,18 @@ func NewSandboxedFilter(name string, prog sandbox.Program, meter *clock.Meter) (
 	if err != nil {
 		return nil, err
 	}
-	return &PVMFilter{FName: name, Prog: rewritten, Meter: meter, Sandboxed: true}, nil
+	return &PVMFilter{FName: name, Prog: rewritten, Meter: meter, Sandboxed: true, storeFree: storeFree(rewritten)}, nil
+}
+
+// storeFree reports whether prog has no store instruction.
+func storeFree(prog sandbox.Program) bool {
+	for _, in := range prog {
+		switch in.Op {
+		case sandbox.OpSt8, sandbox.OpSt16, sandbox.OpSt32, sandbox.OpSt64:
+			return false
+		}
+	}
+	return true
 }
 
 // Name implements Filter.
@@ -95,8 +114,17 @@ func (p *PVMFilter) Accept(frame []byte) (bool, error) {
 	copy(p.seg[FilterFrameOffset:], frame[:n])
 	// Zero the tail so a filter cannot observe previous frames (the
 	// snooping concern is about *other users'* traffic, which a
-	// shared filter must never see).
-	clear(p.seg[FilterFrameOffset+n:])
+	// shared filter must never see). Only what the last run could have
+	// written past this frame needs clearing: the last frame's bytes,
+	// or the whole segment if the program stores.
+	end := FilterFrameOffset + n
+	if end < p.dirty {
+		clear(p.seg[end:p.dirty])
+	}
+	p.dirty = end
+	if !p.storeFree {
+		p.dirty = FilterSegSize
+	}
 	e := sandbox.Exec{Meter: p.Meter, Fuel: p.Fuel, EnforceSandbox: p.Sandboxed}
 	res, err := e.Run(p.Prog, p.seg[:])
 	if err != nil {

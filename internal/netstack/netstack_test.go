@@ -3,6 +3,7 @@ package netstack
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -547,5 +548,54 @@ func TestEndpointRecyclesPayloads(t *testing.T) {
 	cycle()
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
 		t.Fatalf("deliver/receive cycle allocates %v objects", allocs)
+	}
+}
+
+// TestFilterSeesNoPreviousFrame pins the no-snooping guarantee of a
+// PVM filter's segment: after a long frame, a short frame's run reads
+// zeros past its end, both where the long frame's bytes were and where
+// the previous run stored. A store-free program and a storing one
+// exercise both clearing extents, each in both placements.
+func TestFilterSeesNoPreviousFrame(t *testing.T) {
+	const (
+		past  = FilterFrameOffset + 100  // inside the long frame, past the short one
+		store = FilterFrameOffset + 1000 // past both frames
+	)
+	readOnly := fmt.Sprintf(`
+        ld8   r1, [r0+%d]
+        halt  r1
+`, past)
+	storing := fmt.Sprintf(`
+        ld8   r1, [r0+%d]
+        ld8   r2, [r0+%d]
+        add   r1, r1, r2
+        loadi r3, 1
+        st8   [r0+%d], r3
+        halt  r1
+`, past, store, store)
+	long := bytes.Repeat([]byte{0xAA}, 600)
+	short := bytes.Repeat([]byte{0x00}, 20)
+	for _, c := range []struct {
+		name, src string
+	}{{"store-free", readOnly}, {"storing", storing}} {
+		prog := sandbox.MustAssemble(c.src)
+		cf, err := NewCertifiedFilter(c.name, prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sf, err := NewSandboxedFilter(c.name, prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []*PVMFilter{cf, sf} {
+			if ok, err := f.Accept(long); err != nil || !ok {
+				t.Fatalf("%s sandboxed=%v: long frame: Accept = %v, %v; want it to see its own bytes", c.name, f.Sandboxed, ok, err)
+			}
+			for i := 0; i < 2; i++ {
+				if ok, err := f.Accept(short); err != nil || ok {
+					t.Fatalf("%s sandboxed=%v: short frame %d: Accept = %v, %v; read a previous run's byte", c.name, f.Sandboxed, i, ok, err)
+				}
+			}
+		}
 	}
 }

@@ -19,15 +19,26 @@ import (
 type Ledger struct {
 	ops int
 
-	mu   sync.Mutex // serializes row creation and freezing only
-	rows sync.Map   // uint32 (domain context) -> *ledgerRow
+	// index finds a row by domain context id on the charge path with
+	// two atomic loads and no lock. The MMU hands out small consecutive
+	// context ids, so a table indexed by id stays short. It is
+	// published by pointer and replaced by a longer copy when a domain
+	// past its end creates its row; ids from maxIndexedDomain up are
+	// found through rows alone.
+	index atomic.Pointer[[]atomic.Pointer[ledgerRow]]
+
+	mu   sync.Mutex            // guards rows and index growth
+	rows map[uint32]*ledgerRow // every row, by domain
 }
 
+// maxIndexedDomain bounds the index, so an outlandish domain id costs a
+// map entry rather than a huge table.
+const maxIndexedDomain = 1 << 16
+
 // ledgerRow is one domain's accumulation. Cells are updated with
-// atomics on the charge path; creation and freeze go through Ledger.mu.
+// atomics on the charge path; a row's total is the sum of its cells.
 type ledgerRow struct {
 	frozen atomic.Bool
-	total  atomic.Uint64
 	cells  []ledgerCell
 }
 
@@ -41,40 +52,63 @@ func NewLedger(ops int) *Ledger {
 	if ops < 1 {
 		ops = 1
 	}
-	return &Ledger{ops: ops}
+	return &Ledger{ops: ops, rows: make(map[uint32]*ledgerRow)}
 }
 
 // Ops reports the ledger's operation-slot count.
 func (l *Ledger) Ops() int { return l.ops }
 
 // Add attributes n occurrences of op, worth cycles virtual cycles in
-// total, to domain's row. The fast path — row already exists — is a
-// lock-free map load plus three atomic adds; a domain's first charge
-// creates its row under the ledger lock.
+// total, to domain's row. The fast path — row already exists — is an
+// index lookup plus two atomic adds; a domain's first charge creates
+// its row under the ledger lock.
 func (l *Ledger) Add(domain uint32, op int, cycles, n uint64) {
 	if l == nil || op < 0 || op >= l.ops {
 		return
 	}
-	r := l.row(domain)
-	c := &r.cells[op]
+	c := &l.row(domain).cells[op]
 	c.cycles.Add(cycles)
 	c.count.Add(n)
-	r.total.Add(cycles)
 }
 
 // row returns domain's row, creating it on first sight.
 func (l *Ledger) row(domain uint32) *ledgerRow {
-	if v, ok := l.rows.Load(domain); ok {
-		return v.(*ledgerRow)
+	if t := l.index.Load(); t != nil && int(domain) < len(*t) {
+		if r := (*t)[domain].Load(); r != nil {
+			return r
+		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if v, ok := l.rows.Load(domain); ok {
-		return v.(*ledgerRow)
+	if r := l.rows[domain]; r != nil {
+		return r
 	}
 	r := &ledgerRow{cells: make([]ledgerCell, l.ops)}
-	l.rows.Store(domain, r)
+	l.rows[domain] = r
+	if domain >= maxIndexedDomain {
+		return r
+	}
+	var t []atomic.Pointer[ledgerRow]
+	if p := l.index.Load(); p != nil {
+		t = *p
+	}
+	if int(domain) >= len(t) {
+		grown := make([]atomic.Pointer[ledgerRow], max(int(domain)+1, 2*len(t)))
+		for i := range t {
+			grown[i].Store(t[i].Load())
+		}
+		l.index.Store(&grown)
+		t = grown
+	}
+	t[domain].Store(r)
 	return r
+}
+
+// existing returns domain's row, or nil if it has none.
+func (l *Ledger) existing(domain uint32) *ledgerRow {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.rows[domain]
 }
 
 // Freeze marks domain's row final — DestroyDomain calls it once the
@@ -92,8 +126,8 @@ func (l *Ledger) Freeze(domain uint32) {
 
 // Frozen reports whether domain's row has been frozen.
 func (l *Ledger) Frozen(domain uint32) bool {
-	v, ok := l.rows.Load(domain)
-	return ok && v.(*ledgerRow).frozen.Load()
+	r := l.existing(domain)
+	return r != nil && r.frozen.Load()
 }
 
 // DomainCycles reports the total cycles attributed to domain.
@@ -101,21 +135,31 @@ func (l *Ledger) DomainCycles(domain uint32) uint64 {
 	if l == nil {
 		return 0
 	}
-	v, ok := l.rows.Load(domain)
-	if !ok {
+	r := l.existing(domain)
+	if r == nil {
 		return 0
 	}
-	return v.(*ledgerRow).total.Load()
+	return r.total()
 }
 
 // Total reports the cycles attributed across all rows. With tracing
 // enabled from boot this equals the meter's clock.
 func (l *Ledger) Total() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	var sum uint64
-	l.rows.Range(func(_, v any) bool {
-		sum += v.(*ledgerRow).total.Load()
-		return true
-	})
+	for _, r := range l.rows {
+		sum += r.total()
+	}
+	return sum
+}
+
+// total sums the row's cycle cells.
+func (r *ledgerRow) total() uint64 {
+	var sum uint64
+	for i := range r.cells {
+		sum += r.cells[i].cycles.Load()
+	}
 	return sum
 }
 
@@ -129,29 +173,30 @@ type RowSnapshot struct {
 }
 
 // Snapshot copies every row, sorted by domain context id. The copy is
-// cell-atomic, not row-atomic: a snapshot racing live charges may split
-// one charge across Cycles and Total, which the exporters tolerate.
+// cell-atomic, not row-atomic: a snapshot racing live charges may see
+// one of a row's cells before a charge and another after it. Each
+// row's Total is the sum of its copied Cycles.
 func (l *Ledger) Snapshot() []RowSnapshot {
 	if l == nil {
 		return nil
 	}
-	var out []RowSnapshot
-	l.rows.Range(func(k, v any) bool {
-		r := v.(*ledgerRow)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]RowSnapshot, 0, len(l.rows))
+	for d, r := range l.rows {
 		row := RowSnapshot{
-			Domain: k.(uint32),
+			Domain: d,
 			Frozen: r.frozen.Load(),
-			Total:  r.total.Load(),
 			Cycles: make([]uint64, l.ops),
 			Counts: make([]uint64, l.ops),
 		}
 		for i := range r.cells {
 			row.Cycles[i] = r.cells[i].cycles.Load()
 			row.Counts[i] = r.cells[i].count.Load()
+			row.Total += row.Cycles[i]
 		}
 		out = append(out, row)
-		return true
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
 	return out
 }

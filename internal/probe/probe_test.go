@@ -232,3 +232,31 @@ func TestLedgerConcurrentAdd(t *testing.T) {
 		}
 	}
 }
+
+// TestLedgerDomainsPastTheIndex: a domain id too large for the dense
+// index, and ids that grow it several times, accumulate, freeze and
+// snapshot like any other row.
+func TestLedgerDomainsPastTheIndex(t *testing.T) {
+	l := NewLedger(2)
+	far := uint32(maxIndexedDomain + 7)
+	for _, d := range []uint32{far, 1, 9, 100, far} {
+		l.Add(d, 1, 10, 1)
+	}
+	if got := l.DomainCycles(far); got != 20 {
+		t.Fatalf("DomainCycles(far) = %d, want 20", got)
+	}
+	if got := l.DomainCycles(100); got != 10 {
+		t.Fatalf("DomainCycles(100) = %d, want 10", got)
+	}
+	l.Freeze(far)
+	if !l.Frozen(far) || l.Frozen(far+1) {
+		t.Fatal("far row's frozen flag wrong")
+	}
+	snap := l.Snapshot()
+	if len(snap) != 4 || snap[3].Domain != far || snap[3].Total != 20 || snap[3].Counts[1] != 2 {
+		t.Fatalf("snapshot = %+v", snap)
+	}
+	if got := l.Total(); got != 50 {
+		t.Fatalf("Total = %d, want 50", got)
+	}
+}

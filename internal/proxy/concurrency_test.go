@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"paramecium/internal/clock"
+	"paramecium/internal/mmu"
 	"paramecium/internal/obj"
 )
 
@@ -431,5 +432,63 @@ func TestCloseTargetCondemnsNewProxies(t *testing.T) {
 	}
 	if err := p3.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDestroyDuringCallStress races calls through a proxy against the
+// destruction of its target domain: raw, with the MMU context vanishing
+// under in-flight crossings, and the kernel's way, with CloseTarget
+// first. Every call succeeds or fails with ErrClosed or "target domain
+// gone" (mmu.ErrNoContext), none panics, and no frame stays live.
+func TestDestroyDuringCallStress(t *testing.T) {
+	f, svc, m := setup()
+	clientCtx := svc.NewDomain()
+	const rounds, callers, calls = 16, 4, 64
+	for r := 0; r < rounds; r++ {
+		serverCtx := svc.NewDomain()
+		target, _ := newAtomicCounter(m.Meter)
+		p, err := f.New(clientCtx, serverCtx, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iv, _ := p.Iface("test.atomic.v1")
+		inc, err := iv.Resolve("inc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		started := make(chan struct{}, callers)
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				started <- struct{}{}
+				for i := 0; i < calls; i++ {
+					_, err := inc.Call(1)
+					if err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, mmu.ErrNoContext) {
+						t.Errorf("call racing destroy: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		for c := 0; c < callers; c++ {
+			<-started
+		}
+		if r%2 == 1 {
+			f.CloseTarget(serverCtx)
+		}
+		if err := svc.DestroyDomain(serverCtx); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if _, err := inc.Call(1); err == nil {
+			t.Fatalf("round %d: call into destroyed domain succeeded", r)
+		}
+		_ = p.Close()
+		f.Absolve(serverCtx)
+	}
+	if n := liveFrames(f); n != 0 {
+		t.Fatalf("%d frames live after the stress", n)
 	}
 }

@@ -11,15 +11,18 @@ import (
 	"paramecium/internal/obj"
 )
 
-// liveFrames counts the factory's registered call frames across all
-// shards — zero between calls, or frames have leaked.
+// liveFrames counts the factory's live slab frames (odd state word) —
+// zero between calls, or frames have leaked.
 func liveFrames(f *Factory) int {
+	p := f.frames.slots.Load()
+	if p == nil {
+		return 0
+	}
 	total := 0
-	for i := range f.frames.shards {
-		s := &f.frames.shards[i]
-		s.mu.Lock()
-		total += len(s.m)
-		s.mu.Unlock()
+	for _, s := range *p {
+		if s.state.Load()&1 == 1 {
+			total++
+		}
 	}
 	return total
 }

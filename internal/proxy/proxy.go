@@ -51,7 +51,7 @@ const DefaultEntryBase mmu.VAddr = 0x7000_0000
 // entries and writes err and done; the caller half owns the frame
 // before and after the fault. A single call is a batch of one whose
 // entry lives in the frame itself (one), and frames are recycled
-// through the frame table, so steady-state invocation allocates
+// through the factory's frame slab, so steady-state invocation allocates
 // nothing for the call machinery.
 type callFrame struct {
 	batch []obj.BatchCall // the group; entries carry their own targets
@@ -61,91 +61,126 @@ type callFrame struct {
 	one   [1]obj.BatchCall // a single call's entry
 }
 
-// frameShards is the number of lock shards in a frame table. Power of
-// two so the token-to-shard map is a mask.
-const frameShards = 32
+// frameSlot is one frame of a factory's slab with its bookkeeping.
+// Slots are allocated once and never freed, so a slot's address — and
+// the frame inside it — stays valid for the factory's lifetime.
+type frameSlot struct {
+	// state is odd while the frame is live. acquire and release each
+	// bump it once, so every live period has its own value and a token
+	// minted for an earlier one no longer matches — until the word
+	// wraps, 2^31 live periods of this one slot later.
+	state atomic.Uint32
+	// next links a free slot to the one below it on the free stack:
+	// that slot's index+1, or 0 at the bottom.
+	next atomic.Uint32
+	fr   callFrame
+}
 
-// frameTable maps live call tokens to their frames. It is sharded by
-// token so concurrent calls — the steady state of the invocation
-// plane — rarely contend on the same lock. Tokens start at 1; token 0
-// in a trap frame means "not a proxy call".
+// frameTable is the factory's slab of call frames. A token names one
+// live period of one frame: state<<32 | index+1, so token 0 in a trap
+// frame means "not a proxy call". Turning a token back into its
+// frame (get) is a bounds check plus one atomic load; acquire and
+// release pop and push a lock-free free stack. The mutex is taken only
+// to grow the slab, by one frame whenever more calls are in flight than
+// ever before.
 type frameTable struct {
-	next   atomic.Uint64
-	shards [frameShards]frameShard
-}
-
-// frameShard holds the live frames of its tokens and a free list of
-// retired frames, both under the one lock acquire and release take
-// anyway: recycling a frame adds no lock operation to a call, and a
-// frame is reused deterministically, not whenever a garbage
-// collection lets a pool refill.
-type frameShard struct {
+	// slots is the slab's directory, indexed by frame index. It is
+	// published by pointer and only ever extended: a grow appends under
+	// mu and stores the longer header, so a reader's slice never
+	// changes under it.
+	slots atomic.Pointer[[]*frameSlot]
+	// free is the free stack's head: an ABA tag (bumped by every pop
+	// and push) in the high half, the top slot's index+1 in the low
+	// half, 0 when the stack is empty.
+	free atomic.Uint64
 	mu   sync.Mutex
-	m    map[uint64]*callFrame
-	free []*callFrame
-	// Pad the shard to a 64-byte stride so adjacent shards' locks do
-	// not share a cache line.
-	_ [24]byte
 }
 
-func (t *frameTable) shard(token uint64) *frameShard {
-	return &t.shards[token&(frameShards-1)]
-}
-
-// acquire registers a frame — recycled from the shard's free list, or
-// new when the list is empty — under a fresh token.
+// acquire pops a free frame — or grows the slab by one when none is
+// free — and marks it live under a fresh token.
 //
 //paramecium:hotpath
 func (t *frameTable) acquire() (uint64, *callFrame) {
-	token := t.next.Add(1)
-	s := t.shard(token)
-	s.mu.Lock()
-	if s.m == nil {
-		//paralint:ignore hotpathalloc one-time lazy shard initialization, amortized to zero per call
-		s.m = make(map[uint64]*callFrame)
+	i, s := t.pop()
+	if s == nil {
+		i, s = t.grow()
 	}
-	var fr *callFrame
-	if n := len(s.free); n > 0 {
-		fr = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		//paralint:ignore hotpathalloc a shard grows one frame per call it ever ran concurrently, then recycles them
-		fr = new(callFrame)
-	}
-	s.m[token] = fr
-	s.mu.Unlock()
-	return token, fr
+	return uint64(s.state.Add(1))<<32 | uint64(i+1), &s.fr
 }
 
-// get returns the frame registered under token, or nil.
+// pop takes the top slot off the free stack, or returns nil when the
+// stack is empty.
+func (t *frameTable) pop() (uint32, *frameSlot) {
+	for {
+		head := t.free.Load()
+		top := uint32(head)
+		if top == 0 {
+			return 0, nil
+		}
+		// A slot is pushed only after the directory holding it is
+		// published, so this load sees it.
+		s := (*t.slots.Load())[top-1]
+		if t.free.CompareAndSwap(head, (head>>32+1)<<32|uint64(s.next.Load())) {
+			return top - 1, s
+		}
+	}
+}
+
+// grow adds one slot to the slab and returns it, not yet on the free
+// stack.
+func (t *frameTable) grow() (uint32, *frameSlot) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var slots []*frameSlot
+	if p := t.slots.Load(); p != nil {
+		slots = *p
+	}
+	s := new(frameSlot)
+	// Appending writes past every published length, so readers holding
+	// the old header are undisturbed.
+	slots = append(slots, s)
+	t.slots.Store(&slots)
+	return uint32(len(slots) - 1), s
+}
+
+// get returns the frame live under token, or nil: for token 0, an
+// index past the slab, a frame that is free, or one whose state moved
+// on since the token was minted (a stale or forged token).
 func (t *frameTable) get(token uint64) *callFrame {
-	if token == 0 {
+	i := uint32(token)
+	p := t.slots.Load()
+	if i == 0 || p == nil || int(i) > len(*p) {
 		return nil
 	}
-	s := t.shard(token)
-	s.mu.Lock()
-	fr := s.m[token]
-	s.mu.Unlock()
-	return fr
+	s := (*p)[i-1]
+	if st := s.state.Load(); st&1 == 0 || st != uint32(token>>32) {
+		return nil
+	}
+	return &s.fr
 }
 
-// release unregisters token and returns its frame, cleared so it pins
-// no caller data, to the shard's free list.
+// release ends token's live period and pushes its frame, cleared so it
+// pins no caller data, back on the free stack. token must come from
+// acquire.
 //
 //paramecium:hotpath
-func (t *frameTable) release(token uint64, fr *callFrame) {
-	*fr = callFrame{}
-	s := t.shard(token)
-	s.mu.Lock()
-	delete(s.m, token)
-	s.free = append(s.free, fr)
-	s.mu.Unlock()
+func (t *frameTable) release(token uint64) {
+	i := uint32(token)
+	s := (*t.slots.Load())[i-1]
+	s.fr = callFrame{}
+	s.state.Add(1)
+	for {
+		head := t.free.Load()
+		s.next.Store(uint32(head))
+		if t.free.CompareAndSwap(head, (head>>32+1)<<32|uint64(i)) {
+			return
+		}
+	}
 }
 
 // Factory creates proxies, managing the entry-page address space of
 // each client context. All proxies of one factory share its frame
-// table; the per-page fault handler uses the trap frame's token to
+// slab; the per-page fault handler uses the trap frame's token to
 // find the calling goroutine's own frame.
 type Factory struct {
 	svc    *mem.Service
@@ -375,7 +410,7 @@ func (p *Proxy) Crossings() uint64 {
 // crossing — one CPU lease, one page fault (the trap cost charged
 // once), one context-switch pair — executing each entry in the
 // target's context with per-entry results and errors. The frame is
-// recycled through the factory's sharded frame table. A closed proxy fails
+// recycled through the factory's frame slab. A closed proxy fails
 // every entry with ErrClosed, a dead target context fails them all
 // with "target domain gone", and a failing method or a rejected grant
 // fails only its own entry. Every group-level failure is recorded on
@@ -384,8 +419,8 @@ func (p *Proxy) Crossings() uint64 {
 //paramecium:hotpath
 func (p *Proxy) DispatchBatch(calls []obj.BatchCall, mode obj.BatchMode) error {
 	token, fr := p.factory.frames.acquire()
-	// Deferred so a panicking target method cannot leak the table entry.
-	defer p.factory.frames.release(token, fr)
+	// Deferred so a panicking target method cannot leak the frame.
+	defer p.factory.frames.release(token)
 	return p.dispatch(token, fr, calls, mode)
 }
 
@@ -396,7 +431,7 @@ func (p *Proxy) DispatchBatch(calls []obj.BatchCall, mode obj.BatchMode) error {
 //paramecium:hotpath
 func (p *Proxy) call(h obj.MethodHandle, out, args []any) ([]any, error) {
 	token, fr := p.factory.frames.acquire()
-	defer p.factory.frames.release(token, fr)
+	defer p.factory.frames.release(token)
 	fr.one[0].Fill(h, out, args)
 	_ = p.dispatch(token, fr, fr.one[:], obj.InOrder) // recorded on the entry too
 	return fr.one[0].Results()
@@ -505,7 +540,7 @@ func (p *Proxy) Close() error {
 }
 
 // entryIface is one interface's entry page. It holds no per-call
-// state: every invocation's frame lives in the factory's frame table
+// state: every invocation's frame lives in the factory's frame slab
 // for exactly the duration of its fault, so concurrent calls through
 // the same interface — or the same method — never serialize here.
 type entryIface struct {

@@ -220,7 +220,7 @@ func (p *Producer) reserve() error {
 	}
 	if p.tail-p.headCache == uint64(p.r.slots) {
 		if err := p.r.seg.Load(offHead, p.w[:]); err != nil {
-			return err
+			return asHangup(err)
 		}
 		head := binary.LittleEndian.Uint64(p.w[:])
 		if p.tail-head > uint64(p.r.slots) {
@@ -242,12 +242,12 @@ func (p *Producer) reserve() error {
 func (p *Producer) publish(n uint64) error {
 	binary.LittleEndian.PutUint64(p.w[:], n)
 	if err := p.r.seg.Store(p.r.descOff(p.tail), p.w[:]); err != nil {
-		return err
+		return asHangup(err)
 	}
 	p.tail++
 	binary.LittleEndian.PutUint64(p.w[:], p.tail)
 	if err := p.r.seg.Store(offTail, p.w[:]); err != nil {
-		return err
+		return asHangup(err)
 	}
 	p.pending++
 	p.r.meter.ChargeFor(p.r.producerCtx, clock.OpRingPush)
@@ -269,7 +269,7 @@ func (p *Producer) Push(rec []byte) error {
 	}
 	if len(rec) > 0 {
 		if err := p.r.seg.Store(p.r.payloadOff(p.tail), rec); err != nil {
-			return err
+			return asHangup(err)
 		}
 	}
 	return p.publish(uint64(len(rec)))
@@ -315,7 +315,7 @@ func (p *Producer) Notify() error {
 	}
 	binary.LittleEndian.PutUint64(p.w[:], p.tail)
 	if err := p.r.seg.Store(offDoorbell, p.w[:]); err != nil {
-		return err
+		return asHangup(err)
 	}
 	burst := p.pending
 	p.pending = 0
@@ -328,6 +328,16 @@ func (p *Producer) Notify() error {
 		return err
 	}
 	return nil
+}
+
+// asHangup reports an access to a destroyed segment or through a
+// revoked grant as ErrHangup, the ring's end-of-stream error, on either
+// side of the ring.
+func asHangup(err error) error {
+	if errors.Is(err, shm.ErrRevoked) || errors.Is(err, shm.ErrDestroyed) {
+		return ErrHangup
+	}
+	return err
 }
 
 // Hangup revokes the consumer's grant: the shm tombstone this leaves
@@ -362,11 +372,9 @@ type Consumer struct {
 //
 //paramecium:hotpath
 func (c *Consumer) hangupErr(err error) error {
-	if errors.Is(err, shm.ErrRevoked) || errors.Is(err, shm.ErrDestroyed) {
-		if probe.Enabled() {
-			c.r.meter.Emit(int(mmu.BootCPU), probe.KindHangup, c.r.consumerCtx, uint64(c.r.seg.ID()), 1)
-		}
-		return ErrHangup
+	err = asHangup(err)
+	if err == ErrHangup && probe.Enabled() {
+		c.r.meter.Emit(int(mmu.BootCPU), probe.KindHangup, c.r.consumerCtx, uint64(c.r.seg.ID()), 1)
 	}
 	return err
 }

@@ -231,6 +231,23 @@ func TestRingHangupByClose(t *testing.T) {
 	}
 }
 
+// TestRingNotifyAfterClose: a doorbell rung on a closed ring reports
+// ErrHangup, like every other access to it, not the segment's own
+// "destroyed" error.
+func TestRingNotifyAfterClose(t *testing.T) {
+	r, _, _, _ := newTestRing(t, 4, 16)
+	p := r.Producer()
+	if err := p.Push([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Notify(); !errors.Is(err, ErrHangup) {
+		t.Fatalf("notify after close = %v, want ErrHangup", err)
+	}
+}
+
 func TestRingHangupByCondemn(t *testing.T) {
 	machine := hw.New(hw.Config{PhysFrames: 512, CPUs: 1})
 	svc := mem.New(machine)

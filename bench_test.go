@@ -520,6 +520,44 @@ func BenchmarkT3_Interrupt(b *testing.B) {
 	logTable(b, bench.T3Interrupt())
 }
 
+// BenchmarkP11_InterruptPath prices the carrier handoff that
+// BenchmarkT3_Interrupt pays: T3's handler takes its thread, so every
+// proto delivery hands off to a carrier goroutine. Both rows here
+// register an empty thread-free handler. path=raw runs it on the
+// interrupt context, charging only the interrupt. path=proto-threadfree
+// runs it as a proto-thread, inline on the delivering goroutine:
+// T3's 140 cycles with no handoff, so T3 minus this row is the
+// handoff's host cost. CI holds both rows at 0 allocs/op.
+func BenchmarkP11_InterruptPath(b *testing.B) {
+	for _, row := range []struct {
+		path string
+		d    event.Dispatch
+	}{
+		{"raw", event.DispatchRaw},
+		{"proto-threadfree", event.DispatchProto},
+	} {
+		b.Run("path="+row.path, func(b *testing.B) {
+			b.ReportAllocs()
+			machine := hw.New(hw.Config{PhysFrames: 16})
+			sched := threads.NewScheduler(machine.Meter)
+			events := event.New(machine, sched)
+			if err := events.RegisterThreadFreeIRQOn(3, "bench", mmu.KernelContext, row.d,
+				mmu.BootCPU, func(hw.TrapFrame) {}); err != nil {
+				b.Fatal(err)
+			}
+			watch := machine.Meter.Clock.StartWatch()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := machine.RaiseIRQOn(3, mmu.BootCPU); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			reportCycles(b, watch.Elapsed())
+		})
+	}
+}
+
 func BenchmarkT4_Certify(b *testing.B) {
 	w := bench.NewWorld()
 	image := make([]byte, 16<<10)

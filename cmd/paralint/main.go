@@ -2,8 +2,10 @@
 // packages and exits non-zero if any finding survives. It is the static
 // complement to the dynamic CI gates: chargepath (cost-model dominance),
 // lockorder (documented lock ranks), hotpathalloc (zero-alloc fast
-// paths), atomicmix (no mixed atomic/plain field access) and cpustate
-// (per-CPU ownership).
+// paths), atomicmix (no mixed atomic/plain field access), cpustate
+// (per-CPU ownership), probesafe (gated, allocation-free emission) and
+// threadfree (interrupt handlers that ignore their thread skip the
+// carrier).
 //
 // Usage:
 //

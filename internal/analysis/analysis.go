@@ -185,6 +185,7 @@ func All() []*Analyzer {
 		AtomicMix,
 		CPUState,
 		ProbeSafe,
+		ThreadFree,
 	}
 }
 

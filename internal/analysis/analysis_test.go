@@ -36,6 +36,7 @@ func TestHotpathAllocGolden(t *testing.T) { golden(t, HotpathAlloc) }
 func TestAtomicMixGolden(t *testing.T)    { golden(t, AtomicMix) }
 func TestCPUStateGolden(t *testing.T)     { golden(t, CPUState) }
 func TestProbeSafeGolden(t *testing.T)    { golden(t, ProbeSafe) }
+func TestThreadFreeGolden(t *testing.T)   { golden(t, ThreadFree) }
 
 // TestRealTreeClean is the smoke gate behind CI's paralint job: every
 // analyzer over every module package must produce zero findings.

@@ -14,6 +14,7 @@ func TestGoldenCounts(t *testing.T) {
 		{AtomicMix, "testdata/src/atomicmix", 2},
 		{CPUState, "testdata/src/cpustate", 3},
 		{ProbeSafe, "testdata/src/probesafe", 8},
+		{ThreadFree, "testdata/src/threadfree", 3},
 	} {
 		pkg, err := sharedLoader(t).LoadDir(tc.dir)
 		if err != nil {

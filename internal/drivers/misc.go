@@ -8,7 +8,6 @@ import (
 	"paramecium/internal/mem"
 	"paramecium/internal/mmu"
 	"paramecium/internal/obj"
-	"paramecium/internal/threads"
 )
 
 // TimerIface is the interface name exported by timer drivers.
@@ -66,7 +65,7 @@ func NewTimerDriver(class string, t *hw.Timer, svc *mem.Service, evt *event.Serv
 	}).MustBind("poll", func(...any) ([]any, error) {
 		return []any{d.timer.Poll()}, nil
 	})
-	if err := evt.RegisterIRQOn(t.IRQ(), class+"-tick", cfg.Ctx, cfg.Dispatch, mmu.BootCPU, func(hw.TrapFrame, *threads.Thread) {
+	if err := evt.RegisterThreadFreeIRQOn(t.IRQ(), class+"-tick", cfg.Ctx, cfg.Dispatch, mmu.BootCPU, func(hw.TrapFrame) {
 		d.ticks++
 		for _, fn := range d.subs {
 			fn()

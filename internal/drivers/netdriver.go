@@ -16,7 +16,6 @@ import (
 	"paramecium/internal/mem"
 	"paramecium/internal/mmu"
 	"paramecium/internal/obj"
-	"paramecium/internal/threads"
 )
 
 // NetDevIface is the interface name exported by network drivers.
@@ -114,7 +113,7 @@ func NewNetDriver(class string, nic *hw.NIC, svc *mem.Service, evt *event.Servic
 		return []any{rx, tx, dr}, nil
 	})
 
-	if err := evt.RegisterIRQOn(d.line, class+"-rx", cfg.Ctx, cfg.Dispatch, mmu.BootCPU, func(hw.TrapFrame, *threads.Thread) {
+	if err := evt.RegisterThreadFreeIRQOn(d.line, class+"-rx", cfg.Ctx, cfg.Dispatch, mmu.BootCPU, func(hw.TrapFrame) {
 		d.drainRing()
 	}); err != nil {
 		_ = svc.ReleaseIOSpace(grant)

@@ -14,12 +14,22 @@
 //     a real thread only if it blocks (the paper's design).
 //   - DispatchEager: a full pop-up thread is created for every event
 //     (the baseline the proto-thread optimization beats).
+//
+// A call-back comes in two forms. A Handler is given its thread and
+// may block on it; under DispatchProto it runs on a carrier goroutine
+// that can become the promoted thread's stack. A ThreadFreeHandler is
+// given no thread, so it cannot block (every blocking primitive of
+// the thread package takes the blocking *threads.Thread); under
+// DispatchProto it runs directly on the delivering goroutine, charged
+// and numbered as a proto-thread, with no carrier handoff. Under raw
+// and eager dispatch both forms behave alike.
 package event
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"paramecium/internal/hw"
 	"paramecium/internal/mmu"
@@ -48,12 +58,18 @@ func (d Dispatch) String() string {
 	return fmt.Sprintf("dispatch(%d)", int(d))
 }
 
-// Handler is an event call-back. The frame is the handler's own copy.
-// For thread dispatches t is the (proto-)thread the handler runs on;
-// for DispatchRaw t is nil and the handler must not block. A proto
-// handler that completes inline must not keep t: its carrier serves
-// the next pop-up.
+// Handler is an event call-back that takes its thread. The frame is
+// the handler's own copy. For thread dispatches t is the
+// (proto-)thread the handler runs on; for DispatchRaw t is nil and the
+// handler must not block. A proto handler that completes inline must
+// not keep t: its carrier serves the next pop-up. A handler that never
+// uses t should be a ThreadFreeHandler, which proto dispatch runs
+// without a carrier.
 type Handler func(frame hw.TrapFrame, t *threads.Thread)
+
+// ThreadFreeHandler is an event call-back that is given no thread and
+// therefore cannot block. Register it with RegisterThreadFreeIRQOn.
+type ThreadFreeHandler func(frame hw.TrapFrame)
 
 // ErrBound is returned when registering over an existing binding.
 var ErrBound = errors.New("event: event already bound")
@@ -67,6 +83,7 @@ type binding struct {
 	cpu      mmu.CPUID // CPU the call-back is routed to
 	dispatch Dispatch
 	handler  Handler
+	free     ThreadFreeHandler // set only for a thread-free binding
 	name     string
 
 	// popUp is the proto-thread body, built once at registration so
@@ -77,10 +94,13 @@ type binding struct {
 	popUp func(*threads.Thread)
 	frame hw.TrapFrame
 
-	mu        sync.Mutex
-	delivered uint64
-	promoted  uint64
-	inline    uint64 // proto-threads that completed without promotion
+	// The counters are atomics so a delivery takes no binding lock.
+	// deliver bumps delivered before the outcome, and IRQStats reads
+	// the outcomes first, so a snapshot never shows more outcomes than
+	// deliveries.
+	delivered atomic.Uint64
+	promoted  atomic.Uint64
+	inline    atomic.Uint64 // proto-threads that completed without promotion
 }
 
 // Stats is a snapshot of a binding's delivery counters.
@@ -134,16 +154,36 @@ func (s *Service) RegisterIRQOn(line hw.IRQLine, name string, ctx mmu.ContextID,
 	if h == nil {
 		return errors.New("event: nil handler")
 	}
-	if cpu < 0 || int(cpu) >= s.machine.NumCPUs() {
-		return fmt.Errorf("event: no CPU %d (machine has %d)", cpu, s.machine.NumCPUs())
+	b := &binding{ctx: ctx, cpu: cpu, dispatch: d, handler: h, name: name}
+	b.popUp = func(t *threads.Thread) { b.handler(b.frame, t) }
+	return s.registerIRQ(line, b)
+}
+
+// RegisterThreadFreeIRQOn is RegisterIRQOn for a call-back that takes
+// no thread. Under DispatchProto it runs inline on the delivering
+// goroutine: a handler with no thread cannot block, so it can never
+// need the stack of its own that a carrier exists to provide. It is
+// still charged, counted and numbered as an inline proto-thread. Raw
+// dispatch runs it as RegisterIRQOn would; eager dispatch still
+// creates and charges a thread for every event.
+func (s *Service) RegisterThreadFreeIRQOn(line hw.IRQLine, name string, ctx mmu.ContextID, d Dispatch, cpu mmu.CPUID, h ThreadFreeHandler) error {
+	if h == nil {
+		return errors.New("event: nil handler")
+	}
+	b := &binding{ctx: ctx, cpu: cpu, dispatch: d, free: h, name: name}
+	b.handler = func(f hw.TrapFrame, _ *threads.Thread) { h(f) }
+	return s.registerIRQ(line, b)
+}
+
+func (s *Service) registerIRQ(line hw.IRQLine, b *binding) error {
+	if b.cpu < 0 || int(b.cpu) >= s.machine.NumCPUs() {
+		return fmt.Errorf("event: no CPU %d (machine has %d)", b.cpu, s.machine.NumCPUs())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.irqs[line]; dup {
 		return fmt.Errorf("%w: irq %d", ErrBound, line)
 	}
-	b := &binding{ctx: ctx, cpu: cpu, dispatch: d, handler: h, name: name}
-	b.popUp = func(t *threads.Thread) { b.handler(b.frame, t) }
 	if _, err := s.machine.SetIRQHandler(line, func(f hw.TrapFrame) bool {
 		s.deliver(b, f)
 		return true
@@ -183,9 +223,7 @@ func (s *Service) RegisterTrap(vector hw.TrapVector, name string, ctx mmu.Contex
 	}
 	b := &binding{ctx: ctx, dispatch: DispatchRaw, name: name}
 	s.machine.SetTrapHandler(vector, func(f hw.TrapFrame) bool {
-		b.mu.Lock()
-		b.delivered++
-		b.mu.Unlock()
+		b.delivered.Add(1)
 		// Traps are synchronous: the handler runs on the CPU that
 		// faulted, whichever one that was, serialized with every other
 		// delivery on that CPU.
@@ -222,9 +260,7 @@ func (s *Service) UnregisterTrap(vector hw.TrapVector) error {
 //
 //paramecium:hotpath
 func (s *Service) deliver(b *binding, f hw.TrapFrame) {
-	b.mu.Lock()
-	b.delivered++
-	b.mu.Unlock()
+	b.delivered.Add(1)
 
 	switch b.dispatch {
 	case DispatchRaw:
@@ -238,23 +274,30 @@ func (s *Service) deliver(b *binding, f hw.TrapFrame) {
 		s.deliveryMu[b.cpu].Lock()
 		s.retarget(b, &f)
 		prev := s.enterContext(b.cpu, b.ctx)
-		// The promotion path keeps the binding's CPU: a handler that
-		// blocks continues as a real thread on b.cpu's run queue. The
-		// delivery lock is NOT held by that continuation — only the
-		// inline portion (which by construction ends at the first
-		// block) runs under it, and that portion is where b.popUp
-		// copies the frame out of the binding.
-		b.frame = f
-		inline := s.sched.PopUpProtoOn(b.cpu, b.name, b.popUp) == nil
+		inline := true
+		if b.free != nil {
+			// No thread, so no way to block: the proto-thread runs to
+			// completion right here, on the interrupted goroutine.
+			s.sched.PopUpInline()
+			b.free(f)
+		} else {
+			// The promotion path keeps the binding's CPU: a handler
+			// that blocks continues as a real thread on b.cpu's run
+			// queue. The delivery lock is NOT held by that
+			// continuation — only the inline portion (which by
+			// construction ends at the first block) runs under it, and
+			// that portion is where b.popUp copies the frame out of
+			// the binding.
+			b.frame = f
+			inline = s.sched.PopUpProtoOn(b.cpu, b.name, b.popUp) == nil
+		}
 		s.leaveContext(b.cpu, b.ctx, prev)
 		s.deliveryMu[b.cpu].Unlock()
-		b.mu.Lock()
 		if inline {
-			b.inline++
+			b.inline.Add(1)
 		} else {
-			b.promoted++
+			b.promoted.Add(1)
 		}
-		b.mu.Unlock()
 	case DispatchEager:
 		s.deliverEager(b, f)
 	}
@@ -334,14 +377,13 @@ func (s *Service) IRQStats(line hw.IRQLine) (Stats, bool) {
 	if !ok {
 		return Stats{}, false
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	promoted, inline := b.promoted.Load(), b.inline.Load()
 	return Stats{
 		Name:      b.name,
 		Dispatch:  b.dispatch,
-		Delivered: b.delivered,
-		Promoted:  b.promoted,
-		Inline:    b.inline,
+		Delivered: b.delivered.Load(),
+		Promoted:  promoted,
+		Inline:    inline,
 	}, true
 }
 
@@ -353,9 +395,7 @@ func (s *Service) TrapStats(vector hw.TrapVector) (Stats, bool) {
 	if !ok {
 		return Stats{}, false
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return Stats{Name: b.name, Dispatch: b.dispatch, Delivered: b.delivered}, true
+	return Stats{Name: b.name, Dispatch: b.dispatch, Delivered: b.delivered.Load()}, true
 }
 
 // Scheduler returns the thread scheduler events are pumped into.

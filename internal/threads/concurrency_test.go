@@ -182,6 +182,70 @@ func TestProtoCarrierStress(t *testing.T) {
 	}
 }
 
+// TestPopUpInlineBesideCarriers: thread-free pop-ups racing carrier
+// pop-ups (a third of them promoted) and Shutdown on four CPUs. Every
+// pop-up is charged once and consumes exactly one thread ID, and no
+// thread or idle carrier is left.
+func TestPopUpInlineBesideCarriers(t *testing.T) {
+	const ncpu, each = 4, 150
+	s, meter := newSchedN(ncpu)
+	var (
+		finished atomic.Int64
+		wg       sync.WaitGroup
+	)
+	for cpu := 0; cpu < ncpu; cpu++ {
+		wg.Add(1)
+		go func(cpu mmu.CPUID) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				switch i % 3 {
+				case 0:
+					s.PopUpInline()
+					finished.Add(1)
+				case 1:
+					s.PopUpProtoOn(cpu, "inline", func(*Thread) { finished.Add(1) })
+				case 2:
+					s.PopUpProtoOn(cpu, "promote", func(th *Thread) {
+						th.Yield()
+						finished.Add(1)
+					})
+				}
+				if i%50 == 0 {
+					s.Shutdown()
+				}
+			}
+		}(mmu.CPUID(cpu))
+	}
+	pumped := make(chan struct{})
+	go func() {
+		defer close(pumped)
+		for finished.Load() < ncpu*each {
+			s.RunUntilIdle()
+		}
+	}()
+	wg.Wait()
+	<-pumped
+	s.RunUntilIdle()
+
+	if live := s.LiveCount(); live != 0 {
+		t.Fatalf("LiveCount = %d after idle, want 0", live)
+	}
+	if got := meter.Count(clock.OpProtoThread); got != ncpu*each {
+		t.Fatalf("%d proto-thread charges, want %d", got, ncpu*each)
+	}
+	if next := s.Spawn("next", func(*Thread) {}); next.ID() != ncpu*each+1 {
+		t.Fatalf("next thread ID %d after %d pop-ups, want %d", next.ID(), ncpu*each, ncpu*each+1)
+	}
+	s.RunUntilIdle()
+	s.Shutdown()
+	s.mu.Lock()
+	n := len(s.carriers)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d carriers still idle after Shutdown", n)
+	}
+}
+
 // TestDroppedSchedulerReleasesCarriers: an embedding that drops a
 // scheduler without Shutdown strands no carrier goroutine. A parked
 // carrier references only its channels, so the scheduler is collected

@@ -44,12 +44,16 @@ import (
 type Scheduler struct {
 	meter *clock.Meter
 
-	// mu is the global scheduler lock: sleepers, live count, thread
-	// IDs, and the wait-queue registrations of the synchronization
-	// primitives (sync.go). The per-CPU run queues have their own
-	// locks, nested inside mu.
+	// nextID hands out thread IDs: one per spawn, proto-thread and
+	// thread-free pop-up, in order. Atomic, so a thread-free pop-up
+	// takes no lock.
+	nextID atomic.Uint64
+
+	// mu is the global scheduler lock: sleepers, live count, and the
+	// wait-queue registrations of the synchronization primitives
+	// (sync.go). The per-CPU run queues have their own locks, nested
+	// inside mu.
 	mu       sync.Mutex
-	nextID   uint64
 	sleepers []sleeper
 	live     int // spawned or popped up, not yet done
 
@@ -193,9 +197,8 @@ func (s *Scheduler) Parks() uint64 { return s.parks.Load() }
 func (s *Scheduler) DispatcherSpawns() uint64 { return s.workerSpawns.Load() }
 
 func (s *Scheduler) newThread(name string) *Thread {
+	id := s.nextID.Add(1)
 	s.mu.Lock()
-	s.nextID++
-	id := s.nextID
 	s.live++
 	s.mu.Unlock()
 	t := &Thread{
@@ -290,8 +293,8 @@ func (s *Scheduler) PopUpEagerOn(cpu mmu.CPUID, name string, fn func(*Thread)) *
 //paramecium:hotpath
 func (s *Scheduler) PopUpProtoOn(cpu mmu.CPUID, name string, fn func(*Thread)) (promoted *Thread) {
 	s.meter.ChargeFor(clock.KernelDomain, clock.OpProtoThread)
+	id := s.nextID.Add(1)
 	s.mu.Lock()
-	s.nextID++
 	s.live++
 	var t *Thread
 	if n := len(s.carriers); n > 0 {
@@ -299,7 +302,6 @@ func (s *Scheduler) PopUpProtoOn(cpu mmu.CPUID, name string, fn func(*Thread)) (
 		s.carriers[n-1] = nil
 		s.carriers = s.carriers[:n-1]
 	}
-	id := s.nextID
 	s.mu.Unlock()
 	if t == nil {
 		t = s.newCarrier()
@@ -324,6 +326,24 @@ func (s *Scheduler) PopUpProtoOn(cpu mmu.CPUID, name string, fn func(*Thread)) (
 	s.carriers = append(s.carriers, t)
 	s.mu.Unlock()
 	return nil
+}
+
+// PopUpInline accounts for a proto-thread whose body cannot block and
+// so runs on the caller itself, with no carrier: it charges the
+// proto-thread cost and consumes one thread ID, exactly as an inline
+// PopUpProtoOn does, so every later ID and every cycles row is the
+// same whichever form ran. It takes no lock. The caller runs the body
+// after it returns.
+//
+// The proof that the body cannot block is its type: every blocking
+// primitive of this package (Yield, Sleep, Mutex.Lock, Cond.Wait,
+// Semaphore.P, Queue.Push, Queue.Pop) takes the *Thread that blocks,
+// and a body that is never handed one cannot reach Thread.stop.
+//
+//paramecium:hotpath
+func (s *Scheduler) PopUpInline() {
+	s.meter.ChargeFor(clock.KernelDomain, clock.OpProtoThread)
+	s.nextID.Add(1)
 }
 
 // newCarrier makes a proto-thread carrier: a Thread whose host

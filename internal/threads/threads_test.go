@@ -304,6 +304,36 @@ func TestPopUpProtoRunsToCompletionInline(t *testing.T) {
 	}
 }
 
+// TestPopUpInlineAccounting: a thread-free pop-up charges exactly what
+// an inline proto-thread does, consumes one thread ID and leaves the
+// live count alone.
+func TestPopUpInlineAccounting(t *testing.T) {
+	s, meter := newSched()
+	first := s.Spawn("first", func(*Thread) {})
+	live := s.LiveCount()
+	w := meter.Clock.StartWatch()
+	s.PopUpInline()
+	inline := w.Elapsed()
+	if got := s.LiveCount(); got != live {
+		t.Fatalf("LiveCount %d -> %d across a thread-free pop-up", live, got)
+	}
+	w = meter.Clock.StartWatch()
+	if s.PopUpProtoOn(mmu.NoCPU, "irq", func(*Thread) {}) != nil {
+		t.Fatal("non-blocking pop-up was promoted")
+	}
+	if proto := w.Elapsed(); proto != inline {
+		t.Fatalf("thread-free pop-up cost %d cycles, inline proto-thread %d", inline, proto)
+	}
+	if meter.Count(clock.OpProtoThread) != 2 || meter.Count(clock.OpThreadCreate) != 1 {
+		t.Fatalf("%d proto-thread charges and %d creations, want 2 and 1",
+			meter.Count(clock.OpProtoThread), meter.Count(clock.OpThreadCreate))
+	}
+	if next := s.Spawn("next", func(*Thread) {}); next.ID() != first.ID()+3 {
+		t.Fatalf("next ID %d, want %d", next.ID(), first.ID()+3)
+	}
+	s.RunUntilIdle()
+}
+
 func TestPopUpProtoPromotesOnBlock(t *testing.T) {
 	s, meter := newSched()
 	m := NewMutex(s)

@@ -5,6 +5,14 @@
 // keeps the benchmark results deterministic: the *shape* of every
 // experiment (who wins, where the crossover falls) depends only on the
 // cost model, not on the host machine.
+//
+// A Meter's clock is derived, not accumulated: a charge only counts the
+// operation, and the clock reads as the sum over operations of count ×
+// cost, plus the cycles advanced outside any charge (the scheduler's
+// idle fast-forward). "Clock equals the sum of charges" therefore holds
+// by construction, and a charge costs one atomic add. The cost model is
+// frozen once the meter is built, since every read of the clock
+// multiplies by it.
 package clock
 
 import (
@@ -16,29 +24,46 @@ import (
 
 // Clock is a monotonically increasing virtual cycle counter. It is safe
 // for concurrent use; all mutation goes through atomic operations.
+//
+// A standalone clock (New) is one word that Advance moves. A Meter's
+// clock is derived from the meter's operation counts: Now is the dot
+// product of the counts with the cost model plus the one word that
+// Advance moves. Each term only grows, so a reader never sees the clock
+// go backwards.
 type Clock struct {
-	cycles atomic.Uint64
+	advanced atomic.Uint64 // cycles added by Advance, outside any charge
+	meter    *Meter        // the meter whose counts the clock derives from; nil when standalone
 }
 
-// New returns a Clock starting at cycle zero.
+// New returns a standalone Clock starting at cycle zero.
 func New() *Clock {
 	return &Clock{}
 }
 
-// Now reports the current cycle count.
+// Now reports the current cycle count: the cycles Advance added plus,
+// for a meter's clock, every charged operation's count times its cost.
 func (c *Clock) Now() uint64 {
-	return c.cycles.Load()
+	return c.advanced.Load() + c.charged()
 }
 
 // Advance adds n cycles to the clock and returns the new time.
 func (c *Clock) Advance(n uint64) uint64 {
-	return c.cycles.Add(n)
+	return c.advanced.Add(n) + c.charged()
 }
 
-// Reset rewinds the clock to zero. Only tests and the benchmark harness
-// should call this; live subsystems assume time never goes backwards.
-func (c *Clock) Reset() {
-	c.cycles.Store(0)
+// charged sums count × cost over the meter's operations; zero for a
+// standalone clock. A plain loop over the fixed arrays: 25 loads and
+// multiplies, no locked instruction.
+func (c *Clock) charged() uint64 {
+	m := c.meter
+	if m == nil {
+		return 0
+	}
+	var sum uint64
+	for i := range m.tally {
+		sum += m.tally[i].Load() * m.Model.Costs[i]
+	}
+	return sum
 }
 
 // Stopwatch measures an interval on a Clock.
@@ -284,25 +309,37 @@ type probeSink struct {
 
 // Meter couples a Clock with a CostModel and per-operation counters.
 // Subsystems hold a *Meter and call ChargeFor for every costed
-// operation, naming the domain that pays.
+// operation, naming the domain that pays. A charge is one atomic add to
+// its operation's count; the meter's Clock derives the time from the
+// counts and Model.
 type Meter struct {
 	Clock *Clock
+	// Model is the meter's cost model. It is frozen: nothing may write
+	// it after NewMeter, because every Clock.Now reads it to price the
+	// counts. It stays a field so callers can read it without a copy.
 	Model CostModel
-	tally [NumOps]atomic.Uint64
+	tally [NumOps]atomic.Uint64 // charges since boot; the clock is derived from these
+	base  [NumOps]atomic.Uint64 // tally at the last ResetCounts
 	sink  atomic.Pointer[probeSink]
 }
 
 // NewMeter builds a Meter over a fresh clock and the given model.
 func NewMeter(model CostModel) *Meter {
-	return &Meter{Clock: New(), Model: model}
+	m := &Meter{Model: model}
+	m.Clock = &Clock{meter: m}
+	return m
 }
 
 // EnableTracing attaches a flight recorder and per-domain ledger to the
 // meter and raises the package-level probe gate. From then on every
 // charge rolls up into the ledger under its paying domain, and
 // instrumented subsystems emit events into the recorder. Pair with
-// DisableTracing.
+// DisableTracing. The ledger is handed the meter's cost model, so it
+// can keep counts only and price them when read.
 func (m *Meter) EnableTracing(rec *probe.Recorder, led *probe.Ledger) {
+	if led != nil {
+		led.SetCosts(m.Model.Costs[:])
+	}
 	m.sink.Store(&probeSink{rec: rec, led: led})
 	probe.Enable()
 }
@@ -356,21 +393,17 @@ func (m *Meter) ChargeFor(payer uint32, op Op) {
 // ChargeNFor charges n occurrences of op at once, attributing the
 // cycles to payer: the proxy's caller, the context touching memory, the
 // context whose mapping a shootdown serves, or KernelDomain for work
-// the nucleus does on no domain's behalf.
+// the nucleus does on no domain's behalf. The charge is one atomic add
+// to op's count, which moves the derived clock by n × cost; an enabled
+// ledger counts it once more, under the payer's row.
 func (m *Meter) ChargeNFor(payer uint32, op Op, n uint64) {
-	if n == 0 {
+	if n == 0 || op < 0 || int(op) >= NumOps {
 		return
 	}
-	c := m.Model.Cost(op)
-	if c != 0 {
-		m.Clock.Advance(c * n)
-	}
-	if op >= 0 && int(op) < NumOps {
-		m.tally[op].Add(n)
-	}
+	m.tally[op].Add(n)
 	if probe.Enabled() {
 		if s := m.sink.Load(); s != nil && s.led != nil {
-			s.led.Add(payer, int(op), c*n, n)
+			s.led.Add(payer, int(op), n)
 		}
 	}
 }
@@ -383,33 +416,37 @@ func (m *Meter) AdvanceAttributed(n uint64) uint64 {
 	t := m.Clock.Advance(n)
 	if n != 0 && probe.Enabled() {
 		if s := m.sink.Load(); s != nil && s.led != nil {
-			s.led.Add(KernelDomain, IdleSlot, n, 1)
+			s.led.AddCycles(KernelDomain, IdleSlot, n, 1)
 		}
 	}
 	return t
 }
 
-// Count reports how many times op has been charged.
+// Count reports how many times op has been charged since the last
+// ResetCounts.
 func (m *Meter) Count(op Op) uint64 {
 	if op < 0 || int(op) >= NumOps {
 		return 0
 	}
-	return m.tally[op].Load()
+	return m.tally[op].Load() - m.base[op].Load()
 }
 
-// ResetCounts zeroes the per-operation counters (the clock keeps
-// running; virtual time is monotonic).
+// ResetCounts zeroes the per-operation counters as Count and Snapshot
+// report them. The clock keeps running — virtual time is monotonic —
+// because the counts it derives from are left in place and only the
+// reporting baseline moves.
 func (m *Meter) ResetCounts() {
 	for i := range m.tally {
-		m.tally[i].Store(0)
+		m.base[i].Store(m.tally[i].Load())
 	}
 }
 
-// Snapshot returns a copy of all counters, indexed by Op.
+// Snapshot returns a copy of all counters since the last ResetCounts,
+// indexed by Op.
 func (m *Meter) Snapshot() [NumOps]uint64 {
 	var out [NumOps]uint64
 	for i := range m.tally {
-		out[i] = m.tally[i].Load()
+		out[i] = m.tally[i].Load() - m.base[i].Load()
 	}
 	return out
 }

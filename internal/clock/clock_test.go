@@ -1,9 +1,12 @@
 package clock
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"paramecium/internal/probe"
 )
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -23,15 +26,6 @@ func TestAdvance(t *testing.T) {
 	}
 	if got := c.Now(); got != 12 {
 		t.Fatalf("Now() = %d, want 12", got)
-	}
-}
-
-func TestReset(t *testing.T) {
-	c := New()
-	c.Advance(100)
-	c.Reset()
-	if got := c.Now(); got != 0 {
-		t.Fatalf("Now() after Reset = %d, want 0", got)
 	}
 }
 
@@ -163,13 +157,125 @@ func TestMeterChargeN(t *testing.T) {
 func TestMeterResetCounts(t *testing.T) {
 	m := NewMeter(DefaultCosts())
 	m.ChargeFor(KernelDomain, OpSchedule)
+	m.ChargeNFor(KernelDomain, OpCopyWord, 9)
+	m.AdvanceAttributed(13)
 	before := m.Clock.Now()
 	m.ResetCounts()
 	if got := m.Count(OpSchedule); got != 0 {
 		t.Fatalf("count after reset = %d", got)
 	}
+	if snap := m.Snapshot(); snap != [NumOps]uint64{} {
+		t.Fatalf("snapshot after reset = %v, want all zero", snap)
+	}
 	if got := m.Clock.Now(); got != before {
 		t.Fatalf("ResetCounts moved the clock: %d != %d", got, before)
+	}
+	// Counting resumes from the reset, and the clock keeps pricing the
+	// charges made before it.
+	m.ChargeFor(KernelDomain, OpSchedule)
+	if got := m.Count(OpSchedule); got != 1 {
+		t.Fatalf("count after reset and one charge = %d, want 1", got)
+	}
+	if got, want := m.Clock.Now(), before+m.Model.Cost(OpSchedule); got != want {
+		t.Fatalf("clock after reset and one charge = %d, want %d", got, want)
+	}
+}
+
+// TestDerivedClockConcurrentMix: the derived clock equals the sum of
+// every charge and advance made through it, whatever the interleaving,
+// and a reader racing the writers never sees it go backwards.
+func TestDerivedClockConcurrentMix(t *testing.T) {
+	m := NewMeter(DefaultCosts())
+	const workers, perWorker = 4, 3000
+	sums := make([]uint64, workers)
+	stop := make(chan struct{})
+	readerErr := make(chan string, 1)
+	go func() {
+		defer close(readerErr)
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			now := m.Clock.Now()
+			if now < last {
+				readerErr <- fmt.Sprintf("Now went backwards: %d after %d", now, last)
+				return
+			}
+			last = now
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := NewRand(uint64(w) + 1)
+			var sum uint64
+			for i := 0; i < perWorker; i++ {
+				switch r.Intn(3) {
+				case 0:
+					op, n := Op(r.Intn(NumOps)), uint64(r.Intn(5))
+					m.ChargeNFor(uint32(w), op, n)
+					sum += n * m.Model.Cost(op)
+				case 1:
+					n := uint64(r.Intn(100))
+					m.AdvanceAttributed(n)
+					sum += n
+				default:
+					n := uint64(r.Intn(100))
+					m.Clock.Advance(n)
+					sum += n
+				}
+			}
+			sums[w] = sum
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	if msg, ok := <-readerErr; ok {
+		t.Fatal(msg)
+	}
+	var want uint64
+	for _, s := range sums {
+		want += s
+	}
+	if got := m.Clock.Now(); got != want {
+		t.Fatalf("Now() = %d, want the running sum %d", got, want)
+	}
+}
+
+// TestLedgerMatchesClock: with tracing on, every charge and attributed
+// advance lands in the ledger as well as the clock, so the ledger's
+// total equals the clock and its per-op counts equal the meter's. The
+// ledger keeps its own counts, so a charge that skipped it would show
+// here as drift.
+func TestLedgerMatchesClock(t *testing.T) {
+	m := NewMeter(DefaultCosts())
+	led := probe.NewLedger(LedgerSlots)
+	m.EnableTracing(nil, led)
+	defer m.DisableTracing()
+	r := NewRand(3)
+	for i := 0; i < 2000; i++ {
+		if r.Intn(10) == 0 {
+			m.AdvanceAttributed(uint64(r.Intn(300)))
+			continue
+		}
+		m.ChargeNFor(uint32(r.Intn(4)), Op(r.Intn(NumOps)), uint64(r.Intn(4)))
+	}
+	if got, want := led.Total(), m.Clock.Now(); got != want {
+		t.Fatalf("ledger total %d != clock %d", got, want)
+	}
+	var counts [NumOps]uint64
+	for _, row := range led.Snapshot() {
+		for op := range counts {
+			counts[op] += row.Counts[op]
+		}
+	}
+	if snap := m.Snapshot(); counts != snap {
+		t.Fatalf("ledger counts %v != meter counts %v", counts, snap)
 	}
 }
 

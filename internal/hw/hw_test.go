@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"paramecium/internal/clock"
 	"paramecium/internal/mmu"
@@ -557,5 +558,15 @@ func TestTrapTableRacesDelivery(t *testing.T) {
 	<-writerDone
 	if got := hits.Load(); got != 2*perCPU {
 		t.Fatalf("stable vector reached %d times, want %d", got, 2*perCPU)
+	}
+}
+
+// TestTrapFrameSize: the frame crosses four by-value hops per fault
+// (translateWithFaults, RaiseTrap, the memory service, the proxy). At
+// 64 bytes or under the compiler copies it with inline moves instead
+// of a call to runtime.duffcopy.
+func TestTrapFrameSize(t *testing.T) {
+	if got := unsafe.Sizeof(TrapFrame{}); got > 64 {
+		t.Fatalf("unsafe.Sizeof(TrapFrame{}) = %d, want <= 64", got)
 	}
 }

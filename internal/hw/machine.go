@@ -65,10 +65,9 @@ type TrapFrame struct {
 	Vector TrapVector
 	IRQ    IRQLine
 	Ctx    mmu.ContextID
-	Addr   mmu.VAddr // faulting address, if any
-	Access mmu.Access
-	Fault  mmu.Fault // populated for page-fault traps
-	Arg    uint64    // syscall number or device-specific argument
+	Access mmu.Access // shares Ctx's word, keeping the frame at 56 bytes
+	Addr   mmu.VAddr  // faulting address, if any
+	Arg    uint64     // syscall number or device-specific argument
 	// Token is a caller-supplied tag threaded from TouchTagged through
 	// to the fault handler. Reentrant handlers (the cross-domain proxy)
 	// key per-call state on it so concurrent faults on one page find
@@ -404,7 +403,6 @@ func (m *Machine) translateWithFaults(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.V
 			Ctx:    ctx,
 			Addr:   va,
 			Access: kind,
-			Fault:  f,
 			Token:  token,
 			CPU:    cpu,
 		})

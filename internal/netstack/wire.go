@@ -156,14 +156,29 @@ func BuildUDP(srcPort, dstPort uint16, payload []byte) []byte {
 }
 
 // Checksum is a 16-bit one's-complement sum, the classic Internet
-// checksum restricted to the payload.
+// checksum restricted to the payload. It reads the payload a 64-bit
+// word at a time and adds the word's two 32-bit halves into a 64-bit
+// accumulator, then folds once at the end (RFC 1071's wide-accumulator
+// form). Since 2^16 ≡ 1 modulo 2^16-1, a sum of 32-bit big-endian words
+// folds to the same value as the sum of the 16-bit words they hold. The
+// accumulator gains under 2^33 per word, so it cannot wrap below 16 GiB.
 func Checksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+	var sum uint64
+	for len(b) >= 8 {
+		w := binary.BigEndian.Uint64(b)
+		sum += w>>32 + w&0xFFFFFFFF
+		b = b[8:]
 	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
+	if len(b) >= 4 {
+		sum += uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		sum += uint64(b[0]) << 8
 	}
 	for sum>>16 != 0 {
 		sum = sum&0xFFFF + sum>>16

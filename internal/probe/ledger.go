@@ -6,11 +6,18 @@ import (
 	"sync/atomic"
 )
 
-// Ledger rolls clock charges up into per-domain rows: cycles and
-// occurrence counts per operation, per paying protection-domain
-// context. Every charge the meter makes while tracing is enabled lands
-// in exactly one row, so the sum of all row totals equals the clock —
-// the invariant the acceptance tests pin.
+// Ledger rolls clock charges up into per-domain rows: occurrence
+// counts per operation, per paying protection-domain context. Every
+// charge the meter makes while tracing is enabled lands in exactly one
+// row, so the sum of all row totals equals the clock — the invariant the
+// acceptance tests pin.
+//
+// A cell keeps a count only. Its cycles are the count times the slot's
+// cost, which the meter hands over (SetCosts) when tracing is enabled,
+// so a charge is one atomic add. A slot without a fixed cost — the
+// idle pseudo-slot — records explicit cycles through AddCycles. The
+// counts are the ledger's own record, kept apart from the meter's
+// tally, so a charge that misses the ledger still shows as drift.
 //
 // The operation index space is the clock package's Op ordinals plus one
 // trailing pseudo-slot for unattributed clock advances (scheduler idle
@@ -27,8 +34,9 @@ type Ledger struct {
 	// found through rows alone.
 	index atomic.Pointer[[]atomic.Pointer[ledgerRow]]
 
-	mu   sync.Mutex            // guards rows and index growth
-	rows map[uint32]*ledgerRow // every row, by domain
+	mu    sync.Mutex            // guards rows, costs and index growth
+	rows  map[uint32]*ledgerRow // every row, by domain
+	costs []uint64              // cycles per occurrence, per slot; ops long
 }
 
 // maxIndexedDomain bounds the index, so an outlandish domain id costs a
@@ -36,39 +44,59 @@ type Ledger struct {
 const maxIndexedDomain = 1 << 16
 
 // ledgerRow is one domain's accumulation. Cells are updated with
-// atomics on the charge path; a row's total is the sum of its cells.
+// atomics on the charge path; a row's total is the sum of its cells'
+// cycles. counts is dense so a charge touches one word of it; cycles
+// holds only explicit cycles, written by AddCycles.
 type ledgerRow struct {
 	frozen atomic.Bool
-	cells  []ledgerCell
+	counts []atomic.Uint64
+	cycles []atomic.Uint64
 }
 
-type ledgerCell struct {
-	cycles atomic.Uint64
-	count  atomic.Uint64
-}
-
-// NewLedger builds a ledger with the given operation-slot count.
+// NewLedger builds a ledger with the given operation-slot count. Every
+// slot costs nothing until SetCosts prices it.
 func NewLedger(ops int) *Ledger {
 	if ops < 1 {
 		ops = 1
 	}
-	return &Ledger{ops: ops, rows: make(map[uint32]*ledgerRow)}
+	return &Ledger{ops: ops, rows: make(map[uint32]*ledgerRow), costs: make([]uint64, ops)}
 }
 
 // Ops reports the ledger's operation-slot count.
 func (l *Ledger) Ops() int { return l.ops }
 
-// Add attributes n occurrences of op, worth cycles virtual cycles in
-// total, to domain's row. The fast path — row already exists — is an
-// index lookup plus two atomic adds; a domain's first charge creates
-// its row under the ledger lock.
-func (l *Ledger) Add(domain uint32, op int, cycles, n uint64) {
+// SetCosts prices the ledger's slots: slot i's cycles are its count
+// times costs[i]. Slots past len(costs) stay unpriced and carry only
+// explicit cycles. Readers price counts at read time, so SetCosts
+// reprices everything already counted.
+func (l *Ledger) SetCosts(costs []uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	clear(l.costs)
+	copy(l.costs, costs)
+}
+
+// Add counts n occurrences of op against domain's row; their cycles
+// are n times op's cost. The fast path — row already exists — is an
+// index lookup plus one atomic add; a domain's first charge creates its
+// row under the ledger lock.
+func (l *Ledger) Add(domain uint32, op int, n uint64) {
 	if l == nil || op < 0 || op >= l.ops {
 		return
 	}
-	c := &l.row(domain).cells[op]
-	c.cycles.Add(cycles)
-	c.count.Add(n)
+	l.row(domain).counts[op].Add(n)
+}
+
+// AddCycles attributes n occurrences of op worth cycles virtual cycles
+// in total, beyond any cost SetCosts gave op, to domain's row. It is
+// for slots with no fixed cost: the idle pseudo-slot.
+func (l *Ledger) AddCycles(domain uint32, op int, cycles, n uint64) {
+	if l == nil || op < 0 || op >= l.ops {
+		return
+	}
+	r := l.row(domain)
+	r.cycles[op].Add(cycles)
+	r.counts[op].Add(n)
 }
 
 // row returns domain's row, creating it on first sight.
@@ -83,7 +111,7 @@ func (l *Ledger) row(domain uint32) *ledgerRow {
 	if r := l.rows[domain]; r != nil {
 		return r
 	}
-	r := &ledgerRow{cells: make([]ledgerCell, l.ops)}
+	r := &ledgerRow{counts: make([]atomic.Uint64, l.ops), cycles: make([]atomic.Uint64, l.ops)}
 	l.rows[domain] = r
 	if domain >= maxIndexedDomain {
 		return r
@@ -135,11 +163,13 @@ func (l *Ledger) DomainCycles(domain uint32) uint64 {
 	if l == nil {
 		return 0
 	}
-	r := l.existing(domain)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	r := l.rows[domain]
 	if r == nil {
 		return 0
 	}
-	return r.total()
+	return l.total(r)
 }
 
 // Total reports the cycles attributed across all rows. With tracing
@@ -149,16 +179,17 @@ func (l *Ledger) Total() uint64 {
 	defer l.mu.Unlock()
 	var sum uint64
 	for _, r := range l.rows {
-		sum += r.total()
+		sum += l.total(r)
 	}
 	return sum
 }
 
-// total sums the row's cycle cells.
-func (r *ledgerRow) total() uint64 {
+// total sums the row's cycles: each cell's count times its slot's
+// cost, plus its explicit cycles. Caller holds l.mu.
+func (l *Ledger) total(r *ledgerRow) uint64 {
 	var sum uint64
-	for i := range r.cells {
-		sum += r.cells[i].cycles.Load()
+	for i := range r.counts {
+		sum += r.counts[i].Load()*l.costs[i] + r.cycles[i].Load()
 	}
 	return sum
 }
@@ -190,9 +221,9 @@ func (l *Ledger) Snapshot() []RowSnapshot {
 			Cycles: make([]uint64, l.ops),
 			Counts: make([]uint64, l.ops),
 		}
-		for i := range r.cells {
-			row.Cycles[i] = r.cells[i].cycles.Load()
-			row.Counts[i] = r.cells[i].count.Load()
+		for i := range r.counts {
+			row.Counts[i] = r.counts[i].Load()
+			row.Cycles[i] = row.Counts[i]*l.costs[i] + r.cycles[i].Load()
 			row.Total += row.Cycles[i]
 		}
 		out = append(out, row)

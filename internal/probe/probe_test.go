@@ -141,20 +141,24 @@ func TestRecorderSnapshotUnderFire(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLedgerAccounting: adds accumulate per cell and per row, rows sort
-// by domain, out-of-range ops are ignored, and the grand total is the
-// sum of the rows.
+// TestLedgerAccounting: counts accumulate per cell and are priced by
+// SetCosts, explicit cycles ride on unpriced slots, rows sort by domain,
+// out-of-range ops are ignored, and the grand total is the sum of the
+// rows.
 func TestLedgerAccounting(t *testing.T) {
 	l := NewLedger(4)
 	if l.Ops() != 4 {
 		t.Fatalf("Ops = %d", l.Ops())
 	}
-	l.Add(2, 1, 100, 2)
-	l.Add(2, 1, 50, 1)
-	l.Add(2, 3, 25, 5)
-	l.Add(0, 0, 7, 1)
-	l.Add(2, -1, 999, 1) // out of range: dropped
-	l.Add(2, 4, 999, 1)  // out of range: dropped
+	l.SetCosts([]uint64{7, 50}) // slots 2 and 3 stay unpriced
+	l.Add(2, 1, 2)
+	l.Add(2, 1, 1)
+	l.AddCycles(2, 3, 25, 5)
+	l.Add(2, 2, 4) // unpriced count: no cycles
+	l.Add(0, 0, 1)
+	l.Add(2, -1, 1)           // out of range: dropped
+	l.Add(2, 4, 1)            // out of range: dropped
+	l.AddCycles(2, 4, 999, 1) // out of range: dropped
 
 	if got := l.DomainCycles(2); got != 175 {
 		t.Fatalf("DomainCycles(2) = %d, want 175", got)
@@ -171,7 +175,8 @@ func TestLedgerAccounting(t *testing.T) {
 		t.Fatalf("snapshot rows = %+v, want domains [0 2]", rows)
 	}
 	d2 := rows[1]
-	if d2.Cycles[1] != 150 || d2.Counts[1] != 3 || d2.Cycles[3] != 25 || d2.Counts[3] != 5 {
+	if d2.Cycles[1] != 150 || d2.Counts[1] != 3 || d2.Cycles[3] != 25 || d2.Counts[3] != 5 ||
+		d2.Cycles[2] != 0 || d2.Counts[2] != 4 {
 		t.Fatalf("domain 2 cells = cycles %v counts %v", d2.Cycles, d2.Counts)
 	}
 	if d2.Total != 175 || d2.Frozen {
@@ -183,7 +188,8 @@ func TestLedgerAccounting(t *testing.T) {
 // and freezing a domain that never charged records an empty row.
 func TestLedgerFreeze(t *testing.T) {
 	l := NewLedger(2)
-	l.Add(5, 0, 40, 1)
+	l.SetCosts([]uint64{40})
+	l.Add(5, 0, 1)
 	l.Freeze(5)
 	if !l.Frozen(5) {
 		t.Fatal("row not frozen")
@@ -200,7 +206,8 @@ func TestLedgerFreeze(t *testing.T) {
 	}
 
 	var nilLedger *Ledger
-	nilLedger.Add(0, 0, 1, 1) // all nil-receiver paths are no-ops
+	nilLedger.Add(0, 0, 1) // all nil-receiver paths are no-ops
+	nilLedger.AddCycles(0, 0, 1, 1)
 	nilLedger.Freeze(0)
 	if nilLedger.DomainCycles(0) != 0 || nilLedger.Snapshot() != nil {
 		t.Fatal("nil ledger not inert")
@@ -211,6 +218,7 @@ func TestLedgerFreeze(t *testing.T) {
 // under contention — the invariant behind ledger-total == meter-clock.
 func TestLedgerConcurrentAdd(t *testing.T) {
 	l := NewLedger(3)
+	l.SetCosts([]uint64{3, 3, 3})
 	const workers, perWorker = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -218,7 +226,7 @@ func TestLedgerConcurrentAdd(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				l.Add(uint32(w%4), i%3, 3, 1)
+				l.Add(uint32(w%4), i%3, 1)
 			}
 		}(w)
 	}
@@ -238,9 +246,10 @@ func TestLedgerConcurrentAdd(t *testing.T) {
 // snapshot like any other row.
 func TestLedgerDomainsPastTheIndex(t *testing.T) {
 	l := NewLedger(2)
+	l.SetCosts([]uint64{0, 10})
 	far := uint32(maxIndexedDomain + 7)
 	for _, d := range []uint32{far, 1, 9, 100, far} {
-		l.Add(d, 1, 10, 1)
+		l.Add(d, 1, 1)
 	}
 	if got := l.DomainCycles(far); got != 20 {
 		t.Fatalf("DomainCycles(far) = %d, want 20", got)

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"paramecium/internal/clock"
 	"paramecium/internal/mem"
@@ -209,10 +210,13 @@ type Grant struct {
 	// Load/Store (held shared) against revocation (held exclusive,
 	// under reg.mu): an in-flight copy completes before the frames are
 	// unmapped and unreferenced, so a racing revoke can never expose a
-	// recycled frame to a stale copy. revoked is written under both
-	// locks, readable under either.
+	// recycled frame to a stale copy. revoked is stored under both
+	// locks and is atomic, so Revoked reads it with no lock at all —
+	// the ring polls it on every push. A data-plane access still takes
+	// accessMu shared, because the lock, not the flag, is what pins
+	// the frames against a revoke.
 	accessMu sync.RWMutex
-	revoked  bool
+	revoked  atomic.Bool
 
 	// Guarded by reg.mu.
 	mapped bool
@@ -321,9 +325,7 @@ func (g *Grant) Rights() Rights { return g.rights }
 // CondemnDomainFrom sweep of the grantee). The granting side polls this to
 // learn the grantee is gone — the ring protocol reads it as hangup.
 func (g *Grant) Revoked() bool {
-	g.accessMu.RLock()
-	defer g.accessMu.RUnlock()
-	return g.revoked
+	return g.revoked.Load()
 }
 
 // RevokeFrom withdraws the grant, initiating shootdowns from the given
@@ -352,7 +354,7 @@ func (r *Registry) Attach(ref GrantRef) (*Attachment, error) {
 // the boot CPU: attach runs on the nucleus' control plane, not a
 // particular CPU.
 func (r *Registry) attachLocked(g *Grant) (*Attachment, error) {
-	if g.revoked {
+	if g.revoked.Load() {
 		return nil, ErrRevoked
 	}
 	if _, dead := r.condemned[g.to]; dead {
@@ -407,7 +409,7 @@ func (s *Segment) RevokeFrom(initiator mmu.CPUID, ref GrantRef) error {
 	if g == nil || g.seg != s {
 		return ErrNoGrant
 	}
-	if g.revoked {
+	if g.revoked.Load() {
 		return ErrRevoked
 	}
 	r.revokeLocked(initiator, g)
@@ -427,7 +429,7 @@ func (r *Registry) CheckDeliverable(ref GrantRef, to mmu.ContextID) error {
 	switch {
 	case g == nil:
 		return ErrNoGrant
-	case g.revoked:
+	case g.revoked.Load():
 		return ErrRevoked
 	case g.to != to:
 		return fmt.Errorf("%w: granted to context %d, delivered to %d", ErrWrongDomain, g.to, to)
@@ -450,7 +452,7 @@ func (r *Registry) RevokeFrom(initiator mmu.CPUID, ref GrantRef) error {
 	if g == nil {
 		return ErrNoGrant
 	}
-	if g.revoked {
+	if g.revoked.Load() {
 		return ErrRevoked
 	}
 	r.revokeLocked(initiator, g)
@@ -476,7 +478,7 @@ func (r *Registry) revokeLocked(initiator mmu.CPUID, g *Grant) {
 		r.svc.ReleaseVA(g.to, g.base, g.seg.pages)
 	}
 	g.mapped = false
-	g.revoked = true
+	g.revoked.Store(true)
 	g.accessMu.Unlock()
 	delete(g.seg.grants, g.ref)
 	r.tombLocked(g.ref)
@@ -501,7 +503,7 @@ func (r *Registry) evictTombsLocked() {
 		r.tombs = r.tombs[1:]
 		// Only drop the record if it is still a tombstone (never a live
 		// reissued ref — refs are unique, but stay defensive).
-		if g, ok := r.grants[old]; ok && g.revoked {
+		if g, ok := r.grants[old]; ok && g.revoked.Load() {
 			delete(r.grants, old)
 		}
 	}
@@ -575,7 +577,7 @@ func (r *Registry) CondemnDomainFrom(initiator mmu.CPUID, ctx mmu.ContextID) {
 	defer r.mu.Unlock()
 	r.condemned[ctx] = struct{}{}
 	for _, g := range r.grants {
-		if g.to == ctx && !g.revoked {
+		if g.to == ctx && !g.revoked.Load() {
 			r.revokeLocked(initiator, g)
 		}
 	}
@@ -662,9 +664,7 @@ func (a *Attachment) Rights() Rights { return a.g.rights }
 
 // Revoked reports whether the attachment's grant has been revoked.
 func (a *Attachment) Revoked() bool {
-	a.g.accessMu.RLock()
-	defer a.g.accessMu.RUnlock()
-	return a.g.revoked
+	return a.g.revoked.Load()
 }
 
 // Load copies from the attached segment into buf through the
@@ -696,7 +696,7 @@ func (a *Attachment) access(off int, buf []byte, write bool) error {
 	// visible here, the access fails with the distinct error.
 	g.accessMu.RLock()
 	defer g.accessMu.RUnlock()
-	if g.revoked {
+	if g.revoked.Load() {
 		return ErrRevoked
 	}
 	if write && g.rights != RW {

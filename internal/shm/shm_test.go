@@ -3,6 +3,7 @@ package shm
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -253,6 +254,59 @@ func TestConcurrentAccessDuringRevoke(t *testing.T) {
 		wg.Wait()
 	}
 	_ = machine // machine only anchors the fixture
+}
+
+// TestRevokedReadersRaceRevoke: Revoked takes no lock, so readers
+// polling it race RevokeFrom directly. Once either side's Revoked
+// reports true it stays true, and an access made after that fails with
+// ErrRevoked: the flag is stored while the revoke holds the access lock,
+// so an access that sees it cannot have run on the torn mapping. When
+// RevokeFrom returns, both report true.
+func TestRevokedReadersRaceRevoke(t *testing.T) {
+	reg, svc, _ := newTestRegistry(t, 2)
+	owner, grantee := svc.NewDomain(), svc.NewDomain()
+	seg, err := reg.NewSegment(owner, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 50; round++ {
+		g, err := seg.Grant(grantee, RW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		att, err := reg.Attach(g.Ref())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				revoked := g.Revoked
+				if w%2 == 1 {
+					revoked = att.Revoked
+				}
+				var word [8]byte
+				for !revoked() {
+					runtime.Gosched()
+				}
+				if !revoked() {
+					t.Error("Revoked went back to false")
+				}
+				if err := att.Store(0, word[:]); !errors.Is(err, ErrRevoked) {
+					t.Errorf("store after Revoked = %v, want ErrRevoked", err)
+				}
+			}(w)
+		}
+		if err := g.RevokeFrom(mmu.BootCPU); err != nil {
+			t.Fatal(err)
+		}
+		if !g.Revoked() || !att.Revoked() {
+			t.Fatal("RevokeFrom returned with Revoked false")
+		}
+		wg.Wait()
+	}
 }
 
 func TestForgedRefFails(t *testing.T) {

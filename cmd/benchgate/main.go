@@ -1,11 +1,11 @@
 // Command benchgate is the CI benchmark-regression gate. It parses
 // `go test -bench` output, writes a machine-readable JSON report of
 // every benchmark's metrics, and — when given a baseline — fails if
-// any gated hot-path benchmark regressed beyond the threshold.
+// any benchmark's cycles/op differs from the baseline.
 //
 // Gating compares cycles/op, the simulation's deterministic virtual
-// cost: it does not vary with CI hardware, load or GOMAXPROCS, so a
-// tight threshold holds without flakes. Host ns/op is recorded in the
+// cost: it does not vary with CI hardware, load or GOMAXPROCS, so it
+// is held exactly, in either direction, without flakes. Host ns/op is recorded in the
 // report for humans (and for the parallel P-series, which has no
 // virtual-cycle metric) but is not gated by default because wall
 // clock on shared runners is noise. Allocation counts ARE
@@ -17,7 +17,7 @@
 //
 //	go test -run xxx -bench . -benchtime 2000x . | tee bench.out
 //	benchgate -in bench.out -out BENCH_invoke.json \
-//	          -baseline ci/bench_baseline.json -threshold 0.20
+//	          -baseline ci/bench_baseline.json -benchtime 2000x
 //
 // To refresh the committed baseline after an intentional cost change,
 // rerun the same benchmark command and copy the -out file over
@@ -79,7 +79,6 @@ func main() {
 	in := flag.String("in", "-", "benchmark output to parse ('-' for stdin)")
 	out := flag.String("out", "", "write the JSON report here (empty: stdout)")
 	baseline := flag.String("baseline", "", "baseline JSON to gate against (empty: no gate)")
-	threshold := flag.Float64("threshold", 0.20, "maximum allowed cycles/op regression, as a fraction")
 	benchtime := flag.String("benchtime", "", "the -benchtime the run used (e.g. 2000x), recorded in the report and checked against the baseline")
 	minParallel := flag.Float64("minparallel", 0, "minimum serialized-to-parallel ns/op ratio (P0/P1); 0 disables the ratio gate")
 	minScaling := flag.Float64("minscaling", 0, "minimum single-CPU-to-scaled ns/op ratio on the topology-scaling invoke pair; 0 disables the scaling gate")
@@ -237,7 +236,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	failures := gate(base, report, *threshold)
+	failures := gate(base, report)
 	if *allocGate != "" {
 		failures = append(failures, gateAllocs(base, report, strings.Split(*allocGate, ","))...)
 	}
@@ -247,8 +246,8 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "benchgate: %d benchmarks, gate passed (threshold %.0f%%)\n",
-		len(report.Benchmarks), *threshold*100)
+	fmt.Fprintf(os.Stderr, "benchgate: %d benchmarks, gate passed (cycles/op exact)\n",
+		len(report.Benchmarks))
 }
 
 // gateAllocs holds the named benchmarks' allocs/op at or below the
@@ -350,11 +349,13 @@ func load(path string) (*Report, error) {
 }
 
 // gate compares every baseline benchmark that carries a cycles/op
-// metric against the current run. Missing benchmarks fail: deleting a
+// metric against the current run and fails on any difference: a
+// deliberate cost change, up or down, is recorded by refreshing the
+// baseline and saying which rows moved. Missing benchmarks fail: deleting a
 // gated hot path is a decision, recorded by editing the baseline.
 // Benchmarks in the run but absent from the baseline are warned about,
 // so a newly added hot path is never silently ungated.
-func gate(base, cur *Report, threshold float64) []string {
+func gate(base, cur *Report) []string {
 	switch {
 	case base.BenchTime != "" && cur.BenchTime != "" && base.BenchTime != cur.BenchTime:
 		// cycles/op from different iteration counts are incomparable
@@ -387,15 +388,9 @@ func gate(base, cur *Report, threshold float64) []string {
 				name, b.CyclesPerOp))
 			continue
 		}
-		limit := b.CyclesPerOp * (1 + threshold)
-		switch {
-		case c.CyclesPerOp > limit:
-			failures = append(failures, fmt.Sprintf("%s: %.1f cycles/op, baseline %.1f (+%.1f%% > +%.0f%% allowed)",
-				name, c.CyclesPerOp, b.CyclesPerOp,
-				100*(c.CyclesPerOp-b.CyclesPerOp)/b.CyclesPerOp, threshold*100))
-		case c.CyclesPerOp < b.CyclesPerOp*(1-threshold):
-			fmt.Fprintf(os.Stderr, "note: %s improved to %.1f cycles/op (baseline %.1f); consider refreshing the baseline\n",
-				name, c.CyclesPerOp, b.CyclesPerOp)
+		if c.CyclesPerOp != b.CyclesPerOp {
+			failures = append(failures, fmt.Sprintf("%s: %v cycles/op, baseline %v (must match exactly)",
+				name, c.CyclesPerOp, b.CyclesPerOp))
 		}
 	}
 	return failures

@@ -13,68 +13,76 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"paramecium/internal/bench"
 )
 
+type experiment struct {
+	id  string
+	run func() bench.Table
+}
+
+// experiments lists every experiment once, in report order. Ids that
+// start with P are the host-parallel series.
+var experiments = []experiment{
+	{"T1", bench.T1Invocation},
+	{"T2", bench.T2CrossDomain},
+	{"T3", bench.T3Interrupt},
+	{"T4", bench.T4Certification},
+	{"T5", bench.T5FilterPlacement},
+	{"T6", bench.T6Reconfiguration},
+	{"F1", bench.F1Throughput},
+	{"F2", bench.F2BreakEven},
+	{"F3", bench.F3BlockingFraction},
+	{"F4", bench.F4Namespace},
+	{"F5", bench.F5TrapCostSweep},
+	{"P1", bench.P1ParallelProxyCall},
+	{"P2", bench.P2ParallelLookup},
+	{"P3", bench.P3CPUTopology},
+	{"P5", bench.P5BatchSweep},
+	{"P6", bench.P6BulkTransfer},
+	{"P7", bench.P7RingStream},
+	{"P8", bench.P8MixedTargetSweep},
+	{"P9", bench.P9ScalingSweep},
+	{"P10", bench.P10TraceOverhead},
+}
+
 func main() {
 	parallel := flag.Bool("parallel", false,
 		"also run the P-series parallel-throughput experiments (host wall-clock, not deterministic)")
 	flag.Usage = func() {
+		ids := make([]string, len(experiments))
+		for i, e := range experiments {
+			ids[i] = e.id
+		}
 		fmt.Fprintf(os.Stderr, "usage: benchtab [-parallel] [experiment ids...]\n")
-		fmt.Fprintf(os.Stderr, "experiments: T1 T2 T3 T4 T5 T6 F1 F2 F3 F4 F5 P1 P2 P3 P5 P6 P7 P8 P9 P10 (default: all T/F)\n")
+		fmt.Fprintf(os.Stderr, "experiments: %s (default: all T/F)\n", strings.Join(ids, " "))
 	}
 	flag.Parse()
 
 	want := make(map[string]bool)
 	for _, a := range flag.Args() {
-		want[strings.ToUpper(a)] = true
-	}
-
-	runners := map[string]func() bench.Table{
-		"T1":  bench.T1Invocation,
-		"T2":  bench.T2CrossDomain,
-		"T3":  bench.T3Interrupt,
-		"T4":  bench.T4Certification,
-		"T5":  bench.T5FilterPlacement,
-		"T6":  bench.T6Reconfiguration,
-		"F1":  bench.F1Throughput,
-		"F2":  bench.F2BreakEven,
-		"F3":  bench.F3BlockingFraction,
-		"F4":  bench.F4Namespace,
-		"F5":  bench.F5TrapCostSweep,
-		"P1":  bench.P1ParallelProxyCall,
-		"P2":  bench.P2ParallelLookup,
-		"P3":  bench.P3CPUTopology,
-		"P5":  bench.P5BatchSweep,
-		"P6":  bench.P6BulkTransfer,
-		"P7":  bench.P7RingStream,
-		"P8":  bench.P8MixedTargetSweep,
-		"P9":  bench.P9ScalingSweep,
-		"P10": bench.P10TraceOverhead,
-	}
-	order := []string{"T1", "T2", "T3", "T4", "T5", "T6", "F1", "F2", "F3", "F4", "F5", "P1", "P2", "P3", "P5", "P6", "P7", "P8", "P9", "P10"}
-
-	for _, a := range flag.Args() {
-		if _, ok := runners[strings.ToUpper(a)]; !ok {
+		id := strings.ToUpper(a)
+		if !slices.ContainsFunc(experiments, func(e experiment) bool { return e.id == id }) {
 			fmt.Fprintf(os.Stderr, "benchtab: unknown experiment %q\n", a)
 			os.Exit(2)
 		}
+		want[id] = true
 	}
 
 	ran := 0
-	for _, id := range order {
-		isParallel := strings.HasPrefix(id, "P")
+	for _, e := range experiments {
 		switch {
 		case len(want) > 0:
-			if !want[id] {
+			if !want[e.id] {
 				continue
 			}
-		case isParallel && !*parallel:
+		case strings.HasPrefix(e.id, "P") && !*parallel:
 			continue
 		}
-		t := runners[id]()
+		t := e.run()
 		fmt.Println(t.Render())
 		ran++
 	}

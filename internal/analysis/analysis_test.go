@@ -27,7 +27,7 @@ func sharedLoader(t *testing.T) *Loader {
 
 func golden(t *testing.T, a *Analyzer) {
 	t.Helper()
-	RunGolden(t, sharedLoader(t), filepath.Join("testdata", "src", a.Name), a)
+	runGolden(t, sharedLoader(t), filepath.Join("testdata", "src", a.Name), a)
 }
 
 func TestChargePathGolden(t *testing.T)   { golden(t, ChargePath) }

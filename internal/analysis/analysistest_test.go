@@ -20,15 +20,15 @@ type expectation struct {
 	hit  bool
 }
 
-// RunGolden runs one analyzer over the package in dir (a testdata
+// runGolden runs one analyzer over the package in dir (a testdata
 // package) and compares its findings against the package's "// want"
 // comments, exactly like x/tools' analysistest: every finding must
 // match a want expectation on its line, and every expectation must be
 // matched by a finding. Lines carrying a //paralint:ignore directive
 // therefore assert suppression simply by carrying no want comment.
-func RunGolden(t *testing.T, loader *Loader, dir string, a *Analyzer) {
+func runGolden(t *testing.T, loader *Loader, dir string, a *Analyzer) {
 	t.Helper()
-	pkg, err := loader.LoadDir(dir)
+	pkg, err := loader.loadAt(dir)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}

@@ -7,10 +7,10 @@ import (
 
 // CPUState guards the per-CPU ownership discipline. Per-CPU state (the
 // "cpus" arrays in the MMU and machine layers) may only be reached
-// through the blessed entry points — the package's own cpu()/CPUByID
-// accessors, a CPU identity threaded in as a CPUID parameter or lease,
-// a frame's .CPU field, or a vp.ID() — never by indexing with an
-// unrelated integer, which silently reads another CPU's state.
+// through the blessed entry points — the package's own cpu() accessor,
+// a CPU identity threaded in as a CPUID parameter or lease, a frame's
+// .CPU field, or a vp.ID() — never by indexing with an unrelated
+// integer, which silently reads another CPU's state.
 //
 // It also polices the boot CPU as an initiator: every operation that
 // touches per-CPU state takes its CPU explicitly, and referencing the
@@ -33,7 +33,6 @@ var cpuStatePackages = []string{
 // blessed accessors everything else must go through.
 var cpuAccessorFuncs = map[string]bool{
 	"cpu":        true,
-	"CPUByID":    true,
 	"AcquireCPU": true,
 }
 

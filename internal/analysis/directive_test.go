@@ -25,7 +25,7 @@ func move(dst, src []byte) {
 	if err := os.WriteFile(filepath.Join(dir, "bad.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := sharedLoader(t).LoadDir(dir)
+	pkg, err := sharedLoader(t).loadAt(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func move(dst, src []byte) {
 	if err := os.WriteFile(filepath.Join(dir, "cross.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := sharedLoader(t).LoadDir(dir)
+	pkg, err := sharedLoader(t).loadAt(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestGoldenCounts(t *testing.T) {
 		{ProbeSafe, "testdata/src/probesafe", 8},
 		{ThreadFree, "testdata/src/threadfree", 3},
 	} {
-		pkg, err := sharedLoader(t).LoadDir(tc.dir)
+		pkg, err := sharedLoader(t).loadAt(tc.dir)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,9 +110,10 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 	return l.loadDir(dir, importPath)
 }
 
-// LoadDir parses and type-checks the package in dir under a synthetic
-// import path (used for testdata packages outside the module tree).
-func (l *Loader) LoadDir(dir string) (*Package, error) {
+// loadAt parses and type-checks the package in dir under a synthetic
+// import path: a testdata package, or a module beside this one that
+// imports it.
+func (l *Loader) loadAt(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err

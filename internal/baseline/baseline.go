@@ -74,13 +74,6 @@ func (m *Monolith) Seal() {
 	m.sealed = true
 }
 
-// Sealed reports whether the kernel is sealed.
-func (m *Monolith) Sealed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sealed
-}
-
 // Syscall invokes a kernel service from application code: trap entry,
 // argument copy-in, the service body, result copy-out, trap exit.
 func (m *Monolith) Syscall(name string, args ...any) ([]any, error) {
@@ -99,13 +92,6 @@ func (m *Monolith) Syscall(name string, args ...any) ([]any, error) {
 	res, err := s(args...)
 	m.meter.ChargeNFor(clock.KernelDomain, clock.OpCopyWord, wordsOf(res))
 	return res, err
-}
-
-// Calls reports total syscalls issued.
-func (m *Monolith) Calls() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.calls
 }
 
 // wordsOf mirrors the proxy package's argument-size model so the two
@@ -181,10 +167,10 @@ func (p *NetPath) Deliver(frame []byte) {
 	p.queue = append(p.queue, append([]byte{}, udp.Payload...))
 }
 
-// DeliverViaUserFilter is what extensibility costs on the monolith: a
+// deliverViaUserFilter is what extensibility costs on the monolith: a
 // syscall (to hand the frame to the user filter) per packet before
 // the fixed path runs.
-func (p *NetPath) DeliverViaUserFilter(frame []byte, filter func([]byte) bool) {
+func (p *NetPath) deliverViaUserFilter(frame []byte, filter func([]byte) bool) {
 	res, err := p.m.Syscall("netpath.filter_upcall", frame)
 	if err != nil || len(res) == 0 {
 		p.drop()
@@ -204,15 +190,8 @@ func (p *NetPath) drop() {
 	p.mu.Unlock()
 }
 
-// Stats reports delivered and dropped frame counts.
-func (p *NetPath) Stats() (delivered, dropped uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.delivered, p.dropped
-}
-
-// Recv pops the oldest delivered payload.
-func (p *NetPath) Recv() ([]byte, bool) {
+// recv pops the oldest delivered payload.
+func (p *NetPath) recv() ([]byte, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.queue) == 0 {

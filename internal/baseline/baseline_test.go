@@ -29,8 +29,8 @@ func TestSyscallPath(t *testing.T) {
 	if machine.Meter.Count(clock.OpTrapEnter) != 1 || machine.Meter.Count(clock.OpTrapExit) != 1 {
 		t.Fatal("syscall did not charge trap entry/exit")
 	}
-	if mono.Calls() != 1 {
-		t.Fatalf("calls = %d", mono.Calls())
+	if mono.calls != 1 {
+		t.Fatalf("calls = %d", mono.calls)
 	}
 }
 
@@ -45,7 +45,7 @@ func TestSyscallUnknownService(t *testing.T) {
 func TestSealedKernelRejectsNewServices(t *testing.T) {
 	mono, _ := newMonolith()
 	mono.Seal()
-	if !mono.Sealed() {
+	if !mono.sealed {
 		t.Fatal("not sealed")
 	}
 	if err := mono.AddService("late", func(...any) ([]any, error) { return nil, nil }); !errors.Is(err, ErrSealed) {
@@ -103,15 +103,15 @@ func TestNetPathFixedFilter(t *testing.T) {
 	p.Deliver(frame(7, []byte("keep")))
 	p.Deliver(frame(8, []byte("toss")))
 	p.Deliver([]byte("junk"))
-	delivered, dropped := p.Stats()
+	delivered, dropped := p.delivered, p.dropped
 	if delivered != 1 || dropped != 2 {
 		t.Fatalf("stats = %d/%d", delivered, dropped)
 	}
-	payload, ok := p.Recv()
+	payload, ok := p.recv()
 	if !ok || string(payload) != "keep" {
 		t.Fatalf("recv = %q, %v", payload, ok)
 	}
-	if _, ok := p.Recv(); ok {
+	if _, ok := p.recv(); ok {
 		t.Fatal("phantom payload")
 	}
 }
@@ -132,11 +132,11 @@ func TestNetPathUserFilterPaysSyscall(t *testing.T) {
 	if machine.Meter.Count(clock.OpTrapEnter) != 0 {
 		t.Fatal("fixed path trapped")
 	}
-	p.DeliverViaUserFilter(frame(7, []byte("slow")), userFilter)
+	p.deliverViaUserFilter(frame(7, []byte("slow")), userFilter)
 	if machine.Meter.Count(clock.OpTrapEnter) != 1 {
 		t.Fatal("user-filter path did not trap")
 	}
-	delivered, _ := p.Stats()
+	delivered := p.delivered
 	if delivered != 2 {
 		t.Fatalf("delivered = %d", delivered)
 	}
@@ -151,8 +151,8 @@ func TestNetPathUserFilterReject(t *testing.T) {
 	}
 	mono.Seal()
 	p := NewNetPath(mono, 7)
-	p.DeliverViaUserFilter(frame(7, []byte("x")), nil)
-	delivered, dropped := p.Stats()
+	p.deliverViaUserFilter(frame(7, []byte("x")), nil)
+	delivered, dropped := p.delivered, p.dropped
 	if delivered != 0 || dropped != 1 {
 		t.Fatalf("stats = %d/%d", delivered, dropped)
 	}

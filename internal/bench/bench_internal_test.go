@@ -285,12 +285,12 @@ func TestRenderAndAll(t *testing.T) {
 	if !strings.Contains(out, "== X: t ==") || !strings.Contains(out, "longer") {
 		t.Fatalf("render:\n%s", out)
 	}
-	tables := All()
-	if len(tables) != 11 {
-		t.Fatalf("All() = %d tables", len(tables))
-	}
 	ids := map[string]bool{}
-	for _, tb := range tables {
+	for _, run := range []func() Table{
+		T1Invocation, T2CrossDomain, T3Interrupt, T4Certification, T5FilterPlacement, T6Reconfiguration,
+		F1Throughput, F2BreakEven, F3BlockingFraction, F4Namespace, F5TrapCostSweep,
+	} {
+		tb := run()
 		if tb.Render() == "" {
 			t.Fatalf("%s renders empty", tb.ID)
 		}

@@ -208,17 +208,3 @@ func P3CPUTopology() Table {
 		"workers = cpus; each call claims a virtual CPU, so misses partition across the topology")
 	return t
 }
-
-// AllParallel runs the P-series experiments.
-func AllParallel() []Table {
-	return []Table{
-		P1ParallelProxyCall(),
-		P2ParallelLookup(),
-		P3CPUTopology(),
-		P5BatchSweep(),
-		P6BulkTransfer(),
-		P7RingStream(),
-		P8MixedTargetSweep(),
-		P9ScalingSweep(),
-	}
-}

@@ -77,20 +77,3 @@ func (t *Table) Render() string {
 	}
 	return b.String()
 }
-
-// All runs every experiment and returns the tables in report order.
-func All() []Table {
-	return []Table{
-		T1Invocation(),
-		T2CrossDomain(),
-		T3Interrupt(),
-		T4Certification(),
-		T5FilterPlacement(),
-		T6Reconfiguration(),
-		F1Throughput(),
-		F2BreakEven(),
-		F3BlockingFraction(),
-		F4Namespace(),
-		F5TrapCostSweep(),
-	}
-}

@@ -131,28 +131,6 @@ func (v *Validator) verifyDelegation(d *Delegation, depth int) error {
 	return nil
 }
 
-// ChainDepth reports how many delegation links lie between the named
-// delegate and the authority (1 for a direct delegate). It returns 0
-// for unknown delegates.
-func (v *Validator) ChainDepth(delegate string) int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	depth := 0
-	name := delegate
-	for depth < MaxChainDepth {
-		d, ok := v.delegations[name]
-		if !ok {
-			return 0
-		}
-		depth++
-		if d.Issuer == AuthorityName || d.Issuer == "" {
-			return depth
-		}
-		name = d.Issuer
-	}
-	return depth
-}
-
 func (v *Validator) chargeVerify() {
 	if v.meter != nil {
 		v.meter.ChargeFor(clock.KernelDomain, clock.OpSigVerify)
@@ -206,13 +184,6 @@ func (v *Validator) Validate(image []byte, c *Certificate, required Privilege) e
 	v.cache[digest] = c.Privilege
 	v.mu.Unlock()
 	return nil
-}
-
-// CacheStats reports validation-cache hits and misses.
-func (v *Validator) CacheStats() (hits, misses uint64) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.cacheHits, v.cacheMisses
 }
 
 // InvalidateCache drops all cached validations (e.g. after key

@@ -25,7 +25,7 @@ import (
 // Clock is a monotonically increasing virtual cycle counter. It is safe
 // for concurrent use; all mutation goes through atomic operations.
 //
-// A standalone clock (New) is one word that Advance moves. A Meter's
+// A zero Clock is a standalone clock: one word that Advance moves. A Meter's
 // clock is derived from the meter's operation counts: Now is the dot
 // product of the counts with the cost model plus the one word that
 // Advance moves. Each term only grows, so a reader never sees the clock
@@ -33,11 +33,6 @@ import (
 type Clock struct {
 	advanced atomic.Uint64 // cycles added by Advance, outside any charge
 	meter    *Meter        // the meter whose counts the clock derives from; nil when standalone
-}
-
-// New returns a standalone Clock starting at cycle zero.
-func New() *Clock {
-	return &Clock{}
 }
 
 // Now reports the current cycle count: the cycles Advance added plus,
@@ -257,7 +252,7 @@ const (
 	KernelDomain uint32 = 0
 	// IdleSlot is the ledger's pseudo-operation slot for clock advances
 	// outside any costed operation — the scheduler fast-forwarding
-	// virtual time to the next timer deadline. It sits after every real
+	// virtual time to the next sleep deadline. It sits after every real
 	// Op ordinal so the two index spaces never collide.
 	IdleSlot = NumOps
 	// LedgerSlots is the operation-slot count a Meter's ledger needs:
@@ -409,7 +404,7 @@ func (m *Meter) ChargeNFor(payer uint32, op Op, n uint64) {
 }
 
 // AdvanceAttributed advances the clock by n cycles outside any costed
-// operation — the scheduler fast-forwarding to a timer deadline — and
+// operation — the scheduler fast-forwarding to a sleep deadline — and
 // attributes them to the kernel row's idle pseudo-slot, so an enabled
 // ledger's total still equals the clock. Returns the new time.
 func (m *Meter) AdvanceAttributed(n uint64) uint64 {

@@ -10,14 +10,14 @@ import (
 )
 
 func TestClockStartsAtZero(t *testing.T) {
-	c := New()
+	c := &Clock{}
 	if got := c.Now(); got != 0 {
 		t.Fatalf("Now() = %d, want 0", got)
 	}
 }
 
 func TestAdvance(t *testing.T) {
-	c := New()
+	c := &Clock{}
 	if got := c.Advance(5); got != 5 {
 		t.Fatalf("Advance(5) = %d, want 5", got)
 	}
@@ -30,7 +30,7 @@ func TestAdvance(t *testing.T) {
 }
 
 func TestStopwatch(t *testing.T) {
-	c := New()
+	c := &Clock{}
 	c.Advance(10)
 	w := c.StartWatch()
 	c.Advance(32)
@@ -40,7 +40,7 @@ func TestStopwatch(t *testing.T) {
 }
 
 func TestConcurrentAdvance(t *testing.T) {
-	c := New()
+	c := &Clock{}
 	const workers = 8
 	const perWorker = 1000
 	var wg sync.WaitGroup
@@ -347,7 +347,7 @@ func TestRandIntnPanicsOnNonPositive(t *testing.T) {
 func TestRandFloat64Range(t *testing.T) {
 	r := NewRand(9)
 	for i := 0; i < 1000; i++ {
-		f := r.Float64()
+		f := r.float64()
 		if f < 0 || f >= 1 {
 			t.Fatalf("Float64 = %v out of range", f)
 		}

@@ -35,8 +35,8 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Float64 returns a value in [0, 1).
-func (r *Rand) Float64() float64 {
+// float64 returns a value in [0, 1).
+func (r *Rand) float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 

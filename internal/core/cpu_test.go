@@ -112,9 +112,8 @@ func TestParallelInvocationAcrossCPUs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.Machine.NumCPUs() != 4 || k.Machine.MMU.NumCPUs() != 4 || k.Sched.NumCPUs() != 4 {
-		t.Fatalf("topology: machine=%d mmu=%d sched=%d, want 4",
-			k.Machine.NumCPUs(), k.Machine.MMU.NumCPUs(), k.Sched.NumCPUs())
+	if k.Machine.NumCPUs() != 4 {
+		t.Fatalf("topology: machine=%d CPUs, want 4", k.Machine.NumCPUs())
 	}
 
 	decl := obj.MustInterfaceDecl("stress.counter.v1", obj.MethodDecl{Name: "inc", NumIn: 0, NumOut: 1})
@@ -181,8 +180,5 @@ func TestSingleCPUDefaultTopology(t *testing.T) {
 	w := newWorld(t)
 	if n := w.k.Machine.NumCPUs(); n != 1 {
 		t.Fatalf("default CPUs = %d, want 1", n)
-	}
-	if n := w.k.Sched.NumCPUs(); n != 1 {
-		t.Fatalf("default scheduler CPUs = %d, want 1", n)
 	}
 }

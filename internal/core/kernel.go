@@ -34,7 +34,6 @@ import (
 const (
 	PathNucleus  = "/nucleus"
 	PathServices = "/services"
-	PathDevices  = "/devices"
 )
 
 // Errors.

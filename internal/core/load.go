@@ -85,9 +85,6 @@ type filterHop struct {
 // Name implements netstack.Filter.
 func (lf *LoadedFilter) Name() string { return lf.name }
 
-// Placement reports the filter's protection regime.
-func (lf *LoadedFilter) Placement() Placement { return lf.placement }
-
 // Instance returns the underlying object (or proxy).
 func (lf *LoadedFilter) Instance() obj.Instance { return lf.inst }
 
@@ -232,10 +229,10 @@ func (k *Kernel) Unload(lf *LoadedFilter) error {
 	return nil
 }
 
-// Construct loads a native component from the repository: certified
+// construct loads a native component from the repository: certified
 // components may be placed in the kernel context; uncertified ones
 // land in their own fresh domain.
-func (k *Kernel) Construct(component, path string, wantKernel bool) (obj.Instance, mmu.ContextID, error) {
+func (k *Kernel) construct(component, path string, wantKernel bool) (obj.Instance, mmu.ContextID, error) {
 	img, err := k.Repo.Get(component)
 	if err != nil {
 		return nil, 0, err

@@ -229,8 +229,8 @@ func (d *NetDriver) QueueLen() int {
 	return len(d.rxq) - d.rxHead
 }
 
-// Close unregisters the interrupt and releases the I/O grant.
-func (d *NetDriver) Close(svc *mem.Service) error {
+// close unregisters the interrupt and releases the I/O grant.
+func (d *NetDriver) close(svc *mem.Service) error {
 	if err := d.evt.UnregisterIRQ(d.line); err != nil {
 		return err
 	}

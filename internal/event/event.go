@@ -2,7 +2,9 @@
 // service: "All processor events (traps and interrupts) are handled by
 // this service. Components can register call-backs which are called
 // every time a specified processor event occurs. A call-back consists
-// of a context, and the address of a call-back function."
+// of a context, and the address of a call-back function." This
+// service binds the interrupts; the one trap the kernel handles, the
+// page fault, is bound on the machine by the memory service.
 //
 // Events are "usually redirected to the thread system to turn them
 // into pop-up threads"; the service supports three dispatch policies
@@ -117,9 +119,8 @@ type Service struct {
 	machine *hw.Machine
 	sched   *threads.Scheduler
 
-	mu    sync.Mutex
-	irqs  map[hw.IRQLine]*binding
-	traps map[hw.TrapVector]*binding
+	mu   sync.Mutex
+	irqs map[hw.IRQLine]*binding
 
 	// deliveryMu serializes deliveries per virtual CPU: a CPU runs one
 	// handler at a time, exactly as hardware delivers with interrupts
@@ -137,7 +138,6 @@ func New(machine *hw.Machine, sched *threads.Scheduler) *Service {
 		machine:    machine,
 		sched:      sched,
 		irqs:       make(map[hw.IRQLine]*binding),
-		traps:      make(map[hw.TrapVector]*binding),
 		deliveryMu: make([]sync.Mutex, machine.NumCPUs()),
 	}
 }
@@ -205,47 +205,6 @@ func (s *Service) UnregisterIRQ(line hw.IRQLine) error {
 		return err
 	}
 	delete(s.irqs, line)
-	return nil
-}
-
-// RegisterTrap binds a trap vector. Trap handlers use DispatchRaw
-// semantics (the faulting context is suspended until the handler
-// returns); the handler's bool result — fault resolved or not — is
-// what the raw machine handler returns, so the signature differs.
-func (s *Service) RegisterTrap(vector hw.TrapVector, name string, ctx mmu.ContextID, h func(hw.TrapFrame) bool) error {
-	if h == nil {
-		return errors.New("event: nil handler")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.traps[vector]; dup {
-		return fmt.Errorf("%w: trap %v", ErrBound, vector)
-	}
-	b := &binding{ctx: ctx, dispatch: DispatchRaw, name: name}
-	s.machine.SetTrapHandler(vector, func(f hw.TrapFrame) bool {
-		b.delivered.Add(1)
-		// Traps are synchronous: the handler runs on the CPU that
-		// faulted, whichever one that was, serialized with every other
-		// delivery on that CPU.
-		s.deliveryMu[f.CPU].Lock()
-		defer s.deliveryMu[f.CPU].Unlock()
-		prev := s.enterContext(f.CPU, b.ctx)
-		defer s.leaveContext(f.CPU, b.ctx, prev)
-		return h(f)
-	})
-	s.traps[vector] = b
-	return nil
-}
-
-// UnregisterTrap removes a trap binding.
-func (s *Service) UnregisterTrap(vector hw.TrapVector) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.traps[vector]; !ok {
-		return fmt.Errorf("%w: trap %v", ErrNotBound, vector)
-	}
-	s.machine.SetTrapHandler(vector, nil)
-	delete(s.traps, vector)
 	return nil
 }
 
@@ -386,17 +345,3 @@ func (s *Service) IRQStats(line hw.IRQLine) (Stats, bool) {
 		Inline:    inline,
 	}, true
 }
-
-// TrapStats reports the counters of a trap binding.
-func (s *Service) TrapStats(vector hw.TrapVector) (Stats, bool) {
-	s.mu.Lock()
-	b, ok := s.traps[vector]
-	s.mu.Unlock()
-	if !ok {
-		return Stats{}, false
-	}
-	return Stats{Name: b.name, Dispatch: b.dispatch, Delivered: b.delivered.Load()}, true
-}
-
-// Scheduler returns the thread scheduler events are pumped into.
-func (s *Service) Scheduler() *threads.Scheduler { return s.sched }

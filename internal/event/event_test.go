@@ -216,46 +216,10 @@ func TestDeadContextFallsBack(t *testing.T) {
 	}
 }
 
-func TestRegisterTrap(t *testing.T) {
-	s, m, _ := newService()
-	if err := s.RegisterTrap(hw.TrapSyscall, "syscalls", mmu.KernelContext, func(f hw.TrapFrame) bool {
-		return f.Arg == 42
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := m.Syscall(mmu.KernelContext, 42)
-	if err != nil || !ok {
-		t.Fatalf("syscall(42) = %v, %v", ok, err)
-	}
-	ok, err = m.Syscall(mmu.KernelContext, 7)
-	if err != nil || ok {
-		t.Fatalf("syscall(7) = %v, %v", ok, err)
-	}
-	st, found := s.TrapStats(hw.TrapSyscall)
-	if !found || st.Delivered != 2 {
-		t.Fatalf("trap stats = %+v", st)
-	}
-	if err := s.RegisterTrap(hw.TrapSyscall, "dup", 0, func(hw.TrapFrame) bool { return false }); !errors.Is(err, ErrBound) {
-		t.Fatalf("duplicate trap: %v", err)
-	}
-	if err := s.RegisterTrap(hw.TrapDivZero, "nil", 0, nil); err == nil {
-		t.Fatal("nil trap handler accepted")
-	}
-	if err := s.UnregisterTrap(hw.TrapSyscall); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.UnregisterTrap(hw.TrapSyscall); !errors.Is(err, ErrNotBound) {
-		t.Fatalf("double unregister: %v", err)
-	}
-}
-
 func TestStatsOfUnboundEvent(t *testing.T) {
 	s, _, _ := newService()
 	if _, ok := s.IRQStats(9); ok {
 		t.Fatal("stats for unbound IRQ")
-	}
-	if _, ok := s.TrapStats(hw.TrapDivZero); ok {
-		t.Fatal("stats for unbound trap")
 	}
 }
 
@@ -297,7 +261,7 @@ func TestNICInterruptToProtoThreadPipeline(t *testing.T) {
 	if string(got) != "frame-1" {
 		t.Fatalf("got %q", got)
 	}
-	if nic.Pending() != 0 {
+	if n, _ := nic.IORegion().ReadReg(hw.NICRegRxPending); n != 0 {
 		t.Fatal("ring not drained")
 	}
 	sched.RunUntilIdle()

@@ -49,13 +49,6 @@ func (c *Console) Contents() string {
 	return c.buf.String()
 }
 
-// ResetBuffer clears the captured output.
-func (c *Console) ResetBuffer() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.buf.Reset()
-}
-
 func (c *Console) readReg(reg int) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

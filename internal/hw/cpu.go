@@ -20,12 +20,6 @@ type CPU struct {
 	irqs   atomic.Uint64
 }
 
-// ID reports the CPU's identifier.
-func (c *CPU) ID() mmu.CPUID { return c.id }
-
-// Machine reports the machine the CPU belongs to.
-func (c *CPU) Machine() *Machine { return c.m }
-
 // TouchTagged performs a zero-length access of the given kind at va on
 // this CPU, delivering token in the trap frame of any resulting page
 // fault, and reports the fault the access left unresolved by value,
@@ -37,11 +31,6 @@ func (c *CPU) Machine() *Machine { return c.m }
 func (c *CPU) TouchTagged(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, token uint64) mmu.Fault {
 	_, f, _ := c.m.translateWithFaults(c.id, ctx, va, access, token)
 	return f
-}
-
-// Stats reports the interrupts delivered to this CPU.
-func (c *CPU) Stats() (irqs uint64) {
-	return c.irqs.Load()
 }
 
 // CPULease is a claim on one virtual CPU for the duration of an
@@ -56,9 +45,6 @@ type CPULease struct {
 
 // CPU returns the leased CPU.
 func (l CPULease) CPU() *CPU { return l.cpu }
-
-// ID returns the leased CPU's identifier.
-func (l CPULease) ID() mmu.CPUID { return l.cpu.id }
 
 // Release returns the CPU to the free pool. Releasing a shared
 // (oversubscribed) lease is a no-op: only the claim that set the lease
@@ -109,12 +95,3 @@ func (m *Machine) SharedLeases() uint64 { return m.sharedLeases.Load() }
 
 // NumCPUs reports the number of virtual CPUs.
 func (m *Machine) NumCPUs() int { return len(m.cpus) }
-
-// CPUByID returns one virtual CPU. It panics on an out-of-range ID.
-func (m *Machine) CPUByID(id mmu.CPUID) *CPU {
-	return m.cpus[id]
-}
-
-// CPUs returns the machine's CPUs in ID order. The slice is shared;
-// callers must not mutate it.
-func (m *Machine) CPUs() []*CPU { return m.cpus }

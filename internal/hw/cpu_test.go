@@ -19,10 +19,10 @@ func TestAcquireCPUSpreadsExclusiveLeases(t *testing.T) {
 	seen := map[mmu.CPUID]bool{}
 	for i := 0; i < 4; i++ {
 		l := m.AcquireCPU()
-		if seen[l.ID()] {
-			t.Fatalf("CPU %d leased twice", l.ID())
+		if seen[l.cpu.id] {
+			t.Fatalf("CPU %d leased twice", l.cpu.id)
 		}
-		seen[l.ID()] = true
+		seen[l.cpu.id] = true
 		leases = append(leases, l)
 	}
 	// Fifth claim: every CPU busy, so the lease is shared.
@@ -35,10 +35,10 @@ func TestAcquireCPUSpreadsExclusiveLeases(t *testing.T) {
 	seen = map[mmu.CPUID]bool{}
 	for i := 0; i < 4; i++ {
 		l := m.AcquireCPU()
-		if seen[l.ID()] {
-			t.Fatalf("CPU %d leased twice after release", l.ID())
+		if seen[l.cpu.id] {
+			t.Fatalf("CPU %d leased twice after release", l.cpu.id)
 		}
-		seen[l.ID()] = true
+		seen[l.cpu.id] = true
 		defer l.Release()
 	}
 }
@@ -50,8 +50,8 @@ func TestAcquireCPUSpreadsExclusiveLeases(t *testing.T) {
 func TestSingleCPUAcquireCountsShares(t *testing.T) {
 	m := New(Config{PhysFrames: 16})
 	a, b := m.AcquireCPU(), m.AcquireCPU()
-	if a.ID() != 0 || b.ID() != 0 {
-		t.Fatalf("leases on CPUs %d/%d, want 0/0", a.ID(), b.ID())
+	if a.cpu.id != 0 || b.cpu.id != 0 {
+		t.Fatalf("leases on CPUs %d/%d, want 0/0", a.cpu.id, b.cpu.id)
 	}
 	if got := m.SharedLeases(); got != 1 {
 		t.Fatalf("SharedLeases = %d, want 1 (second acquire overlapped the first)", got)
@@ -115,10 +115,10 @@ func TestRaiseIRQOnDeliversCPU(t *testing.T) {
 	if got == nil || got.CPU != 1 || got.Ctx != ctx {
 		t.Fatalf("frame = %+v, want CPU 1 ctx %d", got, ctx)
 	}
-	if irqs := m.CPUByID(1).Stats(); irqs != 1 {
+	if irqs := m.cpus[1].irqs.Load(); irqs != 1 {
 		t.Fatalf("CPU1 irqs = %d, want 1", irqs)
 	}
-	if irqs := m.CPUByID(0).Stats(); irqs != 0 {
+	if irqs := m.cpus[0].irqs.Load(); irqs != 0 {
 		t.Fatalf("CPU0 irqs = %d, want 0", irqs)
 	}
 	if err := m.RaiseIRQOn(3, 7); err == nil {
@@ -145,12 +145,12 @@ func TestPerCPULoadsUseOwnTLB(t *testing.T) {
 			defer wg.Done()
 			b := make([]byte, 8)
 			for i := 0; i < 10; i++ {
-				if err := c.Machine().LoadOn(c.ID(), mmu.KernelContext, 0x1000, b); err != nil {
+				if err := c.m.LoadOn(c.id, mmu.KernelContext, 0x1000, b); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(m.CPUByID(mmu.CPUID(cpu)))
+		}(m.cpus[cpu])
 	}
 	wg.Wait()
 	if err := m.StoreOn(mmu.BootCPU, mmu.KernelContext, 0x1000, buf); err != nil {

@@ -22,9 +22,9 @@ func TestTrapDispatch(t *testing.T) {
 		got = &f
 		return true
 	})
-	ok, err := m.Syscall(mmu.KernelContext, 42)
+	ok, err := m.RaiseTrap(TrapFrame{Vector: TrapSyscall, Ctx: mmu.KernelContext, Arg: 42})
 	if err != nil || !ok {
-		t.Fatalf("Syscall = %v, %v", ok, err)
+		t.Fatalf("RaiseTrap = %v, %v", ok, err)
 	}
 	if got == nil || got.Arg != 42 || got.Vector != TrapSyscall {
 		t.Fatalf("handler saw %+v", got)
@@ -51,7 +51,7 @@ func TestSetTrapHandlerReturnsPrevious(t *testing.T) {
 	if prev := m.SetTrapHandler(TrapSyscall, nil); prev == nil {
 		t.Fatal("uninstall did not return previous handler")
 	}
-	if _, err := m.Syscall(0, 0); !errors.Is(err, ErrNoHandler) {
+	if _, err := m.RaiseTrap(TrapFrame{Vector: TrapSyscall}); !errors.Is(err, ErrNoHandler) {
 		t.Fatalf("after uninstall: %v", err)
 	}
 }
@@ -74,7 +74,7 @@ func TestIRQDispatchAndMasking(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("count = %d", count)
 	}
-	if err := m.MaskIRQ(3); err != nil {
+	if err := m.maskIRQ(3); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -85,7 +85,7 @@ func TestIRQDispatchAndMasking(t *testing.T) {
 	if count != 1 {
 		t.Fatal("masked IRQ delivered")
 	}
-	if err := m.UnmaskIRQ(3); err != nil {
+	if err := m.unmaskIRQ(3); err != nil {
 		t.Fatal(err)
 	}
 	if count != 4 {
@@ -104,11 +104,11 @@ func TestIRQBadLine(t *testing.T) {
 	if _, err := m.SetIRQHandler(NumIRQLines, nil); !errors.Is(err, ErrBadIRQ) {
 		t.Fatalf("SetIRQHandler: %v", err)
 	}
-	if err := m.MaskIRQ(-2); !errors.Is(err, ErrBadIRQ) {
-		t.Fatalf("MaskIRQ: %v", err)
+	if err := m.maskIRQ(-2); !errors.Is(err, ErrBadIRQ) {
+		t.Fatalf("maskIRQ: %v", err)
 	}
-	if err := m.UnmaskIRQ(99); !errors.Is(err, ErrBadIRQ) {
-		t.Fatalf("UnmaskIRQ: %v", err)
+	if err := m.unmaskIRQ(99); !errors.Is(err, ErrBadIRQ) {
+		t.Fatalf("unmaskIRQ: %v", err)
 	}
 }
 
@@ -117,8 +117,7 @@ func TestIRQNoHandlerDropsAndCounts(t *testing.T) {
 	if err := m.RaiseIRQOn(5, mmu.BootCPU); !errors.Is(err, ErrNoHandler) {
 		t.Fatalf("err = %v", err)
 	}
-	_, dropped := m.Stats()
-	if dropped != 1 {
+	if dropped := m.irqsDropped.Load(); dropped != 1 {
 		t.Fatalf("dropped = %d", dropped)
 	}
 }
@@ -263,7 +262,7 @@ func TestTouchExecRaisesProtectionFault(t *testing.T) {
 		}
 		return false
 	})
-	if err := m.TouchOn(mmu.BootCPU, ctx, 0x8000, mmu.AccessExec); err == nil {
+	if f := m.cpus[mmu.BootCPU].TouchTagged(ctx, 0x8000, mmu.AccessExec, 0); f.Kind == mmu.FaultNone {
 		t.Fatal("exec touch on non-exec page succeeded")
 	}
 	if !handled {
@@ -276,15 +275,6 @@ func TestDeviceAttachAndLookup(t *testing.T) {
 	nic := NewNIC("net0", 4)
 	if err := m.AttachDevice(nic); err != nil {
 		t.Fatal(err)
-	}
-	if got := m.Device("net0"); got != nic {
-		t.Fatal("Device lookup failed")
-	}
-	if got := m.Device("nope"); got != nil {
-		t.Fatal("lookup of missing device returned non-nil")
-	}
-	if len(m.Devices()) != 1 {
-		t.Fatal("Devices() wrong length")
 	}
 	if _, ok := m.IORegionByName("net0-regs"); !ok {
 		t.Fatal("I/O region not registered")
@@ -356,7 +346,7 @@ func TestNICInjectReceiveTransmit(t *testing.T) {
 	if string(sent) != "xmit!" {
 		t.Fatalf("sent %q", sent)
 	}
-	if nic.Transmitted() != 1 {
+	if n, _ := regs.ReadReg(NICRegTxCount); n != 1 {
 		t.Fatal("tx count wrong")
 	}
 }
@@ -408,51 +398,6 @@ func TestNICSlotDataRange(t *testing.T) {
 	}
 }
 
-func TestTimerProgramAndPoll(t *testing.T) {
-	m := newTestMachine()
-	timer := NewTimer("timer0", 1, m.Meter.Clock)
-	if err := m.AttachDevice(timer); err != nil {
-		t.Fatal(err)
-	}
-	fires := 0
-	if _, err := m.SetIRQHandler(1, func(TrapFrame) bool { fires++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	timer.Program(100)
-	if n := timer.Poll(); n != 0 {
-		t.Fatalf("timer fired %d times before deadline", n)
-	}
-	m.Meter.Clock.Advance(250)
-	if n := timer.Poll(); n != 2 {
-		t.Fatalf("Poll = %d, want 2", n)
-	}
-	if fires != 2 || timer.Fires() != 2 {
-		t.Fatalf("fires = %d / %d", fires, timer.Fires())
-	}
-	// Disarm.
-	timer.Program(0)
-	m.Meter.Clock.Advance(1000)
-	if n := timer.Poll(); n != 0 {
-		t.Fatal("disarmed timer fired")
-	}
-}
-
-func TestTimerRegisters(t *testing.T) {
-	m := newTestMachine()
-	timer := NewTimer("timer0", 1, m.Meter.Clock)
-	if err := m.AttachDevice(timer); err != nil {
-		t.Fatal(err)
-	}
-	regs := timer.IORegion()
-	if err := regs.WriteReg(TimerRegInterval, 500); err != nil {
-		t.Fatal(err)
-	}
-	v, err := regs.ReadReg(TimerRegInterval)
-	if err != nil || v != 500 {
-		t.Fatalf("interval = %d, %v", v, err)
-	}
-}
-
 func TestConsoleOutput(t *testing.T) {
 	m := newTestMachine()
 	cons := NewConsole("cons0", 2)
@@ -471,10 +416,6 @@ func TestConsoleOutput(t *testing.T) {
 	n, _ := regs.ReadReg(ConsoleRegWritten)
 	if n != 9 {
 		t.Fatalf("written = %d", n)
-	}
-	cons.ResetBuffer()
-	if cons.Contents() != "" {
-		t.Fatal("ResetBuffer did not clear")
 	}
 }
 
@@ -511,7 +452,7 @@ func TestTrapVectorString(t *testing.T) {
 // between two handlers always reaches one of them.
 func TestTrapTableRacesDelivery(t *testing.T) {
 	m := New(Config{PhysFrames: 64, CPUs: 2})
-	const stable, swapped, churned = TrapUserBase, TrapUserBase + 1, TrapUserBase + 2
+	const stable, swapped, churned TrapVector = 32, 33, 34
 	var hits atomic.Int64
 	m.SetTrapHandler(stable, func(TrapFrame) bool { hits.Add(1); return true })
 	yes := func(TrapFrame) bool { return true }

@@ -27,15 +27,13 @@ import (
 // TrapVector identifies a synchronous processor event (trap).
 type TrapVector int
 
-// The trap vectors the nucleus knows about. User-defined vectors start
-// at TrapUserBase.
+// The trap vectors the nucleus knows about.
 const (
 	TrapPageFault TrapVector = iota
 	TrapSyscall
 	TrapDivZero
 	TrapIllegal
 	TrapBreakpoint
-	TrapUserBase TrapVector = 32
 )
 
 func (v TrapVector) String() string {
@@ -113,20 +111,18 @@ type Machine struct {
 	// at boot, so the copy costs nothing per trap.
 	traps atomic.Pointer[map[TrapVector]TrapHandler]
 
-	// mu guards the IRQ state and device list, and serializes trap
+	// mu guards the IRQ state and I/O spaces, and serializes trap
 	// table writers. Trap delivery never takes it.
 	mu         sync.RWMutex
 	irqTable   [NumIRQLines]TrapHandler
 	irqMasked  [NumIRQLines]bool
 	irqPending [NumIRQLines]int
-	devices    []Device
 	iospaces   map[string]*IORegion
 
 	// stats, atomic: counted on the concurrent interrupt and lease
 	// paths.
-	irqsDelivered atomic.Uint64
-	irqsDropped   atomic.Uint64
-	sharedLeases  atomic.Uint64
+	irqsDropped  atomic.Uint64
+	sharedLeases atomic.Uint64
 }
 
 // Config controls machine construction.
@@ -217,9 +213,9 @@ func (m *Machine) SetIRQHandler(line IRQLine, h TrapHandler) (TrapHandler, error
 	return prev, nil
 }
 
-// MaskIRQ disables delivery on a line; raised interrupts are counted as
+// maskIRQ disables delivery on a line; raised interrupts are counted as
 // pending and delivered when the line is unmasked.
-func (m *Machine) MaskIRQ(line IRQLine) error {
+func (m *Machine) maskIRQ(line IRQLine) error {
 	if line < 0 || line >= NumIRQLines {
 		return fmt.Errorf("%w: %d", ErrBadIRQ, line)
 	}
@@ -229,9 +225,9 @@ func (m *Machine) MaskIRQ(line IRQLine) error {
 	return nil
 }
 
-// UnmaskIRQ re-enables a line and delivers any pending interrupts to
+// unmaskIRQ re-enables a line and delivers any pending interrupts to
 // the boot CPU.
-func (m *Machine) UnmaskIRQ(line IRQLine) error {
+func (m *Machine) unmaskIRQ(line IRQLine) error {
 	if line < 0 || line >= NumIRQLines {
 		return fmt.Errorf("%w: %d", ErrBadIRQ, line)
 	}
@@ -295,17 +291,11 @@ func (m *Machine) RaiseIRQOn(line IRQLine, cpu mmu.CPUID) error {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: irq %d", ErrNoHandler, line)
 	}
-	m.irqsDelivered.Add(1)
 	m.cpus[cpu].irqs.Add(1)
 	m.mu.Unlock()
 	m.Meter.ChargeFor(clock.KernelDomain, clock.OpInterrupt)
 	h(TrapFrame{Vector: -1, IRQ: line, Ctx: m.MMU.CurrentOn(cpu), CPU: cpu})
 	return nil
-}
-
-// Stats reports the interrupts delivered and dropped.
-func (m *Machine) Stats() (irqs, dropped uint64) {
-	return m.irqsDelivered.Load(), m.irqsDropped.Load()
 }
 
 // LoadOn reads len(buf) bytes of simulated memory at va in context ctx
@@ -322,12 +312,6 @@ func (m *Machine) LoadOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, buf []b
 // the named CPU's MMU state.
 func (m *Machine) StoreOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, buf []byte) error {
 	return m.accessOn(cpu, ctx, va, buf, mmu.AccessWrite)
-}
-
-// TouchOn performs a zero-length access of the given kind at va on the
-// named CPU: the full translation (and fault) machinery, no data.
-func (m *Machine) TouchOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, access mmu.Access) error {
-	return faultErr(m.translateWithFaults(cpu, ctx, va, access, 0))
 }
 
 // accessOn moves buf through the MMU page by page on one CPU: the
@@ -430,12 +414,6 @@ func faultErr(_ mmu.PAddr, f mmu.Fault, cause error) error {
 	return &f
 }
 
-// Syscall raises the syscall trap with the given argument, modelling a
-// user-to-kernel protected entry. It returns the handler's verdict.
-func (m *Machine) Syscall(ctx mmu.ContextID, arg uint64) (bool, error) {
-	return m.RaiseTrap(TrapFrame{Vector: TrapSyscall, Ctx: ctx, Arg: arg})
-}
-
 // AttachDevice registers a device and its I/O region, and wires the
 // device to the machine for interrupt raising.
 func (m *Machine) AttachDevice(d Device) error {
@@ -448,30 +426,8 @@ func (m *Machine) AttachDevice(d Device) error {
 		}
 		m.iospaces[region.Name] = region
 	}
-	m.devices = append(m.devices, d)
 	d.attach(m)
 	return nil
-}
-
-// Device returns an attached device by name, or nil.
-func (m *Machine) Device(name string) Device {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for _, d := range m.devices {
-		if d.Name() == name {
-			return d
-		}
-	}
-	return nil
-}
-
-// Devices returns the attached devices in attach order.
-func (m *Machine) Devices() []Device {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]Device, len(m.devices))
-	copy(out, m.devices)
-	return out
 }
 
 // IORegionByName returns a registered I/O region.

@@ -162,25 +162,11 @@ func (n *NIC) Inject(frame []byte) error {
 	return nil
 }
 
-// Pending reports the number of frames waiting in the receive ring.
-func (n *NIC) Pending() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rx.n
-}
-
 // Dropped reports frames dropped due to ring overflow.
 func (n *NIC) Dropped() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.rxDropped
-}
-
-// Transmitted reports the number of frames sent.
-func (n *NIC) Transmitted() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.txCount
 }
 
 func (n *NIC) readReg(reg int) (uint64, error) {

@@ -57,16 +57,16 @@ func TestOversubscribedLeaseNodeAccounting(t *testing.T) {
 	var want uint64
 	var buf [8]byte
 	for i, l := range leases {
-		node := m.NodeOfCPU(l.ID())
+		node := m.NodeOfCPU(l.cpu.id)
 		for _, p := range pages {
-			if err := m.LoadOn(l.ID(), ctx, p.va, buf[:]); err != nil {
+			if err := m.LoadOn(l.cpu.id, ctx, p.va, buf[:]); err != nil {
 				t.Fatalf("lease %d load %#x: %v", i, p.va, err)
 			}
 			if node != p.home {
 				want++
 			}
 		}
-		if err := m.LoadOn(l.ID(), ctx, untaggedVA, buf[:]); err != nil {
+		if err := m.LoadOn(l.cpu.id, ctx, untaggedVA, buf[:]); err != nil {
 			t.Fatalf("lease %d load untagged: %v", i, err)
 		}
 	}

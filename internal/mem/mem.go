@@ -243,17 +243,6 @@ func (s *Service) AllocPageOn(initiator mmu.CPUID, ctx mmu.ContextID, va mmu.VAd
 	return nil
 }
 
-// AllocRange allocates n consecutive exclusive pages starting at va,
-// initiating any TLB shootdown from the boot CPU.
-func (s *Service) AllocRange(ctx mmu.ContextID, va mmu.VAddr, n int, perm mmu.Perm) error {
-	for i := 0; i < n; i++ {
-		if err := s.AllocPageOn(mmu.BootCPU, ctx, va+mmu.VAddr(i*mmu.PageSize), perm); err != nil {
-			return fmt.Errorf("mem: page %d of %d: %w", i, n, err)
-		}
-	}
-	return nil
-}
-
 // SharePageOn maps the page at fromVA in fromCtx into toCtx at toVA
 // with the given permissions, sharing the underlying frame, initiating
 // any TLB shootdown from the given CPU. "Pages can be allocated
@@ -391,11 +380,6 @@ func (s *Service) setHandler(ctx mmu.ContextID, vpn uint64, h FaultHandler) {
 	s.handlers.Store(&next)
 }
 
-// FaultStats reports resolved and unresolved fault counts.
-func (s *Service) FaultStats() (resolved, unknown uint64) {
-	return s.faultsResolved.Load(), s.faultsUnknown.Load()
-}
-
 // IOGrant is an active I/O space allocation: the right of a context to
 // drive a device register region.
 type IOGrant struct {
@@ -444,11 +428,4 @@ func (s *Service) ReleaseIOSpace(g *IOGrant) error {
 		}
 	}
 	return ErrNoGrant
-}
-
-// GrantCount reports the number of active grants on a region.
-func (s *Service) GrantCount(regionName string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.grants[regionName])
 }

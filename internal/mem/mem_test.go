@@ -55,10 +55,20 @@ func TestAllocPageOutOfMemory(t *testing.T) {
 	}
 }
 
+// allocRange allocates n consecutive exclusive pages starting at va.
+func allocRange(s *Service, ctx mmu.ContextID, va mmu.VAddr, n int, perm mmu.Perm) error {
+	for i := 0; i < n; i++ {
+		if err := s.AllocPageOn(mmu.BootCPU, ctx, va+mmu.VAddr(i*mmu.PageSize), perm); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func TestAllocRange(t *testing.T) {
 	s, m := newService(16)
 	ctx := s.NewDomain()
-	if err := s.AllocRange(ctx, 0x4000, 3, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := allocRange(s, ctx, 0x4000, 3, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
 	// Spanning write across the whole range.
@@ -212,7 +222,7 @@ func TestFaultHandlerDemandPaging(t *testing.T) {
 	if faults != 1 {
 		t.Fatalf("faults after warm access = %d", faults)
 	}
-	resolved, unknown := s.FaultStats()
+	resolved, unknown := s.faultsResolved.Load(), s.faultsUnknown.Load()
 	if resolved != 1 || unknown != 0 {
 		t.Fatalf("stats = %d/%d", resolved, unknown)
 	}
@@ -224,7 +234,7 @@ func TestFaultWithoutHandlerIsUnresolved(t *testing.T) {
 	if err := m.LoadOn(mmu.BootCPU, ctx, 0x7000, make([]byte, 1)); err == nil {
 		t.Fatal("unhandled fault did not error")
 	}
-	_, unknown := s.FaultStats()
+	unknown := s.faultsUnknown.Load()
 	if unknown != 1 {
 		t.Fatalf("unknown = %d", unknown)
 	}
@@ -255,7 +265,7 @@ func TestDestroyDomainReclaimsEverything(t *testing.T) {
 	s, m := newService(8)
 	ctx := s.NewDomain()
 	free := m.Phys.FreeFrames()
-	if err := s.AllocRange(ctx, 0x1000, 3, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := allocRange(s, ctx, 0x1000, 3, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.RegisterFaultHandler(ctx, 0x9000, func(hw.TrapFrame) bool { return false }); err != nil {
@@ -346,7 +356,7 @@ func TestIOSpaceShared(t *testing.T) {
 	if _, err := s.AllocIOSpace(b, "net0-regs", IOShared); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.GrantCount("net0-regs"); got != 2 {
+	if got := len(s.grants["net0-regs"]); got != 2 {
 		t.Fatalf("grants = %d", got)
 	}
 	// Exclusive now conflicts with the shared holders.
@@ -375,7 +385,7 @@ func TestDestroyDomainReleasesGrants(t *testing.T) {
 	if err := s.DestroyDomain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.GrantCount("net0-regs"); got != 0 {
+	if got := len(s.grants["net0-regs"]); got != 0 {
 		t.Fatalf("grants after destroy = %d", got)
 	}
 }
@@ -483,15 +493,16 @@ func TestFaultHandlersRaceFaults(t *testing.T) {
 		}()
 	}()
 	const perCPU = 1000
-	_, unknownBefore := s.FaultStats()
+	unknownBefore := s.faultsUnknown.Load()
 	var wg sync.WaitGroup
 	for cpu := 0; cpu < 2; cpu++ {
 		wg.Add(1)
 		go func(cpu mmu.CPUID) {
 			defer wg.Done()
 			for i := 0; i < perCPU; i++ {
-				_ = m.TouchOn(cpu, ctx, stable, mmu.AccessRead)
-				_ = m.TouchOn(cpu, ctx, swapped, mmu.AccessRead)
+				var b [1]byte
+				_ = m.LoadOn(cpu, ctx, stable, b[:])
+				_ = m.LoadOn(cpu, ctx, swapped, b[:])
 			}
 		}(mmu.CPUID(cpu))
 	}
@@ -503,7 +514,7 @@ func TestFaultHandlersRaceFaults(t *testing.T) {
 	if got := stableHits.Load(); got != 2*perCPU {
 		t.Fatalf("untouched page's handler ran %d times, want %d", got, 2*perCPU)
 	}
-	_, unknownAfter := s.FaultStats()
+	unknownAfter := s.faultsUnknown.Load()
 	if got := swappedHits.Load() + int64(unknownAfter-unknownBefore); got != 2*perCPU {
 		t.Fatalf("swapped page: %d handled + %d unhandled faults, want %d in all", swappedHits.Load(), unknownAfter-unknownBefore, 2*perCPU)
 	}

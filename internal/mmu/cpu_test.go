@@ -41,7 +41,10 @@ func TestPerCPUTLBIsolation(t *testing.T) {
 		t.Fatalf("CPU1 stats = %+v, want 0 hits / 1 miss", s1)
 	}
 	// Flush CPU 1 only: CPU 0 keeps its entry hot.
-	m.FlushTLBOn(1)
+	c := m.cpu(1)
+	c.mu.Lock()
+	c.tlb.flush()
+	c.mu.Unlock()
 	if s := m.TLBStatsOn(1); s.Flushes != 1 || s.Entries != 0 {
 		t.Fatalf("CPU1 after flush = %+v", s)
 	}

@@ -288,9 +288,6 @@ func New(meter *clock.Meter, cfg Config) *MMU {
 	return m
 }
 
-// NumCPUs reports the number of virtual CPUs.
-func (m *MMU) NumCPUs() int { return len(m.cpus) }
-
 // cpu returns the state of one virtual CPU, panicking on an
 // out-of-range ID (a programming error, like indexing past a slice).
 func (m *MMU) cpu(id CPUID) *cpuState {
@@ -403,6 +400,8 @@ func (m *MMU) DestroyContextFrom(initiator CPUID, id ContextID) error {
 }
 
 // HasContext reports whether id names a live context, lock-free.
+//
+//paralint:ignore deadexport mem's and core's teardown tests check a destroyed domain leaves no live context: no leaked frames after teardown
 func (m *MMU) HasContext(id ContextID) bool {
 	_, ok := m.pageTableOf(id)
 	return ok
@@ -575,22 +574,6 @@ func (m *MMU) invalidateAll(initiator CPUID, id ContextID, vpn uint64) {
 	}
 }
 
-// Lookup returns the PTE for the page containing va without charging
-// any cycles (a debugger's view, not a hardware walk).
-func (m *MMU) Lookup(id ContextID, va VAddr) (PTE, bool) {
-	pt, ok := m.pageTableOf(id)
-	if !ok {
-		return PTE{}, false
-	}
-	pt.mu.RLock()
-	defer pt.mu.RUnlock()
-	if pt.dead.Load() {
-		return PTE{}, false
-	}
-	pte, ok := pt.entries[va.VPN()]
-	return pte, ok && pte.Valid
-}
-
 // TranslateOn resolves va in context id for the given access kind on
 // one CPU, charging TLB and page-table costs against that CPU's TLB. The
 // fault comes back by value, with Kind FaultNone on success, so a
@@ -651,18 +634,6 @@ func (m *MMU) TranslateOn(cpu CPUID, id ContextID, va VAddr, access Access) (PAd
 	return PAddr(pte.Frame<<PageShift | va.Offset()), Fault{}
 }
 
-// FlushTLBOn empties one CPU's TLB, charging the flush cost.
-func (m *MMU) FlushTLBOn(cpu CPUID) {
-	c := m.cpu(cpu)
-	c.mu.Lock()
-	c.tlb.flush()
-	c.mu.Unlock()
-	m.meter.ChargeFor(clock.KernelDomain, clock.OpTLBFlush)
-	if probe.Enabled() {
-		m.meter.Emit(int(cpu), probe.KindTLBFlush, uint32(KernelContext), 0, 0)
-	}
-}
-
 // CPUTLBStats is a snapshot of one CPU's TLB counters.
 type CPUTLBStats struct {
 	Hits    uint64
@@ -692,6 +663,8 @@ func (m *MMU) TLBStatsOn(cpu CPUID) CPUTLBStats {
 }
 
 // Mappings returns the number of valid mappings in a context.
+//
+//paralint:ignore deadexport shm's and core's revoke and teardown tests check no mapping survives: no leaked grants after teardown
 func (m *MMU) Mappings(id ContextID) int {
 	pt, ok := m.pageTableOf(id)
 	if !ok {

@@ -349,16 +349,29 @@ func TestDestroyCurrentContextRefused(t *testing.T) {
 	}
 }
 
+// lookup returns the valid PTE for the page containing va, charging
+// nothing.
+func lookup(m *MMU, id ContextID, va VAddr) (PTE, bool) {
+	pt, ok := m.pageTableOf(id)
+	if !ok {
+		return PTE{}, false
+	}
+	pt.mu.RLock()
+	defer pt.mu.RUnlock()
+	pte, ok := pt.entries[va.VPN()]
+	return pte, ok && pte.Valid
+}
+
 func TestLookupAndMappings(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if _, ok := m.Lookup(ctx, 0x1000); ok {
+	if _, ok := lookup(m, ctx, 0x1000); ok {
 		t.Fatal("Lookup found a mapping in empty context")
 	}
 	if err := m.MapTaggedOn(BootCPU, ctx, 0x1000, 9, PermRead, "tag"); err != nil {
 		t.Fatal(err)
 	}
-	pte, ok := m.Lookup(ctx, 0x1000)
+	pte, ok := lookup(m, ctx, 0x1000)
 	if !ok || pte.Frame != 9 || pte.Tag != "tag" {
 		t.Fatalf("Lookup = %+v, %v", pte, ok)
 	}
@@ -393,8 +406,8 @@ func TestTranslatePreservesOffsetProperty(t *testing.T) {
 
 func TestPhysMemAllocFree(t *testing.T) {
 	p := NewPhysMem(4)
-	if p.NumFrames() != 4 || p.FreeFrames() != 4 {
-		t.Fatalf("fresh physmem: %d/%d", p.FreeFrames(), p.NumFrames())
+	if len(p.frames) != 4 || p.FreeFrames() != 4 {
+		t.Fatalf("fresh physmem: %d/%d", p.FreeFrames(), len(p.frames))
 	}
 	var frames []uint64
 	for i := 0; i < 4; i++ {

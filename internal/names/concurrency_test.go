@@ -69,7 +69,7 @@ func TestSpaceConcurrentStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if _, err := s.List("/stable"); err != nil {
+				if _, err := s.list("/stable"); err != nil {
 					t.Errorf("list: %v", err)
 					return
 				}
@@ -119,7 +119,7 @@ func TestSpaceConcurrentRegisterDisjoint(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	ls, err := s.List("/services")
+	ls, err := s.list("/services")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestViewConcurrentBindAndOverride(t *testing.T) {
 				t.Errorf("override: %v", err)
 				return
 			}
-			if err := child.ClearOverride("/svc/a"); err != nil {
+			if err := child.clearOverride("/svc/a"); err != nil {
 				t.Errorf("clear: %v", err)
 				return
 			}

@@ -181,7 +181,7 @@ func TestList(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := s.List("/svc")
+	got, err := s.list("/svc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,13 +194,13 @@ func TestList(t *testing.T) {
 			t.Fatalf("List = %v, want %v", got, want)
 		}
 	}
-	if _, err := s.List("/missing"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.list("/missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing: %v", err)
 	}
-	if _, err := s.List("/svc/net"); !errors.Is(err, ErrNotDir) {
+	if _, err := s.list("/svc/net"); !errors.Is(err, ErrNotDir) {
 		t.Fatalf("leaf: %v", err)
 	}
-	root, err := s.List("/")
+	root, err := s.list("/")
 	if err != nil || len(root) != 1 || root[0] != "svc/" {
 		t.Fatalf("root list = %v, %v", root, err)
 	}
@@ -355,21 +355,21 @@ func TestViewClearOverride(t *testing.T) {
 	if err := v.Override("/x", inst("fake")); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.ClearOverride("/x"); err != nil {
+	if err := v.clearOverride("/x"); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := v.Bind("/x")
 	if got != real {
 		t.Fatal("override still active after clear")
 	}
-	if err := v.ClearOverride("/x"); !errors.Is(err, ErrNotFound) {
+	if err := v.clearOverride("/x"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double clear: %v", err)
 	}
 	// Clearing an alias works too.
 	if err := v.Alias("/x", "/y"); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.ClearOverride("/x"); err != nil {
+	if err := v.clearOverride("/x"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -383,7 +383,7 @@ func TestViewOverridesListing(t *testing.T) {
 	if err := v.Alias("/a", "/b"); err != nil {
 		t.Fatal(err)
 	}
-	got := v.Overrides()
+	got := v.overrides()
 	if len(got) != 2 || got[0] != "/a" || got[1] != "/b" {
 		t.Fatalf("Overrides = %v", got)
 	}

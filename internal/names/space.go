@@ -246,9 +246,9 @@ func joinParts(parts []string) string {
 	return out
 }
 
-// List returns the sorted names under a directory path ("" or "/" for
+// list returns the sorted names under a directory path ("" or "/" for
 // the root). Names of subdirectories carry a trailing slash.
-func (s *Space) List(path string) ([]string, error) {
+func (s *Space) list(path string) ([]string, error) {
 	parts, err := Split(path)
 	if err != nil {
 		return nil, err

@@ -128,8 +128,8 @@ func (v *View) Alias(from, to string) error {
 	})
 }
 
-// ClearOverride removes an override or alias for path in this view.
-func (v *View) ClearOverride(path string) error {
+// clearOverride removes an override or alias for path in this view.
+func (v *View) clearOverride(path string) error {
 	c, err := Clean(path)
 	if err != nil {
 		return err
@@ -176,9 +176,9 @@ func (v *View) SweepInstances(doomed func(obj.Instance) bool) {
 	v.ovr.Store(ns)
 }
 
-// Overrides lists the paths overridden (directly or via alias) in this
+// overrides lists the paths overridden (directly or via alias) in this
 // view, sorted.
-func (v *View) Overrides() []string {
+func (v *View) overrides() []string {
 	os := v.ovr.Load()
 	out := make([]string, 0, len(os.overrides)+len(os.aliases))
 	for p := range os.overrides {
@@ -268,6 +268,3 @@ func (v *View) ResolveMethod(path, ifaceName, method string) (obj.MethodHandle, 
 	}
 	return iv.Resolve(method)
 }
-
-// Space returns the global space underlying this view.
-func (v *View) Space() *Space { return v.space }

@@ -64,7 +64,7 @@ func TestDeepViewChainBindRacesOverrideChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%3 == 0 {
-			if err := v.ClearOverride("/svc/x"); err != nil {
+			if err := v.clearOverride("/svc/x"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -98,7 +98,7 @@ func TestOverrideSnapshotsAreImmutable(t *testing.T) {
 	if err != nil || inst != repl {
 		t.Fatalf("bind = %v, %v; want the override", inst, err)
 	}
-	if err := v.ClearOverride("/a"); err != nil {
+	if err := v.clearOverride("/a"); err != nil {
 		t.Fatal(err)
 	}
 	inst, err = v.Bind("/a")

@@ -20,11 +20,8 @@ var StackDecl = obj.MustInterfaceDecl(StackIface,
 	obj.MethodDecl{Name: "stats", NumIn: 0, NumOut: 4}, // -> delivered, filtered, noport, malformed
 )
 
-// Errors.
-var (
-	ErrPortBusy = errors.New("netstack: port already bound")
-	ErrNoPort   = errors.New("netstack: port not bound")
-)
+// ErrPortBusy reports a Bind of a port that is already bound.
+var ErrPortBusy = errors.New("netstack: port already bound")
 
 // Stats counts the stack's dispositions.
 type Stats struct {
@@ -140,17 +137,6 @@ func (s *Stack) DetachFilter(name string) error {
 	return fmt.Errorf("netstack: no filter %q", name)
 }
 
-// Filters lists attached filter names in order.
-func (s *Stack) Filters() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, len(s.filters))
-	for i, f := range s.filters {
-		out[i] = f.Name()
-	}
-	return out
-}
-
 // Bind claims a UDP port and returns its endpoint.
 func (s *Stack) Bind(port uint16) (*Endpoint, error) {
 	s.mu.Lock()
@@ -161,17 +147,6 @@ func (s *Stack) Bind(port uint16) (*Endpoint, error) {
 	ep := &Endpoint{stack: s, port: port}
 	s.endpoints[port] = ep
 	return ep, nil
-}
-
-// Unbind releases a port.
-func (s *Stack) Unbind(port uint16) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.endpoints[port]; !ok {
-		return fmt.Errorf("%w: %d", ErrNoPort, port)
-	}
-	delete(s.endpoints, port)
-	return nil
 }
 
 // Pump drains the driver's receive queue through the stack and
@@ -313,9 +288,6 @@ type Endpoint struct {
 	lent  []byte   // the payload the last Recv returned
 }
 
-// Port reports the bound port.
-func (e *Endpoint) Port() uint16 { return e.port }
-
 // push queues a copy of payload.
 //
 //paramecium:hotpath
@@ -362,11 +334,4 @@ func (e *Endpoint) Recv() (Received, bool) {
 	}
 	e.lent = r.Payload
 	return r, true
-}
-
-// Len reports queued datagrams.
-func (e *Endpoint) Len() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.q) - e.head
 }

@@ -70,16 +70,6 @@ func ParseFrame(b []byte) (Frame, error) {
 	return f, nil
 }
 
-// BuildFrame encodes an Ethernet frame.
-func BuildFrame(dst, src MAC, etherType uint16, payload []byte) []byte {
-	b := make([]byte, EthHeaderLen+len(payload))
-	copy(b[0:6], dst[:])
-	copy(b[6:12], src[:])
-	binary.BigEndian.PutUint16(b[12:14], etherType)
-	copy(b[14:], payload)
-	return b
-}
-
 // Packet is a parsed IP-lite packet.
 type Packet struct {
 	Proto    uint8
@@ -106,18 +96,6 @@ func ParseIP(b []byte) (Packet, error) {
 	return p, nil
 }
 
-// BuildIP encodes an IP-lite packet.
-func BuildIP(src, dst IP, proto uint8, payload []byte) []byte {
-	b := make([]byte, IPHeaderLen+len(payload))
-	b[0] = proto
-	b[1] = DefaultTTL
-	binary.BigEndian.PutUint16(b[2:4], uint16(IPHeaderLen+len(payload)))
-	copy(b[4:8], src[:])
-	copy(b[8:12], dst[:])
-	copy(b[12:], payload)
-	return b
-}
-
 // Datagram is a parsed UDP datagram.
 type Datagram struct {
 	SrcPort, DstPort uint16
@@ -142,17 +120,6 @@ func ParseUDP(b []byte) (Datagram, error) {
 		return Datagram{}, fmt.Errorf("%w: UDP checksum %#x, want %#x", ErrMalformed, got, want)
 	}
 	return d, nil
-}
-
-// BuildUDP encodes a UDP datagram with checksum.
-func BuildUDP(srcPort, dstPort uint16, payload []byte) []byte {
-	b := make([]byte, UDPHeaderLen+len(payload))
-	binary.BigEndian.PutUint16(b[0:2], srcPort)
-	binary.BigEndian.PutUint16(b[2:4], dstPort)
-	binary.BigEndian.PutUint16(b[4:6], uint16(UDPHeaderLen+len(payload)))
-	binary.BigEndian.PutUint16(b[6:8], Checksum(payload))
-	copy(b[8:], payload)
-	return b
 }
 
 // Checksum is a 16-bit one's-complement sum, the classic Internet

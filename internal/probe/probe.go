@@ -130,9 +130,6 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// NumKinds is the number of distinct event kinds.
-const NumKinds = int(kindCount)
-
 // gate is the package-level enable gate. It is a counter, not a bool:
 // concurrent systems (tests boot many) each enable their own tracing
 // and the gate stays up until the last one disables. A system whose

@@ -30,7 +30,7 @@ func TestGateCounts(t *testing.T) {
 // TestKindNamesExhaustive: every Kind has a mnemonic and out-of-range
 // kinds degrade to a placeholder instead of panicking.
 func TestKindNamesExhaustive(t *testing.T) {
-	for k := Kind(0); int(k) < NumKinds; k++ {
+	for k := Kind(0); k < kindCount; k++ {
 		if k.String() == "" || k.String() == "kind(?)" {
 			t.Fatalf("kind %d has no mnemonic", k)
 		}
@@ -121,7 +121,7 @@ func TestRecorderSnapshotUnderFire(t *testing.T) {
 					return
 				default:
 				}
-				r.Emit(cpu, i, Kind(i%uint64(NumKinds)), uint32(i), i, i)
+				r.Emit(cpu, i, Kind(i%uint64(kindCount)), uint32(i), i, i)
 			}
 		}(cpu)
 	}

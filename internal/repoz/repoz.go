@@ -51,11 +51,6 @@ type Image struct {
 	Cert *cert.Certificate
 }
 
-// Digest returns the image's digest (what certificates cover).
-func (img *Image) Digest() cert.Digest {
-	return cert.DigestImage(nil, img.Data)
-}
-
 // Constructor instantiates a native component from its image data.
 type Constructor func(data []byte) (obj.Instance, error)
 
@@ -91,10 +86,10 @@ func (r *Repository) Add(img *Image) error {
 	return nil
 }
 
-// Replace stores an image, overwriting any previous version (a new
+// replace stores an image, overwriting any previous version (a new
 // version invalidates the old certificate by construction, since the
 // digest changes).
-func (r *Repository) Replace(img *Image) error {
+func (r *Repository) replace(img *Image) error {
 	if img == nil || img.Name == "" {
 		return fmt.Errorf("%w: missing name", ErrBadManifest)
 	}
@@ -115,8 +110,8 @@ func (r *Repository) Get(name string) (*Image, error) {
 	return img, nil
 }
 
-// Remove deletes an image.
-func (r *Repository) Remove(name string) error {
+// remove deletes an image.
+func (r *Repository) remove(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.images[name]; !ok {
@@ -155,6 +150,8 @@ func (r *Repository) Certify(name string, c *cert.Certificate) error {
 }
 
 // RegisterConstructor installs the builder for a native component.
+//
+//paralint:ignore deadexport core's TestConstructUncertifiedNativeRefusedFromKernel needs it to pin that uncertified native code never enters the kernel context
 func (r *Repository) RegisterConstructor(name string, ctor Constructor) error {
 	if ctor == nil {
 		return errors.New("repoz: nil constructor")

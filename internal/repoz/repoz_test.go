@@ -27,13 +27,13 @@ func TestAddGetRemove(t *testing.T) {
 	if err := r.Add(pvmImage("filter")); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate: %v", err)
 	}
-	if err := r.Remove("filter"); err != nil {
+	if err := r.remove("filter"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Get("filter"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("after remove: %v", err)
 	}
-	if err := r.Remove("filter"); !errors.Is(err, ErrNotFound) {
+	if err := r.remove("filter"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double remove: %v", err)
 	}
 }
@@ -53,12 +53,12 @@ func TestAddValidation(t *testing.T) {
 
 func TestReplace(t *testing.T) {
 	r := New()
-	if err := r.Replace(pvmImage("f")); err != nil {
+	if err := r.replace(pvmImage("f")); err != nil {
 		t.Fatal(err)
 	}
 	v2 := pvmImage("f")
 	v2.Data = append(v2.Data, 0)
-	if err := r.Replace(v2); err != nil {
+	if err := r.replace(v2); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := r.Get("f")
@@ -191,7 +191,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Digest() != img.Digest() {
+	if cert.DigestImage(nil, got.Data) != cert.DigestImage(nil, img.Data) {
 		t.Fatal("image bytes changed in round trip")
 	}
 	if got.Cert == nil || got.Cert.Issuer != "admin" || got.Cert.Digest != c.Digest {
@@ -217,11 +217,11 @@ func TestUnmarshalErrors(t *testing.T) {
 func TestImageDigestStable(t *testing.T) {
 	a := pvmImage("x")
 	b := pvmImage("x")
-	if a.Digest() != b.Digest() {
+	if cert.DigestImage(nil, a.Data) != cert.DigestImage(nil, b.Data) {
 		t.Fatal("identical images, different digests")
 	}
 	b.Data = append(b.Data, 1)
-	if a.Digest() == b.Digest() {
+	if cert.DigestImage(nil, a.Data) == cert.DigestImage(nil, b.Data) {
 		t.Fatal("different images, same digest")
 	}
 }

@@ -87,8 +87,8 @@ func MustAssemble(src string) Program {
 	return p
 }
 
-// Disassemble renders a program as assembler text.
-func Disassemble(p Program) string {
+// disassemble renders a program as assembler text.
+func disassemble(p Program) string {
 	var b strings.Builder
 	for i, ins := range p {
 		fmt.Fprintf(&b, "%4d: %s\n", i, ins)

@@ -108,7 +108,7 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestDisassembleRoundTrip(t *testing.T) {
 	p := MustAssemble(sumProgram)
-	text := Disassemble(p)
+	text := disassemble(p)
 	for _, want := range []string{"loadi", "ld8", "jge", "halt"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, text)

@@ -12,6 +12,21 @@ import (
 // boot-CPU-initiator bug: revoking a grant whose pages are cached only
 // in the revoking CPU's own TLB must charge no shootdown IPIs, while
 // the same revoke initiated from the boot CPU pays one per page held.
+// tombstones reports how many revoked-grant tombstones r retains.
+func tombstones(r *Registry) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.tombs)
+}
+
+// grantRecords reports the grant records r holds: live grants plus
+// retained tombstones.
+func grantRecords(r *Registry) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.grants)
+}
+
 func TestRevokeFromInitiator(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -75,7 +90,7 @@ func TestRevokeFromInitiator(t *testing.T) {
 // keep the better error.
 func TestTombstoneChurnBounded(t *testing.T) {
 	reg, svc, _ := newTestRegistry(t, 1)
-	reg.SetMaxTombstones(8)
+	reg.setMaxTombstones(8)
 	owner := svc.NewDomain()
 	grantee := svc.NewDomain()
 
@@ -96,10 +111,10 @@ func TestTombstoneChurnBounded(t *testing.T) {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 		refs = append(refs, g.Ref())
-		if got := reg.Tombstones(); got > 8 {
+		if got := tombstones(reg); got > 8 {
 			t.Fatalf("iteration %d: %d tombstones retained, cap is 8", i, got)
 		}
-		if got := reg.Grants(); got > 8 {
+		if got := grantRecords(reg); got > 8 {
 			t.Fatalf("iteration %d: %d grant records retained, want <= cap", i, got)
 		}
 	}
@@ -116,7 +131,7 @@ func TestTombstoneChurnBounded(t *testing.T) {
 	// The segments created above are still live; tear them down and
 	// confirm their tombstones go with them.
 	reg.CondemnDomainFrom(mmu.BootCPU, owner)
-	if got := reg.Tombstones(); got != 0 {
+	if got := tombstones(reg); got != 0 {
 		t.Fatalf("tombstones after owner teardown = %d, want 0 (all segments destroyed)", got)
 	}
 }
@@ -150,7 +165,7 @@ func TestDestroySweepsTombstones(t *testing.T) {
 	if err := reg.RevokeFrom(mmu.BootCPU, og.Ref()); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Tombstones(); got != 2 {
+	if got := tombstones(reg); got != 2 {
 		t.Fatalf("tombstones = %d, want 2", got)
 	}
 
@@ -159,7 +174,7 @@ func TestDestroySweepsTombstones(t *testing.T) {
 	}
 	// Only the destroyed segment's tombstone is swept; the other
 	// segment's survives with its better error.
-	if got := reg.Tombstones(); got != 1 {
+	if got := tombstones(reg); got != 1 {
 		t.Fatalf("tombstones after destroy = %d, want 1", got)
 	}
 	if _, err := reg.Attach(g.Ref()); !errors.Is(err, ErrNoGrant) {
@@ -174,7 +189,7 @@ func TestDestroySweepsTombstones(t *testing.T) {
 // revoked ref immediately reports ErrNoGrant.
 func TestSetMaxTombstonesZero(t *testing.T) {
 	reg, svc, _ := newTestRegistry(t, 1)
-	reg.SetMaxTombstones(0)
+	reg.setMaxTombstones(0)
 	owner := svc.NewDomain()
 	grantee := svc.NewDomain()
 	seg, err := reg.NewSegment(owner, 1)
@@ -191,7 +206,7 @@ func TestSetMaxTombstonesZero(t *testing.T) {
 	if _, err := reg.Attach(g.Ref()); !errors.Is(err, ErrNoGrant) {
 		t.Fatalf("Attach err = %v, want ErrNoGrant (cap 0 retains nothing)", err)
 	}
-	if got := reg.Grants(); got != 0 {
+	if got := grantRecords(reg); got != 0 {
 		t.Fatalf("grant records = %d, want 0", got)
 	}
 }

@@ -146,9 +146,9 @@ func NewRegistry(svc *mem.Service) *Registry {
 	}
 }
 
-// SetMaxTombstones adjusts the tombstone retention cap. A cap of zero
+// setMaxTombstones adjusts the tombstone retention cap. A cap of zero
 // retains nothing: revoked refs immediately report ErrNoGrant.
-func (r *Registry) SetMaxTombstones(n int) {
+func (r *Registry) setMaxTombstones(n int) {
 	if n < 0 {
 		n = 0
 	}
@@ -156,23 +156,6 @@ func (r *Registry) SetMaxTombstones(n int) {
 	defer r.mu.Unlock()
 	r.maxTombs = n
 	r.evictTombsLocked()
-}
-
-// Tombstones reports how many revoked-grant tombstones the registry
-// currently retains.
-func (r *Registry) Tombstones() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.tombs)
-}
-
-// Grants reports the total number of grant records the registry holds:
-// live grants plus retained tombstones. Bounded churn keeps this from
-// growing monotonically.
-func (r *Registry) Grants() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.grants)
 }
 
 // Segment is N pages of refcounted shared frames owned by one
@@ -273,12 +256,6 @@ func (r *Registry) NewSegment(owner mmu.ContextID, pages int) (*Segment, error) 
 // ID reports the segment's identifier.
 func (s *Segment) ID() SegmentID { return s.id }
 
-// Owner reports the owning protection domain.
-func (s *Segment) Owner() mmu.ContextID { return s.owner }
-
-// Base reports the owner-side base address.
-func (s *Segment) Base() mmu.VAddr { return s.base }
-
 // Pages reports the segment's length in pages.
 func (s *Segment) Pages() int { return s.pages }
 
@@ -314,12 +291,6 @@ func (s *Segment) Grant(to mmu.ContextID, rights Rights) (*Grant, error) {
 
 // Ref returns the grant's unforgeable capability reference.
 func (g *Grant) Ref() GrantRef { return g.ref }
-
-// Grantee reports the context the grant is addressed to.
-func (g *Grant) Grantee() mmu.ContextID { return g.to }
-
-// Rights reports the access the grant confers.
-func (g *Grant) Rights() Rights { return g.rights }
 
 // Revoked reports whether the grant has been withdrawn (including by a
 // CondemnDomainFrom sweep of the grantee). The granting side polls this to
@@ -600,13 +571,6 @@ func (r *Registry) AbsolveDomain(ctx mmu.ContextID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.condemned, ctx)
-}
-
-// Segments reports the number of live segments.
-func (r *Registry) Segments() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.segs)
 }
 
 // bounds validates an [off, off+n) access against a segment size.

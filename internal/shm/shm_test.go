@@ -65,7 +65,7 @@ func TestSegmentLifecycle(t *testing.T) {
 		t.Fatalf("grantee read %q, want %q", got, payload)
 	}
 	// Frames are refcounted: owner + grantee.
-	frame, ok := svc.Frame(owner, seg.Base())
+	frame, ok := svc.Frame(owner, seg.base)
 	if !ok {
 		t.Fatal("owner page not managed")
 	}
@@ -187,7 +187,7 @@ func TestVAReuseUnderGrantChurn(t *testing.T) {
 		}
 	}
 	// Segment churn recycles the owner side too.
-	ownerBase := seg.Base()
+	ownerBase := seg.base
 	if err := seg.DestroyFrom(mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +195,8 @@ func TestVAReuseUnderGrantChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg2.Base() != ownerBase {
-		t.Fatalf("new segment at %#x, want the recycled %#x", uint64(seg2.Base()), uint64(ownerBase))
+	if seg2.base != ownerBase {
+		t.Fatalf("new segment at %#x, want the recycled %#x", uint64(seg2.base), uint64(ownerBase))
 	}
 }
 
@@ -401,7 +401,7 @@ func TestRevokePaysRemoteShootdowns(t *testing.T) {
 	var buf [8]byte
 	for p := 0; p < 2; p++ {
 		va := att.Base() + mmu.VAddr(p*mmu.PageSize)
-		if err := machine.CPUByID(1).Machine().LoadOn(machine.CPUByID(1).ID(), grantee, va, buf[:]); err != nil {
+		if err := machine.LoadOn(1, grantee, va, buf[:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -524,7 +524,7 @@ func TestGrantLifecycleRaces(t *testing.T) {
 	for _, ctx := range ctxs {
 		reg.CondemnDomainFrom(mmu.BootCPU, ctx)
 	}
-	if n := reg.Segments(); n != 0 {
+	if n := len(reg.segs); n != 0 {
 		t.Fatalf("%d segments survive after every domain condemned", n)
 	}
 	for _, ctx := range ctxs {

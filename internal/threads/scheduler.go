@@ -19,7 +19,7 @@ import (
 // owns the sleep queue and charges all thread-related costs.
 //
 // Scheduler CPU k IS machine CPU k: the run-queue index, the
-// mmu.CPUID a thread reports through LastCPU, and the per-CPU TLB a
+// mmu.CPUID a thread last ran on, and the per-CPU TLB a
 // thread body charges when it passes that ID to hw.Machine.LoadOn are
 // one identity. CPU affinity arguments are therefore typed
 // mmu.CPUID end to end, with mmu.NoCPU for "no affinity".
@@ -29,13 +29,9 @@ import (
 //  1. A thread with a CPU binding or a last-run CPU is queued on that
 //     CPU (pop-up threads stay on the CPU their event was bound to;
 //     re-readied threads keep their TLB-warm CPU).
-//  2. An unaffined thread with a node hint (Thread.Spawn records the
-//     spawner's node) rotates round-robin across the CPUs of that
-//     node — within-node first, so sibling spawns stay on one memory
-//     node and spill cross-node only through stealing.
-//  3. An unaffined thread with no hint rotates nodes round-robin and
-//     then CPUs within the chosen node (the flat global round-robin
-//     when no topology is attached).
+//  2. An unaffined thread rotates nodes round-robin and then CPUs
+//     within the chosen node (the flat global round-robin when no
+//     topology is attached).
 //
 // A thief empties its own queue, then steals half a victim's deque —
 // scanning same-node victims first (random start within the node) and
@@ -77,7 +73,7 @@ type Scheduler struct {
 	// NUMA shape for placement, mirroring the machine topology's
 	// contiguous layout (CPU k lives on node k / cpusPerNode). Zero
 	// nnodes means no topology: flat round-robin placement. nodeRR
-	// rotates hint-less threads across nodes; nodeCursor[i] rotates
+	// rotates unaffined threads across nodes; nodeCursor[i] rotates
 	// placements within node i (padded so hot spawning nodes do not
 	// false-share cursors).
 	nnodes      int
@@ -113,7 +109,6 @@ type Scheduler struct {
 	runMu         sync.Mutex // serializes RunUntilIdle calls
 	steals        atomic.Uint64
 	stolenThreads atomic.Uint64
-	parks         atomic.Uint64
 }
 
 // runqueue is one CPU's local deque: the owner pops from the front
@@ -169,33 +164,6 @@ func NewSchedulerCPUs(meter *clock.Meter, ncpu int) *Scheduler {
 	return s
 }
 
-// Meter exposes the scheduler's meter (used by the event service).
-func (s *Scheduler) Meter() *clock.Meter { return s.meter }
-
-// NumCPUs reports the number of virtual CPUs the scheduler dispatches
-// on.
-func (s *Scheduler) NumCPUs() int { return len(s.cpus) }
-
-// Steals reports how many steal operations have taken work from
-// another CPU's run queue since construction. One operation moves up
-// to half the victim's deque (StolenThreads counts the threads).
-func (s *Scheduler) Steals() uint64 { return s.steals.Load() }
-
-// StolenThreads reports how many threads have migrated between CPUs
-// through steal operations. StolenThreads/Steals is the rebalancing
-// batch factor: near 1 under trickle load, climbing under bursty
-// pop-up load where whole half-deques move at once.
-func (s *Scheduler) StolenThreads() uint64 { return s.stolenThreads.Load() }
-
-// Parks reports how many times an idle CPU parked waiting for work.
-func (s *Scheduler) Parks() uint64 { return s.parks.Load() }
-
-// DispatcherSpawns reports how many host dispatcher goroutines the
-// scheduler has ever started. The persistent pool spawns one per CPU
-// on the first parallel run and reuses them: the count stays at
-// NumCPUs no matter how many times the scheduler is pumped.
-func (s *Scheduler) DispatcherSpawns() uint64 { return s.workerSpawns.Load() }
-
 func (s *Scheduler) newThread(name string) *Thread {
 	id := s.nextID.Add(1)
 	s.mu.Lock()
@@ -210,7 +178,6 @@ func (s *Scheduler) newThread(name string) *Thread {
 		done:   make(chan struct{}),
 	}
 	t.cpu.Store(int32(mmu.NoCPU))
-	t.node.Store(-1)
 	return t
 }
 
@@ -220,33 +187,17 @@ func (s *Scheduler) Spawn(name string, fn func(*Thread)) *Thread {
 	return s.SpawnOn(mmu.NoCPU, name, fn)
 }
 
-// spawnNear is Spawn with a placement hint: the new thread is
-// unaffined (stealable, no pinned CPU) but its first placement rotates
-// within origin's NUMA node. Thread.Spawn passes the spawner's CPU.
-func (s *Scheduler) spawnNear(origin mmu.CPUID, name string, fn func(*Thread)) *Thread {
-	node := int32(-1)
-	if s.nnodes > 0 && origin >= 0 && int(origin) < len(s.cpus) {
-		node = int32(int(origin) / s.cpusPerNode)
-	}
-	return s.spawn(mmu.NoCPU, node, name, fn)
-}
-
 // SpawnOn is Spawn with a CPU affinity: the thread is queued on (and
 // keeps returning to) the given CPU's run queue, unless stolen.
 // mmu.NoCPU means no affinity (round-robin placement; see the
 // placement order in the package comment). The event service uses it
 // to route pop-up threads to the CPU an interrupt was bound to.
 func (s *Scheduler) SpawnOn(cpu mmu.CPUID, name string, fn func(*Thread)) *Thread {
-	return s.spawn(cpu, -1, name, fn)
-}
-
-func (s *Scheduler) spawn(cpu mmu.CPUID, node int32, name string, fn func(*Thread)) *Thread {
 	s.meter.ChargeFor(clock.KernelDomain, clock.OpThreadCreate)
 	t := s.newThread(name)
 	if cpu >= 0 && int(cpu) < len(s.cpus) {
 		t.cpu.Store(int32(cpu))
 	}
-	t.node.Store(node)
 	go func() {
 		<-t.resume
 		t.setState(StateRunning)
@@ -336,8 +287,8 @@ func (s *Scheduler) PopUpProtoOn(cpu mmu.CPUID, name string, fn func(*Thread)) (
 // after it returns.
 //
 // The proof that the body cannot block is its type: every blocking
-// primitive of this package (Yield, Sleep, Mutex.Lock, Cond.Wait,
-// Semaphore.P, Queue.Push, Queue.Pop) takes the *Thread that blocks,
+// primitive of this package (Yield, Mutex.Lock, Queue.Pop, and the
+// unexported ones its tests use) takes the *Thread that blocks,
 // and a body that is never handed one cannot reach Thread.stop.
 //
 //paramecium:hotpath
@@ -361,7 +312,6 @@ func (s *Scheduler) newCarrier() *Thread {
 		run:       make(chan *Thread, 1),
 		done:      make(chan struct{}),
 	}
-	t.node.Store(-1)
 	go carry(t.run, s.gone)
 	return t
 }
@@ -432,12 +382,8 @@ func (s *Scheduler) ready(t *Thread) {
 			cpu = a
 		} else if s.nnodes > 0 {
 			// Node-aware placement (order documented on Scheduler):
-			// rotate within the hinted node; hint-less threads rotate
-			// nodes first, then CPUs within the node they landed on.
-			node := int(t.node.Load())
-			if node < 0 || node >= s.nnodes {
-				node = int(s.nodeRR.Add(1)-1) % s.nnodes
-			}
+			// rotate nodes first, then CPUs within the node landed on.
+			node := int(s.nodeRR.Add(1)-1) % s.nnodes
 			within := int(s.nodeCursor[node].c.Add(1)-1) % s.cpusPerNode
 			cpu = node*s.cpusPerNode + within
 		} else {
@@ -465,15 +411,6 @@ func (s *Scheduler) ready(t *Thread) {
 		s.idleCond.Signal()
 		s.idleMu.Unlock()
 	}
-}
-
-// Wake moves a blocked thread to the ready queue. Synchronization
-// primitives call it with the scheduler lock held via wakeLocked; the
-// exported form is for event sources living outside this package.
-func (s *Scheduler) Wake(t *Thread) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.wakeLocked(t)
 }
 
 func (s *Scheduler) wakeLocked(t *Thread) {
@@ -601,7 +538,7 @@ func (s *Scheduler) stealScan(me, base, width int, rng *clock.Rand) *Thread {
 		rq.q = rq.q[:ln-take]
 		rq.mu.Unlock()
 		// Threads before operations: a reader computing the batch factor
-		// StolenThreads/Steals must never observe a steal whose threads
+		// stolenThreads/steals must never observe a steal whose threads
 		// have not landed in the numerator yet (the ratio would dip below
 		// one thread per operation, which is impossible).
 		s.stolenThreads.Add(uint64(take))
@@ -797,7 +734,6 @@ func (s *Scheduler) quiesce(cpu int) (done bool) {
 		}
 	}
 	for !s.runDone && s.nready.Load() == 0 {
-		s.parks.Add(1)
 		if probe.Enabled() {
 			s.meter.Emit(cpu, probe.KindPark, uint32(clock.KernelDomain), 0, 0)
 		}
@@ -810,12 +746,9 @@ func (s *Scheduler) quiesce(cpu int) (done bool) {
 	return done
 }
 
-// ReadyCount reports the number of threads waiting to run.
-func (s *Scheduler) ReadyCount() int {
-	return int(s.nready.Load())
-}
-
 // LiveCount reports spawned/promoted threads that have not finished.
+//
+//paralint:ignore deadexport event's and drivers' tests check it is 0 after teardown: no leaked proto-thread carriers
 func (s *Scheduler) LiveCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

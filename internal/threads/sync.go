@@ -39,8 +39,8 @@ func (m *Mutex) Lock(t *Thread) {
 	})
 }
 
-// TryLock acquires the mutex without blocking; it reports success.
-func (m *Mutex) TryLock(t *Thread) bool {
+// tryLock acquires the mutex without blocking; it reports success.
+func (m *Mutex) tryLock(t *Thread) bool {
 	s := m.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -76,27 +76,20 @@ func (m *Mutex) unlockLocked(t *Thread) error {
 	return nil
 }
 
-// Holder reports the current owner (nil if free). For tests.
-func (m *Mutex) Holder() *Thread {
-	m.s.mu.Lock()
-	defer m.s.mu.Unlock()
-	return m.owner
-}
-
-// Cond is a condition variable tied to a Mutex.
-type Cond struct {
+// cond is a condition variable tied to a Mutex.
+type cond struct {
 	m       *Mutex
 	waiters []*Thread
 }
 
-// NewCond builds a condition variable over m.
-func NewCond(m *Mutex) *Cond {
-	return &Cond{m: m}
+// newCond builds a condition variable over m.
+func newCond(m *Mutex) *cond {
+	return &cond{m: m}
 }
 
-// Wait atomically releases the mutex and blocks until the thread is
+// wait atomically releases the mutex and blocks until the thread is
 // signalled, then reacquires the mutex before returning.
-func (c *Cond) Wait(t *Thread) error {
+func (c *cond) wait(t *Thread) error {
 	s := c.m.s
 	s.mu.Lock()
 	if !c.m.held || c.m.owner != t {
@@ -115,9 +108,9 @@ func (c *Cond) Wait(t *Thread) error {
 	return nil
 }
 
-// Signal wakes the oldest waiter, if any. The caller should hold the
+// signal wakes the oldest waiter, if any. The caller should hold the
 // mutex but this is not enforced (as with sync.Cond).
-func (c *Cond) Signal() {
+func (c *cond) signal() {
 	s := c.m.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -129,8 +122,8 @@ func (c *Cond) Signal() {
 	s.wakeLocked(t)
 }
 
-// Broadcast wakes every waiter.
-func (c *Cond) Broadcast() {
+// broadcast wakes every waiter.
+func (c *cond) broadcast() {
 	s := c.m.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -140,20 +133,20 @@ func (c *Cond) Broadcast() {
 	c.waiters = nil
 }
 
-// Semaphore is a counting semaphore.
-type Semaphore struct {
+// semaphore is a counting semaphore.
+type semaphore struct {
 	s       *Scheduler
 	count   int
 	waiters []*Thread
 }
 
-// NewSemaphore builds a semaphore with the given initial count.
-func NewSemaphore(s *Scheduler, initial int) *Semaphore {
-	return &Semaphore{s: s, count: initial}
+// newSemaphore builds a semaphore with the given initial count.
+func newSemaphore(s *Scheduler, initial int) *semaphore {
+	return &semaphore{s: s, count: initial}
 }
 
-// P (down) decrements the semaphore, blocking while it is zero.
-func (sem *Semaphore) P(t *Thread) {
+// p (down) decrements the semaphore, blocking while it is zero.
+func (sem *semaphore) p(t *Thread) {
 	s := sem.s
 	s.mu.Lock()
 	if sem.count > 0 {
@@ -166,9 +159,9 @@ func (sem *Semaphore) P(t *Thread) {
 	})
 }
 
-// V (up) increments the semaphore, waking one waiter if any. The count
+// v (up) increments the semaphore, waking one waiter if any. The count
 // is transferred directly to the woken thread.
-func (sem *Semaphore) V() {
+func (sem *semaphore) v() {
 	s := sem.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -181,8 +174,8 @@ func (sem *Semaphore) V() {
 	sem.count++
 }
 
-// Count reports the current count (waiters imply zero).
-func (sem *Semaphore) Count() int {
+// value reports the current count (waiters imply zero).
+func (sem *semaphore) value() int {
 	sem.s.mu.Lock()
 	defer sem.s.mu.Unlock()
 	return sem.count
@@ -194,7 +187,6 @@ type Queue struct {
 	s     *Scheduler
 	cap   int
 	items []any
-	nf    []*Thread // waiting for not-full
 	ne    []*Thread // waiting for not-empty
 }
 
@@ -204,27 +196,6 @@ func NewQueue(s *Scheduler, capacity int) (*Queue, error) {
 		return nil, ErrQueueSize
 	}
 	return &Queue{s: s, cap: capacity}, nil
-}
-
-// Push appends an item, blocking while the queue is full.
-func (q *Queue) Push(t *Thread, item any) {
-	s := q.s
-	for {
-		s.mu.Lock()
-		if len(q.items) < q.cap {
-			q.items = append(q.items, item)
-			if len(q.ne) > 0 {
-				w := q.ne[0]
-				q.ne = q.ne[1:]
-				s.wakeLocked(w)
-			}
-			s.mu.Unlock()
-			return
-		}
-		t.blockLocked(func() {
-			q.nf = append(q.nf, t)
-		})
-	}
 }
 
 // TryPush appends without blocking; it reports success.
@@ -252,11 +223,6 @@ func (q *Queue) Pop(t *Thread) any {
 		if len(q.items) > 0 {
 			item := q.items[0]
 			q.items = q.items[1:]
-			if len(q.nf) > 0 {
-				w := q.nf[0]
-				q.nf = q.nf[1:]
-				s.wakeLocked(w)
-			}
 			s.mu.Unlock()
 			return item
 		}
@@ -264,11 +230,4 @@ func (q *Queue) Pop(t *Thread) any {
 			q.ne = append(q.ne, t)
 		})
 	}
-}
-
-// Len reports the number of queued items.
-func (q *Queue) Len() int {
-	q.s.mu.Lock()
-	defer q.s.mu.Unlock()
-	return len(q.items)
 }

@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"paramecium/internal/mmu"
 )
 
 // State is a thread's scheduling state.
@@ -57,7 +55,7 @@ func (s State) String() string {
 
 // Thread is a simulated thread. The function run by the thread
 // receives the *Thread and must use it for all blocking operations
-// (Yield, Sleep, Mutex.Lock, Cond.Wait).
+// (Yield, Mutex.Lock, Queue.Pop).
 type Thread struct {
 	id    uint64
 	name  string
@@ -67,11 +65,6 @@ type Thread struct {
 	// requeueing), or NoCPU before the first dispatch. Stealing
 	// rewrites it at the next dispatch.
 	cpu atomic.Int32
-
-	// node is the NUMA node first placement should rotate within —
-	// the spawner's node for Thread.Spawn siblings — or -1 when the
-	// thread has no placement hint. Meaningless once cpu is set.
-	node atomic.Int32
 
 	// mu guards the mutable fields below; the scheduler's own lock
 	// orders cross-thread transitions.
@@ -98,46 +91,9 @@ type Thread struct {
 }
 
 // ID returns the thread identifier.
+//
+//paralint:ignore deadexport event's TestThreadFreeDeliveriesKeepThreadIDs pins that a thread-free pop-up consumes one ID, so later thread IDs do not depend on the handler form
 func (t *Thread) ID() uint64 { return t.id }
-
-// Name returns the thread's name.
-func (t *Thread) Name() string { return t.name }
-
-// State reports the current scheduling state.
-func (t *Thread) State() State {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.state
-}
-
-// LastCPU reports the virtual CPU the thread last ran on, or mmu.NoCPU
-// if it has not been dispatched yet. The identity is the machine's
-// own: scheduler CPU k is hw.Machine.CPUByID(k), so the value indexes
-// per-CPU TLB and trap state directly.
-func (t *Thread) LastCPU() mmu.CPUID { return mmu.CPUID(t.cpu.Load()) }
-
-// Spawn creates an unaffined sibling thread placed near the spawner:
-// with a NUMA topology the child's first placement rotates across the
-// CPUs of the spawner's node (spilling cross-node only through work
-// stealing); without one it falls back to the scheduler's flat
-// round-robin. The full thread-creation cost is charged immediately.
-func (t *Thread) Spawn(name string, fn func(*Thread)) *Thread {
-	return t.sched.spawnNear(mmu.CPUID(t.cpu.Load()), name, fn)
-}
-
-// Promoted reports whether this thread began life as a proto-thread
-// and was promoted to a real thread.
-func (t *Thread) Promoted() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.promoted
-}
-
-// Done returns a channel closed when the thread finishes. Intended for
-// the host-side test harness, not for simulated code. A proto-thread
-// that completes inline never closes it: PopUpProtoOn hands out only
-// promoted threads.
-func (t *Thread) Done() <-chan struct{} { return t.done }
 
 func (t *Thread) setState(s State) {
 	t.mu.Lock()
@@ -166,6 +122,8 @@ func (t *Thread) stop() {
 // Yield voluntarily gives up the processor; the thread goes to the
 // back of the ready queue. A proto-thread that yields is promoted (it
 // is "about to be rescheduled").
+//
+//paralint:ignore deadexport event's concurrent-delivery tests promote pop-ups through it to pin no leaked proto-thread carriers and Delivered == Inline + Promoted
 func (t *Thread) Yield() {
 	s := t.sched
 	s.mu.Lock()
@@ -181,10 +139,10 @@ func (t *Thread) Yield() {
 	t.setState(StateRunning)
 }
 
-// Sleep blocks the thread for the given number of virtual cycles. The
+// sleep blocks the thread for the given number of virtual cycles. The
 // scheduler advances the clock when all threads are sleeping, so
 // virtual sleeps complete without wall-clock delay.
-func (t *Thread) Sleep(cycles uint64) {
+func (t *Thread) sleep(cycles uint64) {
 	s := t.sched
 	s.mu.Lock()
 	if t.proto && !t.promoted {
@@ -199,17 +157,10 @@ func (t *Thread) Sleep(cycles uint64) {
 	t.setState(StateRunning)
 }
 
-// block parks the thread after registering it with a wait queue; the
-// registration runs under the scheduler lock so wakeups cannot be
-// lost. Used by the synchronization primitives.
-func (t *Thread) block(register func()) {
-	t.sched.mu.Lock()
-	t.blockLocked(register)
-}
-
-// blockLocked is block for callers already holding the scheduler lock;
-// it releases the lock before parking. A proto-thread blocking for the
-// first time is promoted here.
+// blockLocked parks the thread after registering it with a wait queue.
+// The caller holds the scheduler lock, so wakeups cannot be lost; it is
+// released before parking. A proto-thread blocking for the first time
+// is promoted here.
 func (t *Thread) blockLocked(register func()) {
 	s := t.sched
 	if t.proto && !t.promoted {

@@ -12,6 +12,18 @@ func newSched() (*Scheduler, *clock.Meter) {
 	return NewScheduler(meter), meter
 }
 
+func stateOf(th *Thread) State {
+	th.mu.Lock()
+	defer th.mu.Unlock()
+	return th.state
+}
+
+func promoted(th *Thread) bool {
+	th.mu.Lock()
+	defer th.mu.Unlock()
+	return th.promoted
+}
+
 func TestSpawnRunsFunction(t *testing.T) {
 	s, meter := newSched()
 	ran := false
@@ -22,9 +34,9 @@ func TestSpawnRunsFunction(t *testing.T) {
 	if !ran {
 		t.Fatal("function did not run")
 	}
-	<-th.Done()
-	if th.State() != StateDone {
-		t.Fatalf("state = %v", th.State())
+	<-th.done
+	if stateOf(th) != StateDone {
+		t.Fatalf("state = %v", stateOf(th))
 	}
 	if meter.Count(clock.OpThreadCreate) != 1 {
 		t.Fatal("thread creation not charged")
@@ -80,7 +92,7 @@ func TestMutexMutualExclusion(t *testing.T) {
 	if maxInCritical != 1 {
 		t.Fatalf("max threads in critical section = %d", maxInCritical)
 	}
-	if m.Holder() != nil {
+	if m.owner != nil {
 		t.Fatal("mutex still held")
 	}
 }
@@ -138,10 +150,10 @@ func TestTryLock(t *testing.T) {
 	m := NewMutex(s)
 	var got []bool
 	s.Spawn("a", func(th *Thread) {
-		got = append(got, m.TryLock(th)) // true
-		got = append(got, m.TryLock(th)) // false, already held
+		got = append(got, m.tryLock(th)) // true
+		got = append(got, m.tryLock(th)) // false, already held
 		m.Unlock(th)
-		got = append(got, m.TryLock(th)) // true again
+		got = append(got, m.tryLock(th)) // true again
 		m.Unlock(th)
 	})
 	s.RunUntilIdle()
@@ -153,13 +165,13 @@ func TestTryLock(t *testing.T) {
 func TestCondWaitSignal(t *testing.T) {
 	s, _ := newSched()
 	m := NewMutex(s)
-	c := NewCond(m)
+	c := newCond(m)
 	ready := false
 	var consumed []int
 	s.Spawn("consumer", func(th *Thread) {
 		m.Lock(th)
 		for !ready {
-			if err := c.Wait(th); err != nil {
+			if err := c.wait(th); err != nil {
 				t.Errorf("wait: %v", err)
 			}
 		}
@@ -169,7 +181,7 @@ func TestCondWaitSignal(t *testing.T) {
 	s.Spawn("producer", func(th *Thread) {
 		m.Lock(th)
 		ready = true
-		c.Signal()
+		c.signal()
 		m.Unlock(th)
 	})
 	s.RunUntilIdle()
@@ -181,10 +193,10 @@ func TestCondWaitSignal(t *testing.T) {
 func TestCondWaitRequiresMutex(t *testing.T) {
 	s, _ := newSched()
 	m := NewMutex(s)
-	c := NewCond(m)
+	c := newCond(m)
 	var err error
 	s.Spawn("w", func(th *Thread) {
-		err = c.Wait(th) // without holding m
+		err = c.wait(th) // without holding m
 	})
 	s.RunUntilIdle()
 	if err != ErrNotOwner {
@@ -195,19 +207,19 @@ func TestCondWaitRequiresMutex(t *testing.T) {
 func TestCondBroadcast(t *testing.T) {
 	s, _ := newSched()
 	m := NewMutex(s)
-	c := NewCond(m)
+	c := newCond(m)
 	woken := 0
 	for i := 0; i < 3; i++ {
 		s.Spawn("waiter", func(th *Thread) {
 			m.Lock(th)
-			c.Wait(th)
+			c.wait(th)
 			woken++
 			m.Unlock(th)
 		})
 	}
 	s.Spawn("caster", func(th *Thread) {
 		m.Lock(th)
-		c.Broadcast()
+		c.broadcast()
 		m.Unlock(th)
 	})
 	s.RunUntilIdle()
@@ -218,26 +230,26 @@ func TestCondBroadcast(t *testing.T) {
 
 func TestSemaphore(t *testing.T) {
 	s, _ := newSched()
-	sem := NewSemaphore(s, 2)
+	sem := newSemaphore(s, 2)
 	active, peak := 0, 0
 	for i := 0; i < 5; i++ {
 		s.Spawn("w", func(th *Thread) {
-			sem.P(th)
+			sem.p(th)
 			active++
 			if active > peak {
 				peak = active
 			}
 			th.Yield()
 			active--
-			sem.V()
+			sem.v()
 		})
 	}
 	s.RunUntilIdle()
 	if peak != 2 {
 		t.Fatalf("peak concurrency = %d, want 2", peak)
 	}
-	if sem.Count() != 2 {
-		t.Fatalf("final count = %d", sem.Count())
+	if sem.value() != 2 {
+		t.Fatalf("final count = %d", sem.value())
 	}
 }
 
@@ -250,7 +262,9 @@ func TestQueueProducerConsumer(t *testing.T) {
 	var got []int
 	s.Spawn("producer", func(th *Thread) {
 		for i := 0; i < 5; i++ {
-			q.Push(th, i) // blocks when full
+			for !q.TryPush(i) {
+				th.Yield() // full: let the consumer drain
+			}
 		}
 	})
 	s.Spawn("consumer", func(th *Thread) {
@@ -267,8 +281,8 @@ func TestQueueProducerConsumer(t *testing.T) {
 			t.Fatalf("got = %v (order broken)", got)
 		}
 	}
-	if q.Len() != 0 {
-		t.Fatalf("queue len = %d", q.Len())
+	if len(q.items) != 0 {
+		t.Fatalf("queue len = %d", len(q.items))
 	}
 }
 
@@ -356,7 +370,7 @@ func TestPopUpProtoPromotesOnBlock(t *testing.T) {
 	if th == nil {
 		t.Fatal("blocking handler reported inline completion")
 	}
-	if !th.Promoted() {
+	if !promoted(th) {
 		t.Fatal("blocked proto-thread not promoted")
 	}
 	if meter.Count(clock.OpPromote) != 1 || meter.Count(clock.OpThreadCreate) != 2 {
@@ -372,7 +386,7 @@ func TestPopUpProtoPromotesOnBlock(t *testing.T) {
 		t.Fatal("TryPush failed")
 	}
 	s.RunUntilIdle()
-	<-th.Done()
+	<-th.done
 	if !handlerDone {
 		t.Fatal("promoted handler never completed")
 	}
@@ -386,26 +400,26 @@ func TestPopUpProtoPromotesOnYield(t *testing.T) {
 	if th == nil {
 		t.Fatal("yielding handler reported inline completion")
 	}
-	if !th.Promoted() {
+	if !promoted(th) {
 		t.Fatal("yielding proto-thread not promoted")
 	}
 	if meter.Count(clock.OpPromote) != 1 {
 		t.Fatal("promotion not charged")
 	}
 	s.RunUntilIdle()
-	<-th.Done()
+	<-th.done
 }
 
 func TestPopUpProtoPromotesOnSleep(t *testing.T) {
 	s, _ := newSched()
 	th := s.PopUpProtoOn(mmu.NoCPU, "irq", func(t2 *Thread) {
-		t2.Sleep(100)
+		t2.sleep(100)
 	})
-	if th == nil || !th.Promoted() {
+	if th == nil || !promoted(th) {
 		t.Fatal("sleeping proto-thread not promoted")
 	}
 	s.RunUntilIdle()
-	<-th.Done()
+	<-th.done
 }
 
 func TestPopUpEagerAlwaysCreatesThread(t *testing.T) {
@@ -428,7 +442,7 @@ func TestProtoCheaperThanEagerForNonBlocking(t *testing.T) {
 	// The core claim of the proto-thread design: when handlers run to
 	// completion, the proto path costs far less virtual time.
 	sE, meterE := newSched()
-	w := sE.Meter().Clock.StartWatch()
+	w := sE.meter.Clock.StartWatch()
 	for i := 0; i < 100; i++ {
 		sE.PopUpEagerOn(mmu.NoCPU, "irq", func(*Thread) {})
 	}
@@ -437,7 +451,7 @@ func TestProtoCheaperThanEagerForNonBlocking(t *testing.T) {
 	_ = meterE
 
 	sP, _ := newSched()
-	w2 := sP.Meter().Clock.StartWatch()
+	w2 := sP.meter.Clock.StartWatch()
 	for i := 0; i < 100; i++ {
 		sP.PopUpProtoOn(mmu.NoCPU, "irq", func(*Thread) {})
 	}
@@ -454,11 +468,11 @@ func TestSleepAdvancesVirtualTime(t *testing.T) {
 	start := meter.Clock.Now()
 	var wakeTimes []uint64
 	s.Spawn("short", func(th *Thread) {
-		th.Sleep(100)
+		th.sleep(100)
 		wakeTimes = append(wakeTimes, meter.Clock.Now())
 	})
 	s.Spawn("long", func(th *Thread) {
-		th.Sleep(500)
+		th.sleep(500)
 		wakeTimes = append(wakeTimes, meter.Clock.Now())
 	})
 	s.RunUntilIdle()
@@ -495,7 +509,7 @@ func TestThreadIdentity(t *testing.T) {
 	if a.ID() == b.ID() {
 		t.Fatal("duplicate thread IDs")
 	}
-	if a.Name() != "alpha" || b.Name() != "beta" {
+	if a.name != "alpha" || b.name != "beta" {
 		t.Fatal("names wrong")
 	}
 	s.RunUntilIdle()
@@ -505,11 +519,11 @@ func TestReadyCount(t *testing.T) {
 	s, _ := newSched()
 	s.Spawn("a", func(*Thread) {})
 	s.Spawn("b", func(*Thread) {})
-	if got := s.ReadyCount(); got != 2 {
+	if got := int(s.nready.Load()); got != 2 {
 		t.Fatalf("ready = %d", got)
 	}
 	s.RunUntilIdle()
-	if got := s.ReadyCount(); got != 0 {
+	if got := int(s.nready.Load()); got != 0 {
 		t.Fatalf("ready after idle = %d", got)
 	}
 }

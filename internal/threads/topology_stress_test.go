@@ -54,7 +54,7 @@ func TestTopologyTLBMissPartition64(t *testing.T) {
 		sched.SpawnOn(mmu.CPUID(k), fmt.Sprintf("pinned-%d", k), func(th *Thread) {
 			var buf [8]byte
 			var errs []string
-			cpu := th.LastCPU()
+			cpu := mmu.CPUID(th.cpu.Load())
 			if cpu == mmu.NoCPU {
 				errs = append(errs, fmt.Sprintf("thread %d running with NoCPU identity", k))
 			}
@@ -64,7 +64,7 @@ func TestTopologyTLBMissPartition64(t *testing.T) {
 					break
 				}
 			}
-			if again := th.LastCPU(); again != cpu {
+			if again := mmu.CPUID(th.cpu.Load()); again != cpu {
 				errs = append(errs, fmt.Sprintf("thread %d migrated mid-body: %d -> %d", k, cpu, again))
 			}
 			mu.Lock()

@@ -60,6 +60,8 @@ type page struct {
 }
 
 // New builds a manager over the memory service.
+//
+//paralint:ignore deadexport internal/vmm is the one instance of the paper's virtual memory outside the nucleus, built on mem's primitives; the root TestVMMAsExtensionComponent exercises it
 func New(svc *mem.Service) *Manager {
 	return &Manager{
 		svc:   svc,
@@ -69,6 +71,8 @@ func New(svc *mem.Service) *Manager {
 }
 
 // Stats reports fault counts by cause.
+//
+//paralint:ignore deadexport internal/vmm is the one instance of the paper's virtual memory outside the nucleus, built on mem's primitives; the root TestVMMAsExtensionComponent exercises it
 func (m *Manager) Stats() (demand, cow, swapIn, swapOut uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -77,6 +81,8 @@ func (m *Manager) Stats() (demand, cow, swapIn, swapOut uint64) {
 
 // DemandRegion arranges n demand-zero pages at base in ctx: nothing is
 // allocated until the first access faults.
+//
+//paralint:ignore deadexport internal/vmm is the one instance of the paper's virtual memory outside the nucleus, built on mem's primitives; the root TestVMMAsExtensionComponent exercises it
 func (m *Manager) DemandRegion(ctx mmu.ContextID, base mmu.VAddr, n int, perm mmu.Perm) error {
 	for i := 0; i < n; i++ {
 		va := base + mmu.VAddr(i*mmu.PageSize)
@@ -136,6 +142,8 @@ func (m *Manager) handleFault(f hw.TrapFrame) bool {
 // Clone maps the n pages at srcBase in src into dst at dstBase,
 // copy-on-write: both sides share frames read-only until one writes.
 // The protects and maps initiate from the boot CPU.
+//
+//paralint:ignore deadexport internal/vmm is the one instance of the paper's virtual memory outside the nucleus, built on mem's primitives; the root TestVMMAsExtensionComponent exercises it
 func (m *Manager) Clone(src mmu.ContextID, srcBase mmu.VAddr, dst mmu.ContextID, dstBase mmu.VAddr, n int) error {
 	for i := 0; i < n; i++ {
 		srcVA := srcBase + mmu.VAddr(i*mmu.PageSize)
@@ -238,6 +246,8 @@ func (m *Manager) resolveCOW(ctx mmu.ContextID, va mmu.VAddr, p *page) bool {
 // Evict pages out a resident page: its contents go to the swap store
 // and the frame is released, unmapped from the boot CPU. The next
 // access faults and swaps in.
+//
+//paralint:ignore deadexport internal/vmm is the one instance of the paper's virtual memory outside the nucleus, built on mem's primitives; the root TestVMMAsExtensionComponent exercises it
 func (m *Manager) Evict(ctx mmu.ContextID, va mmu.VAddr) error {
 	k := key{ctx: ctx, vpn: va.VPN()}
 	m.mu.Lock()
@@ -305,6 +315,8 @@ func (m *Manager) swapIn(ctx mmu.ContextID, va mmu.VAddr, p *page) bool {
 
 // Resident reports whether the page at va is currently backed by a
 // frame.
+//
+//paralint:ignore deadexport internal/vmm is the one instance of the paper's virtual memory outside the nucleus, built on mem's primitives; the root TestVMMAsExtensionComponent exercises it
 func (m *Manager) Resident(ctx mmu.ContextID, va mmu.VAddr) bool {
 	_, ok := m.svc.Frame(ctx, va)
 	return ok

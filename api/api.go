@@ -30,10 +30,11 @@ type MethodDecl = obj.MethodDecl
 // objects.
 type InterfaceDecl = obj.InterfaceDecl
 
-// Invoker is the universal calling surface of a bound interface.
-// Objects, interposers and cross-domain proxies all satisfy it. The
-// hot path is Resolve once, Call many times; Invoke is the string
-// compatibility path.
+// Invoker is the universal calling surface of a bound interface:
+// Decl, State and Resolve. Objects, interposers and cross-domain
+// proxies all satisfy it. The hot path is Resolve once, Call many
+// times; Handle.Invoke is the by-name path, a Resolve and a Call on
+// every call.
 type Invoker = obj.Invoker
 
 // MethodHandle is a pre-resolved method binding whose Call dispatches
@@ -123,7 +124,7 @@ var (
 	// export.
 	ErrNoInterface = obj.ErrNoInterface
 	// ErrNoMethod reports a method name the interface does not
-	// declare. Both Invoke and Resolve return it.
+	// declare. Resolve returns it, and so does Handle.Invoke.
 	ErrNoMethod = obj.ErrNoMethod
 	// ErrUnbound reports a declared method with no implementation
 	// bound yet.

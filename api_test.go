@@ -97,128 +97,149 @@ func ExampleHandle_Resolve() {
 	// after rebind = -1
 }
 
-// errOf normalizes an ([]any, error) pair to its error.
-func errOf(_ []any, err error) error { return err }
-
-// TestInvokeHandleErrorAgreement is the regression contract between
-// the string-keyed compatibility path and the pre-resolved handle
-// path: both must report the same sentinel errors for undeclared
-// methods, unbound slots, wrong argument arity, and wrong result
-// arity.
+// TestInvokeHandleErrorAgreement is the contract of the one by-name
+// path: Handle.Invoke is Resolve then Call, so through every kind of
+// Invoker a call by name and a call through a pre-resolved handle
+// return the same results, fail with the same sentinel errors
+// (undeclared method, unbound slot, wrong argument or result arity)
+// and charge the same virtual cycles. An undeclared method fails in
+// Resolve, before anything is charged, interposers included.
 func TestInvokeHandleErrorAgreement(t *testing.T) {
-	sys, err := paramecium.Boot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	const path = "/services/probe"
 	decl := api.MustInterfaceDecl("test.v1",
 		api.MethodDecl{Name: "ok", NumIn: 1, NumOut: 1},
 		api.MethodDecl{Name: "unbound", NumIn: 0, NumOut: 0},
 		api.MethodDecl{Name: "liar", NumIn: 0, NumOut: 2},
 	)
-	o := sys.NewObject("probe")
-	bi, err := o.AddInterface(decl, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Each path registers the probe object at path and returns a
+	// handle that reaches it through one kind of Invoker.
+	var tracer *api.Tracer
+	interpose := func(sys *paramecium.System, wrap bool) (*paramecium.Handle, error) {
+		return sys.Interpose(path, func(target api.Instance) (api.Instance, error) {
+			ip := sys.NewInterposer("probe-agent", target)
+			if wrap {
+				err := ip.Wrap("test.v1", "ok", func(next api.Method, args ...any) ([]any, error) {
+					res, err := next(args...)
+					if err != nil {
+						return nil, err
+					}
+					return []any{res[0].(int) + 1}, nil
+				})
+				return ip, err
+			}
+			return ip, nil
+		})
 	}
-	bi.MustBind("ok", func(args ...any) ([]any, error) { return []any{args[0]}, nil }).
-		MustBind("liar", func(...any) ([]any, error) { return []any{1}, nil }) // declares 2 results, returns 1
-	iv, ok := o.Iface("test.v1")
-	if !ok {
-		t.Fatal("interface lost")
+	paths := []struct {
+		name string
+		bind func(sys *paramecium.System, o *api.Object) (*paramecium.Handle, error)
+	}{
+		{"object", func(sys *paramecium.System, o *api.Object) (*paramecium.Handle, error) {
+			if err := sys.Register(path, o); err != nil {
+				return nil, err
+			}
+			return sys.Bind(path)
+		}},
+		{"interposer", func(sys *paramecium.System, o *api.Object) (*paramecium.Handle, error) {
+			if err := sys.Register(path, o); err != nil {
+				return nil, err
+			}
+			return interpose(sys, false)
+		}},
+		{"wrapping interposer", func(sys *paramecium.System, o *api.Object) (*paramecium.Handle, error) {
+			if err := sys.Register(path, o); err != nil {
+				return nil, err
+			}
+			return interpose(sys, true)
+		}},
+		{"tracer", func(sys *paramecium.System, o *api.Object) (*paramecium.Handle, error) {
+			if err := sys.Register(path, o); err != nil {
+				return nil, err
+			}
+			h, err := sys.Bind(path)
+			if err != nil {
+				return nil, err
+			}
+			if tracer, err = h.Trace(); err != nil {
+				return nil, err
+			}
+			return sys.Bind(path) // binds made after Trace reach the tracer
+		}},
+		{"proxy", func(sys *paramecium.System, o *api.Object) (*paramecium.Handle, error) {
+			if err := sys.NewDomain("home").Register(path, o); err != nil {
+				return nil, err
+			}
+			return sys.NewDomain("client").Bind(path)
+		}},
 	}
-
-	// ErrNoMethod: Invoke fails per call, Resolve fails at bind time.
-	if err := errOf(iv.Invoke("nope")); !errors.Is(err, api.ErrNoMethod) {
-		t.Fatalf("Invoke undeclared = %v, want ErrNoMethod", err)
-	}
-	if _, err := iv.Resolve("nope"); !errors.Is(err, api.ErrNoMethod) {
-		t.Fatalf("Resolve undeclared = %v, want ErrNoMethod", err)
-	}
-
-	// The remaining errors must match call-for-call.
 	cases := []struct {
 		name   string
 		method string
 		args   []any
 		want   error
 	}{
+		{"call", "ok", []any{7}, nil},
+		{"undeclared", "nope", nil, api.ErrNoMethod},
 		{"unbound slot", "unbound", nil, api.ErrUnbound},
 		{"too few args", "ok", nil, api.ErrArity},
 		{"too many args", "ok", []any{1, 2}, api.ErrArity},
 		{"wrong result count", "liar", nil, api.ErrArity},
 	}
-	for _, tc := range cases {
-		invokeErr := errOf(iv.Invoke(tc.method, tc.args...))
-		h, err := iv.Resolve(tc.method)
-		if err != nil {
-			t.Fatalf("%s: Resolve = %v", tc.name, err)
-		}
-		callErr := errOf(h.Call(tc.args...))
-		if !errors.Is(invokeErr, tc.want) {
-			t.Errorf("%s: Invoke = %v, want %v", tc.name, invokeErr, tc.want)
-		}
-		if !errors.Is(callErr, tc.want) {
-			t.Errorf("%s: handle Call = %v, want %v", tc.name, callErr, tc.want)
-		}
-		if (invokeErr == nil) != (callErr == nil) {
-			t.Errorf("%s: paths disagree: Invoke=%v Call=%v", tc.name, invokeErr, callErr)
-		}
-	}
-}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			sys, err := paramecium.Boot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := sys.NewObject("probe")
+			bi, err := o.AddInterface(decl, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bi.MustBind("ok", func(args ...any) ([]any, error) { return []any{args[0]}, nil }).
+				MustBind("liar", func(...any) ([]any, error) { return []any{1}, nil }) // declares 2 results, returns 1
+			h, err := p.bind(sys, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range cases {
+				// One untimed call first, so both timed calls find the
+				// same warm translations.
+				_, _ = h.Invoke("test.v1", tc.method, tc.args...)
 
-// TestHandleAgreementAcrossProxy re-runs the error contract through a
-// cross-domain proxy: the fault-driven path must classify errors
-// exactly like a local bound interface.
-func TestHandleAgreementAcrossProxy(t *testing.T) {
-	sys, err := paramecium.Boot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	decl := api.MustInterfaceDecl("test.v1",
-		api.MethodDecl{Name: "echo", NumIn: 1, NumOut: 1})
-	o := sys.NewObject("echo")
-	bi, err := o.AddInterface(decl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bi.MustBind("echo", func(args ...any) ([]any, error) { return []any{args[0]}, nil })
+				before := sys.Cycles()
+				byName, nameErr := h.Invoke("test.v1", tc.method, tc.args...)
+				nameCycles := sys.Cycles() - before
 
-	home := sys.NewDomain("home")
-	if err := home.Register("/services/echo", o); err != nil {
-		t.Fatal(err)
-	}
-	client := sys.NewDomain("client")
-	h, err := client.Bind("/services/echo")
-	if err != nil {
-		t.Fatal(err)
-	}
+				before = sys.Cycles()
+				var byHandle []any
+				m, handleErr := h.Resolve("test.v1", tc.method)
+				if handleErr == nil {
+					byHandle, handleErr = m.Call(tc.args...)
+				}
+				handleCycles := sys.Cycles() - before
 
-	if _, err := h.Resolve("test.v1", "nope"); !errors.Is(err, api.ErrNoMethod) {
-		t.Fatalf("proxy Resolve undeclared = %v, want ErrNoMethod", err)
-	}
-	echo, err := h.Resolve("test.v1", "echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := errOf(echo.Call()); !errors.Is(err, api.ErrArity) {
-		t.Fatalf("proxy handle bad arity = %v, want ErrArity", err)
-	}
-	iv, err := h.Interface("test.v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := errOf(iv.Invoke("echo")); !errors.Is(err, api.ErrArity) {
-		t.Fatalf("proxy Invoke bad arity = %v, want ErrArity", err)
-	}
-	res, err := echo.Call("ping")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0] != "ping" {
-		t.Fatalf("proxy handle call = %v", res)
-	}
-	if err := client.Destroy(); err != nil {
-		t.Fatal(err)
+				if !errors.Is(nameErr, tc.want) || !errors.Is(handleErr, tc.want) {
+					t.Errorf("%s: by name = %v, by handle = %v, want %v", tc.name, nameErr, handleErr, tc.want)
+				}
+				if fmt.Sprint(byName) != fmt.Sprint(byHandle) {
+					t.Errorf("%s: by name = %v, by handle = %v", tc.name, byName, byHandle)
+				}
+				if nameCycles != handleCycles {
+					t.Errorf("%s: by name charged %d cycles, by handle %d", tc.name, nameCycles, handleCycles)
+				}
+				if tc.want == api.ErrNoMethod && nameCycles != 0 {
+					t.Errorf("%s: charged %d cycles, want 0", tc.name, nameCycles)
+				}
+			}
+			// The "call" case's three calls pass the tracer's wrapper;
+			// the arity errors fail before it.
+			if p.name == "tracer" {
+				if st, _ := tracer.Stats("test.v1.ok"); st.Calls != 3 {
+					t.Errorf("tracer saw %d calls of ok, want 3", st.Calls)
+				}
+			}
+		})
 	}
 }
 
@@ -569,5 +590,57 @@ func TestSharedLeasesUnderUniprocessorStress(t *testing.T) {
 	}
 	if sys.NumCPUs() != 1 {
 		t.Fatalf("NumCPUs = %d", sys.NumCPUs())
+	}
+}
+
+// TestHandleAgreementAcrossProxy re-runs the error contract through a
+// cross-domain proxy: the fault-driven path must classify errors
+// exactly like a local bound interface.
+func TestHandleAgreementAcrossProxy(t *testing.T) {
+	sys, err := paramecium.Boot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decl := api.MustInterfaceDecl("test.v1",
+		api.MethodDecl{Name: "echo", NumIn: 1, NumOut: 1})
+	o := sys.NewObject("echo")
+	bi, err := o.AddInterface(decl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bi.MustBind("echo", func(args ...any) ([]any, error) { return []any{args[0]}, nil })
+
+	home := sys.NewDomain("home")
+	if err := home.Register("/services/echo", o); err != nil {
+		t.Fatal(err)
+	}
+	client := sys.NewDomain("client")
+	h, err := client.Bind("/services/echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := h.Resolve("test.v1", "nope"); !errors.Is(err, api.ErrNoMethod) {
+		t.Fatalf("proxy Resolve undeclared = %v, want ErrNoMethod", err)
+	}
+	echo, err := h.Resolve("test.v1", "echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := echo.Call(); !errors.Is(err, api.ErrArity) {
+		t.Fatalf("proxy handle bad arity = %v, want ErrArity", err)
+	}
+	if _, err := h.Invoke("test.v1", "echo"); !errors.Is(err, api.ErrArity) {
+		t.Fatalf("proxy Invoke bad arity = %v, want ErrArity", err)
+	}
+	res, err := echo.Call("ping")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0] != "ping" {
+		t.Fatalf("proxy handle call = %v", res)
+	}
+	if err := client.Destroy(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -87,8 +87,8 @@ func newBenchCounter(b *testing.B) obj.Invoker {
 
 // BenchmarkInvokeString and BenchmarkInvokeHandle are the invocation
 // microbenchmark pair for the pre-resolved handle redesign: the same
-// bound method called through the string-keyed compatibility path
-// (name lookup per call, results allocated) and through a handle
+// bound method called by name through obj.Invoke (name lookup per
+// call, results allocated) and through a handle
 // resolved once (slot dispatch with a caller-provided result buffer —
 // the zero-allocation fast path, gated at 0 allocs/op in CI).
 func BenchmarkInvokeString(b *testing.B) {
@@ -96,7 +96,7 @@ func BenchmarkInvokeString(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := iv.Invoke("inc"); err != nil {
+		if _, err := obj.Invoke(iv, "inc"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -281,30 +281,15 @@ func BenchmarkP5_BatchedCall(b *testing.B) {
 	for _, size := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
 			inc, _, w := bench.SharedCounterHandleCPUs(1)
-			batch := obj.NewBatch(size)
-			// Per-entry result buffers, reused across rounds: with
-			// AddInto the whole steady-state round — batch machinery,
-			// dispatch, method bodies, results — allocates nothing,
-			// which the CI allocs gate holds these rows to.
-			bufs := make([][1]any, size)
+			// The whole steady-state round — batch machinery, dispatch,
+			// method bodies, results — allocates nothing, which the CI
+			// allocs gate holds these rows to.
+			loop := bench.BatchLoop([]obj.MethodHandle{inc}, size, obj.InOrder)
 			watch := w.K.Meter.Clock.StartWatch()
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; {
-				k := size
-				if rem := b.N - i; rem < k {
-					k = rem
-				}
-				batch.Reset()
-				for j := 0; j < k; j++ {
-					if err := batch.AddInto(inc, bufs[j][:0]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := batch.Run(); err != nil {
-					b.Fatal(err)
-				}
-				i += k
+			if err := loop(b.N); err != nil {
+				b.Fatal(err)
 			}
 			b.StopTimer()
 			reportCycles(b, watch.Elapsed())
@@ -320,8 +305,8 @@ func BenchmarkP5_BatchedCall(b *testing.B) {
 // vectoring: every entry is a run of one, so every entry pays a full
 // crossing. mode=grouped partitions the batch by target and pays one
 // crossing per DISTINCT target instead; CI gates the grouped rows at
-// ≥3x the in-order cycles/op (benchgate -mingrouped) and at 0
-// allocs/op.
+// ≥3x the in-order cycles/op (a ratio declared in
+// ci/bench_baseline.json) and at 0 allocs/op.
 func BenchmarkP8_MixedTargetBatch(b *testing.B) {
 	modes := []struct {
 		name string
@@ -330,32 +315,15 @@ func BenchmarkP8_MixedTargetBatch(b *testing.B) {
 	for _, targets := range []int{2, 4} {
 		for _, m := range modes {
 			b.Run(fmt.Sprintf("targets=%d/size=16/mode=%s", targets, m.name), func(b *testing.B) {
-				const size = 16
 				handles, w := bench.MixedCounterHandles(targets)
-				batch := obj.NewBatch(size)
-				batch.SetMode(m.mode)
-				// Per-entry result buffers, reused across rounds, as in
-				// P5: the steady-state round allocates nothing in either
-				// mode, which the CI allocs gate holds these rows to.
-				bufs := make([][1]any, size)
+				// As in P5, the steady-state round allocates nothing in
+				// either mode, which the CI allocs gate holds these rows to.
+				loop := bench.BatchLoop(handles, 16, m.mode)
 				watch := w.K.Meter.Clock.StartWatch()
 				b.ReportAllocs()
 				b.ResetTimer()
-				for i := 0; i < b.N; {
-					k := size
-					if rem := b.N - i; rem < k {
-						k = rem
-					}
-					batch.Reset()
-					for j := 0; j < k; j++ {
-						if err := batch.AddInto(handles[j%targets], bufs[j][:0]); err != nil {
-							b.Fatal(err)
-						}
-					}
-					if err := batch.Run(); err != nil {
-						b.Fatal(err)
-					}
-					i += k
+				if err := loop(b.N); err != nil {
+					b.Fatal(err)
 				}
 				b.StopTimer()
 				reportCycles(b, watch.Elapsed())
@@ -371,7 +339,8 @@ func BenchmarkP8_MixedTargetBatch(b *testing.B) {
 // One worker per virtual CPU, each owning its whole working set, so
 // throughput scales with CPUs until the host runs out of parallelism.
 // CI holds the cpus=16/cpus=1 invoke ns/op ratio at a floor on
-// multi-core runners (benchgate -minscaling) and gates the cpus=16
+// multi-core runners (a ratio declared in ci/bench_baseline.json, with
+// min_procs 4) and gates the cpus=16
 // invoke row at 0 allocs/op; a separate smoke step builds and runs the
 // cpus=256 rows. Like P0–P4 these rows report host time, not virtual
 // cycles: parallel interleaving makes the shared meter's total

@@ -15,8 +15,9 @@
 // Invocation follows the bind-once/invoke-many pattern the paper's
 // late binding implies: Handle.Resolve (or api.Invoker.Resolve)
 // pre-binds a method to an api.MethodHandle that dispatches by slot
-// index, with no per-call name lookup or lock; the string-keyed
-// Invoke remains as a compatibility path. Both validate argument and
+// index, with no per-call name lookup or lock. An api.Invoker is
+// Decl, State and Resolve; Handle.Invoke is the by-name path, which
+// resolves and then calls on every call. Both validate argument and
 // result arity against the interface's type information.
 //
 // The implementation lives under internal/: the simulated machine

@@ -1,7 +1,7 @@
 // Package analysis is paralint: a family of repo-specific static
 // analyzers that enforce the kernel's cost-model, locking and hot-path
 // invariants at compile time — the static complement to the dynamic
-// gates (-race, benchgate -allocgate).
+// gates (-race, benchgate's allocs-gated rows).
 //
 // The framework mirrors the golang.org/x/tools/go/analysis shape
 // (Analyzer, Pass, Diagnostic) but is reimplemented on the standard

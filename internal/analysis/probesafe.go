@@ -15,7 +15,8 @@ import (
 // expressions are never even evaluated on the disabled path. The same
 // sites must not allocate: an argument built from a composite literal,
 // make/new/append, or string concatenation would put an allocation on
-// a //paramecium:hotpath emit site and trip the -allocgate bench gate.
+// a //paramecium:hotpath emit site and trip the bench gate's allocs
+// check.
 var ProbeSafe = &Analyzer{
 	Name: "probesafe",
 	Doc:  "flight-recorder emission must sit under the probe enable gate and not allocate",

@@ -126,7 +126,6 @@ type NetPath struct {
 	port      uint16
 	delivered uint64
 	dropped   uint64
-	queue     [][]byte
 }
 
 // NewNetPath builds the fixed packet path with its compiled-in filter
@@ -138,7 +137,8 @@ func NewNetPath(m *Monolith, port uint16) *NetPath {
 // Deliver pushes a frame through the fixed kernel path. The built-in
 // filter and demultiplexer run in the kernel without any crossing —
 // fast, but immutable. Header processing and the payload copy are
-// charged on the same terms as the Paramecium stack's.
+// charged on the same terms as the Paramecium stack's; the path counts
+// what it delivers and keeps no payload.
 func (p *NetPath) Deliver(frame []byte) {
 	p.m.meter.ChargeNFor(clock.KernelDomain, clock.OpCall, 3)
 	p.m.meter.ChargeNFor(clock.KernelDomain, clock.OpCopyWord, uint64(len(frame)+7)/8)
@@ -164,40 +164,10 @@ func (p *NetPath) Deliver(frame []byte) {
 		return
 	}
 	p.delivered++
-	p.queue = append(p.queue, append([]byte{}, udp.Payload...))
-}
-
-// deliverViaUserFilter is what extensibility costs on the monolith: a
-// syscall (to hand the frame to the user filter) per packet before
-// the fixed path runs.
-func (p *NetPath) deliverViaUserFilter(frame []byte, filter func([]byte) bool) {
-	res, err := p.m.Syscall("netpath.filter_upcall", frame)
-	if err != nil || len(res) == 0 {
-		p.drop()
-		return
-	}
-	if ok, _ := res[0].(bool); !ok {
-		p.drop()
-		return
-	}
-	_ = filter // the upcall service invoked it; parameter documents intent
-	p.Deliver(frame)
 }
 
 func (p *NetPath) drop() {
 	p.mu.Lock()
 	p.dropped++
 	p.mu.Unlock()
-}
-
-// recv pops the oldest delivered payload.
-func (p *NetPath) recv() ([]byte, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.queue) == 0 {
-		return nil, false
-	}
-	b := p.queue[0]
-	p.queue = p.queue[1:]
-	return b, true
 }

@@ -107,53 +107,4 @@ func TestNetPathFixedFilter(t *testing.T) {
 	if delivered != 1 || dropped != 2 {
 		t.Fatalf("stats = %d/%d", delivered, dropped)
 	}
-	payload, ok := p.recv()
-	if !ok || string(payload) != "keep" {
-		t.Fatalf("recv = %q, %v", payload, ok)
-	}
-	if _, ok := p.recv(); ok {
-		t.Fatal("phantom payload")
-	}
-}
-
-func TestNetPathUserFilterPaysSyscall(t *testing.T) {
-	mono, machine := newMonolith()
-	userFilter := func(f []byte) bool { return len(f) > 0 }
-	if err := mono.AddService("netpath.filter_upcall", func(args ...any) ([]any, error) {
-		return []any{userFilter(args[0].([]byte))}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	mono.Seal()
-	p := NewNetPath(mono, 7)
-
-	machine.Meter.ResetCounts()
-	p.Deliver(frame(7, []byte("fast")))
-	if machine.Meter.Count(clock.OpTrapEnter) != 0 {
-		t.Fatal("fixed path trapped")
-	}
-	p.deliverViaUserFilter(frame(7, []byte("slow")), userFilter)
-	if machine.Meter.Count(clock.OpTrapEnter) != 1 {
-		t.Fatal("user-filter path did not trap")
-	}
-	delivered := p.delivered
-	if delivered != 2 {
-		t.Fatalf("delivered = %d", delivered)
-	}
-}
-
-func TestNetPathUserFilterReject(t *testing.T) {
-	mono, _ := newMonolith()
-	if err := mono.AddService("netpath.filter_upcall", func(args ...any) ([]any, error) {
-		return []any{false}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	mono.Seal()
-	p := NewNetPath(mono, 7)
-	p.deliverViaUserFilter(frame(7, []byte("x")), nil)
-	delivered, dropped := p.delivered, p.dropped
-	if delivered != 0 || dropped != 1 {
-		t.Fatalf("stats = %d/%d", delivered, dropped)
-	}
 }

@@ -58,7 +58,7 @@ func T1Invocation() Table {
 
 	o, _ := newCounter(w)
 	iv, _ := o.Iface("bench.counter.v1")
-	ifaceCall := perOp(w, iters, func() { iv.Invoke("inc") })
+	ifaceCall := perOp(w, iters, func() { obj.Invoke(iv, "inc") })
 
 	// Pre-resolved handle: same virtual cost as string invocation (the
 	// cost model charges the indirect call, not the lookup), but the

@@ -7,6 +7,36 @@ import (
 	"paramecium/internal/obj"
 )
 
+// BatchLoop returns the one batch loop of the P5 and P8 experiments,
+// for benchtab and for the Go benchmarks alike. The returned function
+// issues n invocations in batches of size, run in the given mode,
+// through handles round-robin: entry j of every batch targets
+// handles[j%len(handles)]. The last batch is short when size does not
+// divide n. The batch and one result buffer per entry are allocated
+// here, once, and reused by every batch (AddInto), so a steady-state
+// batch allocates nothing.
+func BatchLoop(handles []obj.MethodHandle, size int, mode obj.BatchMode) func(n int) error {
+	batch := obj.NewBatch(size)
+	batch.SetMode(mode)
+	bufs := make([][1]any, size)
+	return func(n int) error {
+		for i := 0; i < n; {
+			k := min(size, n-i)
+			batch.Reset()
+			for j := 0; j < k; j++ {
+				if err := batch.AddInto(handles[j%len(handles)], bufs[j][:0]); err != nil {
+					return err
+				}
+			}
+			if err := batch.Run(); err != nil {
+				return err
+			}
+			i += k
+		}
+		return nil
+	}
+}
+
 // P5BatchSweep sweeps the vectored invocation plane's batch size,
 // reporting deterministic virtual cycles per invocation. A vectored
 // call carries N pre-resolved invocations across the protection
@@ -34,23 +64,11 @@ func P5BatchSweep() Table {
 	single := float64(0)
 	for _, size := range []int{1, 2, 4, 8, 16, 32, 64} {
 		inc, _, w := SharedCounterHandleCPUs(1)
-		batch := obj.NewBatch(size)
-		// Per-entry result buffers, reused across rounds: with AddInto
-		// the steady-state vectored plane is allocation-free end to end
-		// (the CI allocs gate holds the BenchmarkP5 rows to this).
-		bufs := make([][1]any, size)
+		loop := BatchLoop([]obj.MethodHandle{inc}, size, obj.InOrder)
 		const rounds = 64
 		watch := w.K.Meter.Clock.StartWatch()
-		for r := 0; r < rounds; r++ {
-			batch.Reset()
-			for j := 0; j < size; j++ {
-				if err := batch.AddInto(inc, bufs[j][:0]); err != nil {
-					panic(fmt.Sprintf("bench: batch add: %v", err))
-				}
-			}
-			if err := batch.Run(); err != nil {
-				panic(fmt.Sprintf("bench: batch run: %v", err))
-			}
+		if err := loop(rounds * size); err != nil {
+			panic(fmt.Sprintf("bench: batch: %v", err))
 		}
 		perInv := float64(watch.Elapsed()) / float64(rounds*size)
 		if size == 1 {

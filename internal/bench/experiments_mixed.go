@@ -49,21 +49,11 @@ func MixedCounterHandles(k int) ([]obj.MethodHandle, *World) {
 // (entry j targets handles[j%len(handles)] — the worst case for
 // consecutive-run vectoring), run in the given mode.
 func mixedBatchCycles(handles []obj.MethodHandle, w *World, size int, mode obj.BatchMode) float64 {
-	batch := obj.NewBatch(size)
-	batch.SetMode(mode)
-	bufs := make([][1]any, size)
+	loop := BatchLoop(handles, size, mode)
 	const rounds = 64
 	watch := w.K.Meter.Clock.StartWatch()
-	for r := 0; r < rounds; r++ {
-		batch.Reset()
-		for j := 0; j < size; j++ {
-			if err := batch.AddInto(handles[j%len(handles)], bufs[j][:0]); err != nil {
-				panic(fmt.Sprintf("bench: mixed batch add: %v", err))
-			}
-		}
-		if err := batch.Run(); err != nil {
-			panic(fmt.Sprintf("bench: mixed batch run: %v", err))
-		}
+	if err := loop(rounds * size); err != nil {
+		panic(fmt.Sprintf("bench: mixed batch: %v", err))
 	}
 	return float64(watch.Elapsed()) / float64(rounds*size)
 }

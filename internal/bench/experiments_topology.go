@@ -312,6 +312,6 @@ func P9ScalingSweep() Table {
 		fmt.Sprintf("host wall-clock at GOMAXPROCS=%d; not deterministic virtual cycles", runtime.GOMAXPROCS(0)),
 		"one worker per virtual CPU; every worker owns its target object, batch, buffers and ring — nothing shared between callers",
 		"invoke = vectored batches of 16 against per-worker counters; stream = P7's place path, 64-record bursts of 256-byte records",
-		"CI gates cpus=16/cpus=1 invoke ns/op at a floor ratio (benchgate -minscaling) on multi-core runners")
+		"CI gates cpus=16/cpus=1 invoke ns/op at a floor ratio (declared in ci/bench_baseline.json) on multi-core runners")
 	return t
 }

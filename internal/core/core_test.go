@@ -81,7 +81,7 @@ func TestBootNucleusComposition(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s facade missing", role)
 		}
-		res, err := iv.Invoke("describe")
+		res, err := obj.Invoke(iv, "describe")
 		if err != nil || res[0].(string) != "nucleus."+role {
 			t.Fatalf("describe = %v, %v", res, err)
 		}
@@ -263,7 +263,7 @@ func TestDomainBindCrossDomainIsProxy(t *testing.T) {
 	if !ok {
 		t.Fatal("proxy lost interface")
 	}
-	res, err := iv.Invoke("ping")
+	res, err := obj.Invoke(iv, "ping")
 	if err != nil || res[0].(string) != "pong" {
 		t.Fatalf("ping = %v, %v", res, err)
 	}
@@ -349,7 +349,7 @@ func TestInterposeAndUnwrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := iv.Invoke("f"); err != nil {
+	if _, err := obj.Invoke(iv, "f"); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -363,7 +363,7 @@ func TestInterposeAndUnwrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := iv.Invoke("f"); err != nil {
+	if _, err := obj.Invoke(iv, "f"); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {

@@ -176,19 +176,19 @@ func TestNetDriverObjectInterface(t *testing.T) {
 	if !ok {
 		t.Fatal("netdev interface missing")
 	}
-	if _, err := iv.Invoke("send", []byte("via-iface")); err != nil {
+	if _, err := obj.Invoke(iv, "send", []byte("via-iface")); err != nil {
 		t.Fatal(err)
 	}
 	if string(sent) != "via-iface" {
 		t.Fatalf("sent %q", sent)
 	}
-	if _, err := iv.Invoke("send", 42); err == nil {
+	if _, err := obj.Invoke(iv, "send", 42); err == nil {
 		t.Fatal("non-[]byte frame accepted")
 	}
 	if err := nic.Inject([]byte("in")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := iv.Invoke("recv")
+	res, err := obj.Invoke(iv, "recv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,13 +196,13 @@ func TestNetDriverObjectInterface(t *testing.T) {
 	if frame, ok := obj.BytesArg(res[0]); !ok || string(frame) != "in" {
 		t.Fatalf("recv = %v", res)
 	}
-	if res, err = iv.Invoke("recv"); err != nil {
+	if res, err = obj.Invoke(iv, "recv"); err != nil {
 		t.Fatal(err)
 	}
 	if frame, ok := obj.BytesArg(res[0]); !ok || frame != nil {
 		t.Fatalf("recv on an empty queue = %v", res)
 	}
-	res, err = iv.Invoke("stats")
+	res, err = obj.Invoke(iv, "stats")
 	if err != nil || len(res) != 3 {
 		t.Fatalf("stats = %v, %v", res, err)
 	}
@@ -262,7 +262,7 @@ func TestConsoleDriver(t *testing.T) {
 		t.Fatalf("console = %q", got)
 	}
 	iv, _ := d.Iface(ConsoleIface)
-	if _, err := iv.Invoke("write", 99); err == nil {
+	if _, err := obj.Invoke(iv, "write", 99); err == nil {
 		t.Fatal("non-string write accepted")
 	}
 }

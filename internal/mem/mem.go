@@ -76,9 +76,6 @@ type Service struct {
 	pages  map[pageKey]uint64    // mapped page -> frame
 	grants map[string][]*IOGrant // region name -> active grants
 	arenas map[mmu.ContextID]*vaArena
-
-	faultsResolved atomic.Uint64
-	faultsUnknown  atomic.Uint64
 }
 
 // New builds the service and installs it as the machine's page-fault
@@ -103,14 +100,9 @@ func (s *Service) Machine() *hw.Machine { return s.machine }
 func (s *Service) handleFault(f hw.TrapFrame) bool {
 	h := (*s.handlers.Load())[f.Ctx][f.Addr.VPN()]
 	if h == nil {
-		s.faultsUnknown.Add(1)
 		return false
 	}
-	resolved := h(f)
-	if resolved {
-		s.faultsResolved.Add(1)
-	}
-	return resolved
+	return h(f)
 }
 
 // NewDomain creates a fresh protection domain (MMU context).

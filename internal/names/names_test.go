@@ -417,7 +417,7 @@ func TestBindInterface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := iv.Invoke("f"); err != nil || !called {
+	if _, err := obj.Invoke(iv, "f"); err != nil || !called {
 		t.Fatalf("invoke: %v, called=%v", err, called)
 	}
 	if _, err := v.BindInterface("/o", "missing"); !errors.Is(err, obj.ErrNoInterface) {

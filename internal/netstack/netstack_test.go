@@ -293,21 +293,21 @@ func TestStackObjectInterface(t *testing.T) {
 	if !ok {
 		t.Fatal("stack interface missing")
 	}
-	if _, err := iv.Invoke("send", uint16(80), uint16(1000), []byte("web")); err != nil {
+	if _, err := obj.Invoke(iv, "send", uint16(80), uint16(1000), []byte("web")); err != nil {
 		t.Fatal(err)
 	}
 	if len(drv.sent) != 1 {
 		t.Fatal("send via interface failed")
 	}
-	res, err := iv.Invoke("pump")
+	res, err := obj.Invoke(iv, "pump")
 	if err != nil || res[0].(int) != 0 {
 		t.Fatalf("pump = %v, %v", res, err)
 	}
-	res, err = iv.Invoke("stats")
+	res, err = obj.Invoke(iv, "stats")
 	if err != nil || len(res) != 4 {
 		t.Fatalf("stats = %v, %v", res, err)
 	}
-	if _, err := iv.Invoke("send", 1, 2, 3); err == nil {
+	if _, err := obj.Invoke(iv, "send", 1, 2, 3); err == nil {
 		t.Fatal("bad args accepted")
 	}
 }

@@ -95,7 +95,7 @@ func TestInterposerConcurrentWrapAndCall(t *testing.T) {
 				if w%2 == 0 {
 					_, err = h.Call()
 				} else {
-					_, err = iv.Invoke("m")
+					_, err = Invoke(iv, "m")
 				}
 				if err != nil {
 					t.Error(err)

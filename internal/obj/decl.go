@@ -117,15 +117,23 @@ type Invoker interface {
 	Decl() *InterfaceDecl
 	// State returns the interface's state pointer (may be nil).
 	State() any
-	// Invoke calls a method by name. It is the compatibility path:
-	// each call pays a name lookup. Callers on a hot path should
-	// Resolve once and Call many times.
-	Invoke(method string, args ...any) ([]any, error)
 	// Resolve pre-binds a method, returning a handle whose Call
 	// dispatches by slot index with no per-call name lookup. The
 	// handle observes later rebinding of the slot (late binding is
 	// preserved); it fails only for undeclared methods.
 	Resolve(method string) (MethodHandle, error)
+}
+
+// Invoke calls a method of iv by name: Resolve, then Call. It is the
+// one by-name path for every Invoker, so a call by name dispatches,
+// charges and fails exactly as a pre-resolved handle does; it pays the
+// name lookup on every call, so a hot path resolves once instead.
+func Invoke(iv Invoker, method string, args ...any) ([]any, error) {
+	h, err := iv.Resolve(method)
+	if err != nil {
+		return nil, err
+	}
+	return h.Call(args...)
 }
 
 // Instance is anything that can be registered in, and bound from, the

@@ -7,7 +7,7 @@ import "fmt"
 // obtained from Invoker.Resolve; its Call dispatches by slot index
 // with no per-call name lookup or lock. Handles stay live through
 // rebinding — a slot rebound after Resolve is observed by the next
-// Call, exactly as a string-keyed Invoke would observe it.
+// Call, exactly as a call by name (Invoke) would observe it.
 //
 // The zero MethodHandle is invalid; Call on it fails.
 type MethodHandle struct {

@@ -70,7 +70,7 @@ func TestZeroHandleInvalid(t *testing.T) {
 func TestResultArityValidatedBothPaths(t *testing.T) {
 	_, bi, iv := handleTestIface(t)
 	bi.MustBind("a", func(...any) ([]any, error) { return []any{1, 2}, nil }) // declares 1 result
-	if _, err := iv.Invoke("a"); !errors.Is(err, ErrArity) {
+	if _, err := Invoke(iv, "a"); !errors.Is(err, ErrArity) {
 		t.Fatalf("Invoke wrong result count = %v, want ErrArity", err)
 	}
 	h, err := iv.Resolve("a")
@@ -82,7 +82,7 @@ func TestResultArityValidatedBothPaths(t *testing.T) {
 	}
 	// Errors are exempt: a failing method may return any result list.
 	bi.MustBind("b", func(...any) ([]any, error) { return []any{1, 2, 3}, errors.New("boom") })
-	if _, err := iv.Invoke("b", 0); err == nil || errors.Is(err, ErrArity) {
+	if _, err := Invoke(iv, "b", 0); err == nil || errors.Is(err, ErrArity) {
 		t.Fatalf("failing method = %v, want its own error", err)
 	}
 }
@@ -184,13 +184,13 @@ func TestInterposerWrapAfterResolveObserved(t *testing.T) {
 		t.Fatalf("pre-wrap call = %v, %v", res, err)
 	}
 	// A wrapper installed after Resolve must be observed by the live
-	// handle, exactly as string Invoke observes it.
+	// handle, exactly as a call by name observes it.
 	if err := ip.Wrap("h.v1", "a", func(next Method, args ...any) ([]any, error) {
 		return []any{99}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := iv.Invoke("a")
+	res, err := Invoke(iv, "a")
 	if err != nil || res[0] != 99 {
 		t.Fatalf("Invoke after late wrap = %v, %v", res, err)
 	}

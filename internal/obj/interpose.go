@@ -160,25 +160,11 @@ type interposedIface struct {
 func (ii *interposedIface) Decl() *InterfaceDecl { return ii.target.Decl() }
 func (ii *interposedIface) State() any           { return ii.target.State() }
 
-func (ii *interposedIface) Invoke(method string, args ...any) ([]any, error) {
-	st := ii.ip.state.Load()
-	if st.meter != nil {
-		st.meter.ChargeFor(clock.KernelDomain, clock.OpIndirect)
-	}
-	if w, ok := st.wraps[ii.name][method]; ok {
-		next := func(a ...any) ([]any, error) {
-			return ii.target.Invoke(method, a...)
-		}
-		return w(next, args...)
-	}
-	return ii.target.Invoke(method, args...)
-}
-
 // Resolve implements Invoker. The target's handle is resolved once,
 // so repeated calls pay neither the interposer's nor the target's
-// name lookup; the wrapper is looked up per call from the same state
-// Invoke consults, so a Wrap installed after Resolve is observed by
-// live handles exactly as it is by string invocation.
+// name lookup; the wrapper is looked up per call from the
+// interposer's current state, so a Wrap installed after Resolve is
+// observed by live handles.
 func (ii *interposedIface) Resolve(method string) (MethodHandle, error) {
 	th, err := ii.target.Resolve(method)
 	if err != nil {

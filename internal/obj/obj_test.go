@@ -75,14 +75,14 @@ func TestObjectInvoke(t *testing.T) {
 	if !ok {
 		t.Fatal("interface missing")
 	}
-	res, err := iv.Invoke("inc", 5)
+	res, err := Invoke(iv, "inc", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res[0].(int) != 5 {
 		t.Fatalf("inc = %v", res)
 	}
-	res, err = iv.Invoke("get")
+	res, err = Invoke(iv, "get")
 	if err != nil || res[0].(int) != 5 {
 		t.Fatalf("get = %v, %v", res, err)
 	}
@@ -97,13 +97,13 @@ func TestObjectInvoke(t *testing.T) {
 func TestInvokeErrors(t *testing.T) {
 	o := newCounter(nil)
 	iv, _ := o.Iface("test.counter.v1")
-	if _, err := iv.Invoke("nonexistent"); !errors.Is(err, ErrNoMethod) {
+	if _, err := Invoke(iv, "nonexistent"); !errors.Is(err, ErrNoMethod) {
 		t.Fatalf("no method: %v", err)
 	}
-	if _, err := iv.Invoke("inc"); !errors.Is(err, ErrArity) {
+	if _, err := Invoke(iv, "inc"); !errors.Is(err, ErrArity) {
 		t.Fatalf("bad arity: %v", err)
 	}
-	if _, err := iv.Invoke("inc", 1, 2); !errors.Is(err, ErrArity) {
+	if _, err := Invoke(iv, "inc", 1, 2); !errors.Is(err, ErrArity) {
 		t.Fatalf("bad arity: %v", err)
 	}
 }
@@ -117,7 +117,7 @@ func TestUnboundMethod(t *testing.T) {
 	if o.FullyBound() {
 		t.Fatal("object with unbound methods reports FullyBound")
 	}
-	if _, err := bi.Invoke("inc", 1); !errors.Is(err, ErrUnbound) {
+	if _, err := Invoke(bi, "inc", 1); !errors.Is(err, ErrUnbound) {
 		t.Fatalf("unbound: %v", err)
 	}
 }
@@ -170,7 +170,7 @@ func TestInterfaceEvolution(t *testing.T) {
 		t.Fatalf("names = %v", names)
 	}
 	iv, _ := o.Iface("test.counter.v1")
-	if _, err := iv.Invoke("inc", 1); err != nil {
+	if _, err := Invoke(iv, "inc", 1); err != nil {
 		t.Fatalf("original interface broken: %v", err)
 	}
 }
@@ -187,7 +187,7 @@ func TestDelegation(t *testing.T) {
 	bi.MustBind("get", func(...any) ([]any, error) {
 		localGets++
 		biv, _ := backend.Iface("test.counter.v1")
-		return biv.Invoke("get")
+		return Invoke(biv, "get")
 	})
 	if err := front.Delegate("test.counter.v1", backend); err != nil {
 		t.Fatal(err)
@@ -196,10 +196,10 @@ func TestDelegation(t *testing.T) {
 		t.Fatal("delegation left methods unbound")
 	}
 	iv, _ := front.Iface("test.counter.v1")
-	if _, err := iv.Invoke("inc", 7); err != nil {
+	if _, err := Invoke(iv, "inc", 7); err != nil {
 		t.Fatal(err)
 	}
-	res, err := iv.Invoke("get")
+	res, err := Invoke(iv, "get")
 	if err != nil || res[0].(int) != 7 {
 		t.Fatalf("get via front = %v, %v", res, err)
 	}
@@ -315,12 +315,12 @@ func TestCompositionExportChildInterface(t *testing.T) {
 	if !ok {
 		t.Fatal("exported interface missing")
 	}
-	if _, err := iv.Invoke("inc", 3); err != nil {
+	if _, err := Invoke(iv, "inc", 3); err != nil {
 		t.Fatal(err)
 	}
 	// The call must have reached the child.
 	innerIv, _ := inner.Iface("test.counter.v1")
-	res, _ := innerIv.Invoke("get")
+	res, _ := Invoke(innerIv, "get")
 	if res[0].(int) != 3 {
 		t.Fatal("call did not reach child")
 	}
@@ -362,10 +362,10 @@ func TestInterposerForwardsByDefault(t *testing.T) {
 	if !ok {
 		t.Fatal("interposer hides target interface")
 	}
-	if _, err := iv.Invoke("inc", 2); err != nil {
+	if _, err := Invoke(iv, "inc", 2); err != nil {
 		t.Fatal(err)
 	}
-	res, err := iv.Invoke("get")
+	res, err := Invoke(iv, "get")
 	if err != nil || res[0].(int) != 2 {
 		t.Fatalf("forwarded get = %v, %v", res, err)
 	}
@@ -383,10 +383,10 @@ func TestInterposerWrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	iv, _ := ip.Iface("test.counter.v1")
-	if _, err := iv.Invoke("inc", 3); err != nil {
+	if _, err := Invoke(iv, "inc", 3); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := iv.Invoke("get")
+	res, _ := Invoke(iv, "get")
 	if res[0].(int) != 6 {
 		t.Fatalf("wrapped inc: get = %v", res)
 	}
@@ -401,10 +401,10 @@ func TestInterposerWrapSuppresses(t *testing.T) {
 		t.Fatal(err)
 	}
 	iv, _ := ip.Iface("test.counter.v1")
-	if _, err := iv.Invoke("inc", 3); err == nil {
+	if _, err := Invoke(iv, "inc", 3); err == nil {
 		t.Fatal("suppressed call went through")
 	}
-	res, _ := iv.Invoke("get")
+	res, _ := Invoke(iv, "get")
 	if res[0].(int) != 0 {
 		t.Fatal("target state changed despite suppression")
 	}
@@ -444,7 +444,7 @@ func TestInterposerExtraInterface(t *testing.T) {
 	if !ok {
 		t.Fatal("extra interface missing")
 	}
-	res, err := iv.Invoke("count")
+	res, err := Invoke(iv, "count")
 	if err != nil || res[0].(int) != 42 {
 		t.Fatalf("extra invoke = %v, %v", res, err)
 	}
@@ -473,10 +473,10 @@ func TestInterposerChaining(t *testing.T) {
 		t.Fatal(err)
 	}
 	iv, _ := monitor.Iface("test.counter.v1")
-	if _, err := iv.Invoke("inc", 5); err != nil {
+	if _, err := Invoke(iv, "inc", 5); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := iv.Invoke("get")
+	res, _ := Invoke(iv, "get")
 	if res[0].(int) != 10 {
 		t.Fatalf("chained result = %v", res)
 	}

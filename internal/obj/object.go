@@ -147,7 +147,7 @@ func (o *Object) Delegate(ifaceName string, to Instance) error {
 			// late-bound forward so the mismatch surfaces per call.
 			name := m.Name
 			fn = func(args ...any) ([]any, error) {
-				return target.Invoke(name, args...)
+				return Invoke(target, name, args...)
 			}
 		}
 		// Only bind slots still empty: methods the object bound itself
@@ -271,7 +271,7 @@ func (b *BoundInterface) MustBind(method string, fn Method) *BoundInterface {
 // BindInto installs a method in the buffer-threading form: callers
 // that go through MethodHandle.CallInto hand the implementation a
 // result buffer to append into, so the invocation allocates nothing.
-// Plain Invoke/Call callers are served by a wrapper that passes a nil
+// Plain Call callers are served by a wrapper that passes a nil
 // buffer, preserving the ordinary return-a-fresh-slice semantics.
 func (b *BoundInterface) BindInto(method string, fn MethodInto) error {
 	md, ok := b.decl.Method(method)
@@ -305,17 +305,6 @@ func (b *BoundInterface) Resolve(method string) (MethodHandle, error) {
 		return MethodHandle{}, fmt.Errorf("%w: %q.%s", ErrNoMethod, b.decl.Name, method)
 	}
 	return b.handles[md.slot], nil
-}
-
-// Invoke implements Invoker as the compatibility path: a name lookup
-// followed by the same slot dispatch a pre-resolved handle performs
-// (arity validation, one indirect-call charge, result validation).
-func (b *BoundInterface) Invoke(method string, args ...any) ([]any, error) {
-	h, err := b.Resolve(method)
-	if err != nil {
-		return nil, err
-	}
-	return h.Call(args...)
 }
 
 // fullyBound reports whether every slot holds an implementation.

@@ -85,7 +85,7 @@ func TestConcurrentCallsSharedHandle(t *testing.T) {
 	}
 }
 
-// TestConcurrentInvokeAndResolve mixes the string-keyed path, handle
+// TestConcurrentInvokeAndResolve mixes the by-name path, handle
 // resolution and handle calls on one interface concurrently.
 func TestConcurrentInvokeAndResolve(t *testing.T) {
 	f, svc, m := setup()
@@ -107,7 +107,7 @@ func TestConcurrentInvokeAndResolve(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < callsEach; i++ {
 				if g%2 == 0 {
-					if _, err := iv.Invoke("inc", 1); err != nil {
+					if _, err := obj.Invoke(iv, "inc", 1); err != nil {
 						t.Error(err)
 						return
 					}
@@ -270,7 +270,7 @@ func TestProxyCloseQuiesces(t *testing.T) {
 
 	callDone := make(chan error, 1)
 	go func() {
-		_, err := iv.Invoke("block")
+		_, err := obj.Invoke(iv, "block")
 		callDone <- err
 	}()
 	<-entered // the call is now mid-invoke in the target domain

@@ -565,16 +565,6 @@ type batchKey struct {
 	slotVA mmu.VAddr
 }
 
-// Invoke implements obj.Invoker: a name lookup followed by the same
-// crossing a resolved handle's Call performs.
-func (e *entryIface) Invoke(method string, args ...any) ([]any, error) {
-	h, err := e.Resolve(method)
-	if err != nil {
-		return nil, err
-	}
-	return h.Call(args...)
-}
-
 // Resolve implements obj.Invoker: the entry slot's address and the
 // dispatch into the target are computed once, and the returned handle
 // faults straight into the kernel on every Call with no per-call

@@ -52,14 +52,14 @@ func TestProxyInvoke(t *testing.T) {
 	if !ok {
 		t.Fatal("proxy hides interface")
 	}
-	res, err := iv.Invoke("add", 2, 3)
+	res, err := obj.Invoke(iv, "add", 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res[0].(int) != 5 {
 		t.Fatalf("add = %v", res)
 	}
-	res, err = iv.Invoke("total")
+	res, err = obj.Invoke(iv, "total")
 	if err != nil || res[0].(int) != 5 {
 		t.Fatalf("total = %v, %v", res, err)
 	}
@@ -109,7 +109,7 @@ func TestProxyChargesCrossDomainCosts(t *testing.T) {
 	}
 	iv, _ := p.Iface("test.calc.v1")
 	m.Meter.ResetCounts()
-	if _, err := iv.Invoke("add", 1, 2); err != nil {
+	if _, err := obj.Invoke(iv, "add", 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	// One page fault trap, two context switches (there and back).
@@ -139,7 +139,7 @@ func TestProxyEveryCallFaults(t *testing.T) {
 	iv, _ := p.Iface("test.calc.v1")
 	m.Meter.ResetCounts()
 	for i := 0; i < 5; i++ {
-		if _, err := iv.Invoke("total"); err != nil {
+		if _, err := obj.Invoke(iv, "total"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,10 +155,10 @@ func TestProxyMethodErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	iv, _ := p.Iface("test.calc.v1")
-	if _, err := iv.Invoke("missing"); !errors.Is(err, obj.ErrNoMethod) {
+	if _, err := obj.Invoke(iv, "missing"); !errors.Is(err, obj.ErrNoMethod) {
 		t.Fatalf("missing method: %v", err)
 	}
-	if _, err := iv.Invoke("add", 1); !errors.Is(err, obj.ErrArity) {
+	if _, err := obj.Invoke(iv, "add", 1); !errors.Is(err, obj.ErrArity) {
 		t.Fatalf("bad arity: %v", err)
 	}
 }
@@ -178,7 +178,7 @@ func TestProxyPropagatesTargetError(t *testing.T) {
 		t.Fatal(err)
 	}
 	iv, _ := p.Iface("f.v1")
-	if _, err := iv.Invoke("boom"); !errors.Is(err, sentinel) {
+	if _, err := obj.Invoke(iv, "boom"); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -194,7 +194,7 @@ func TestProxyClose(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := iv.Invoke("total"); !errors.Is(err, ErrClosed) {
+	if _, err := obj.Invoke(iv, "total"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("invoke after close: %v", err)
 	}
 	if err := p.Close(); !errors.Is(err, ErrClosed) {
@@ -219,7 +219,7 @@ func TestProxyTargetDomainDies(t *testing.T) {
 		t.Fatal(err)
 	}
 	iv, _ := p.Iface("test.calc.v1")
-	if _, err := iv.Invoke("total"); err == nil {
+	if _, err := obj.Invoke(iv, "total"); err == nil {
 		t.Fatal("call into dead domain succeeded")
 	}
 }
@@ -238,7 +238,7 @@ func TestProxySameDomainSkipsSwitch(t *testing.T) {
 	}
 	iv, _ := p.Iface("test.calc.v1")
 	m.Meter.ResetCounts()
-	if _, err := iv.Invoke("total"); err != nil {
+	if _, err := obj.Invoke(iv, "total"); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Meter.Count(clock.OpCtxSwitch); got != 0 {
@@ -260,14 +260,14 @@ func TestProxyDistinctEntryPages(t *testing.T) {
 	}
 	iv1, _ := p1.Iface("test.calc.v1")
 	iv2, _ := p2.Iface("test.calc.v1")
-	if _, err := iv1.Invoke("add", 1, 1); err != nil {
+	if _, err := obj.Invoke(iv1, "add", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := iv2.Invoke("add", 2, 2); err != nil {
+	if _, err := obj.Invoke(iv2, "add", 2, 2); err != nil {
 		t.Fatal(err)
 	}
-	r1, _ := iv1.Invoke("total")
-	r2, _ := iv2.Invoke("total")
+	r1, _ := obj.Invoke(iv1, "total")
+	r2, _ := obj.Invoke(iv2, "total")
 	if r1[0].(int) != 2 || r2[0].(int) != 4 {
 		t.Fatalf("totals = %v, %v (state mixed up)", r1, r2)
 	}
@@ -313,7 +313,7 @@ func TestCrossDomainVsLocalCostGap(t *testing.T) {
 
 	w := m.Meter.Clock.StartWatch()
 	for i := 0; i < 100; i++ {
-		if _, err := local.Invoke("total"); err != nil {
+		if _, err := obj.Invoke(local, "total"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,7 +321,7 @@ func TestCrossDomainVsLocalCostGap(t *testing.T) {
 
 	w = m.Meter.Clock.StartWatch()
 	for i := 0; i < 100; i++ {
-		if _, err := remote.Invoke("total"); err != nil {
+		if _, err := obj.Invoke(remote, "total"); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -63,7 +63,7 @@ func TestGrantCrossesAsOneWord(t *testing.T) {
 	iv, _ := p.Iface("test.share.v1")
 
 	before := m.Meter.Snapshot()
-	res, err := iv.Invoke("attach", g.Ref())
+	res, err := obj.Invoke(iv, "attach", g.Ref())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestMisaddressedGrantFailsBeforeCrossing(t *testing.T) {
 	iv, _ := p.Iface("test.share.v1")
 
 	before := m.Meter.Snapshot()
-	_, err = iv.Invoke("attach", misaddressed.Ref())
+	_, err = obj.Invoke(iv, "attach", misaddressed.Ref())
 	after := m.Meter.Snapshot()
 	if !errors.Is(err, shm.ErrWrongDomain) {
 		t.Fatalf("err = %v, want ErrWrongDomain", err)
@@ -140,7 +140,7 @@ func TestMisaddressedGrantFailsBeforeCrossing(t *testing.T) {
 
 	// A forged ref and a revoked grant are rejected the same way, each
 	// with its own distinct error.
-	if _, err := iv.Invoke("attach", shm.GrantRef(12345)); !errors.Is(err, shm.ErrNoGrant) {
+	if _, err := obj.Invoke(iv, "attach", shm.GrantRef(12345)); !errors.Is(err, shm.ErrNoGrant) {
 		t.Fatalf("forged ref: err = %v, want ErrNoGrant", err)
 	}
 	ok, err := seg.Grant(serverCtx, shm.RO)
@@ -150,7 +150,7 @@ func TestMisaddressedGrantFailsBeforeCrossing(t *testing.T) {
 	if err := ok.RevokeFrom(mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := iv.Invoke("attach", ok.Ref()); !errors.Is(err, shm.ErrRevoked) {
+	if _, err := obj.Invoke(iv, "attach", ok.Ref()); !errors.Is(err, shm.ErrRevoked) {
 		t.Fatalf("revoked grant: err = %v, want ErrRevoked", err)
 	}
 	if ran {

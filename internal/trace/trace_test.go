@@ -43,11 +43,11 @@ func TestTracerCountsAndTimes(t *testing.T) {
 		t.Fatal("traced interface missing")
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := iv.Invoke("work", uint64(100)); err != nil {
+		if _, err := obj.Invoke(iv, "work", uint64(100)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := iv.Invoke("fail"); err == nil {
+	if _, err := obj.Invoke(iv, "fail"); err == nil {
 		t.Fatal("fail did not fail")
 	}
 	st, ok := tr.Stats("svc.v1.work")
@@ -86,7 +86,7 @@ func TestTracerTransparency(t *testing.T) {
 		t.Fatalf("interfaces = %v", names)
 	}
 	iv, _ := agent.Iface("svc.v1")
-	if _, err := iv.Invoke("work", uint64(1), 2); err == nil {
+	if _, err := obj.Invoke(iv, "work", uint64(1), 2); err == nil {
 		t.Fatal("arity check lost through tracer")
 	}
 }
@@ -98,8 +98,8 @@ func TestTracerKeysAndReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	iv, _ := tr.Agent().Iface("svc.v1")
-	iv.Invoke("work", uint64(10))
-	iv.Invoke("fail")
+	obj.Invoke(iv, "work", uint64(10))
+	obj.Invoke(iv, "fail")
 	keys := tr.Keys()
 	if len(keys) != 2 || keys[0] != "svc.v1.fail" || keys[1] != "svc.v1.work" {
 		t.Fatalf("keys = %v", keys)

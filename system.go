@@ -510,12 +510,13 @@ func (h *Handle) Coalesce(size int) *api.Coalescer {
 	return h.s.NewCoalescer(size, 0)
 }
 
-// Invoke calls a method by name: the string-keyed compatibility path,
-// paying an interface and method lookup per call.
+// Invoke calls a method by name: the by-name path, which resolves the
+// interface and the method on every call and then calls the handle.
+// A caller that calls a method more than once resolves it first.
 func (h *Handle) Invoke(iface, method string, args ...any) ([]any, error) {
 	iv, err := h.Interface(iface)
 	if err != nil {
 		return nil, err
 	}
-	return iv.Invoke(method, args...)
+	return obj.Invoke(iv, method, args...)
 }

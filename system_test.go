@@ -292,7 +292,7 @@ func TestMonitoringSharedService(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := iv.Invoke("pump"); err != nil {
+		if _, err := obj.Invoke(iv, "pump"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -333,7 +333,7 @@ func TestCostModelSweepChangesShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	watch := k.Meter.Clock.StartWatch()
-	if _, err := iv.Invoke("f"); err != nil {
+	if _, err := obj.Invoke(iv, "f"); err != nil {
 		t.Fatal(err)
 	}
 	if got := watch.Elapsed(); got > 60 {
@@ -369,7 +369,7 @@ func TestManyDomainsStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := 0; j < 5; j++ {
-			if _, err := iv.Invoke("hit"); err != nil {
+			if _, err := obj.Invoke(iv, "hit"); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -41,7 +44,7 @@ func num(t *testing.T, s string) float64 {
 }
 
 func TestT1InvocationShape(t *testing.T) {
-	tbl := T1Invocation()
+	tbl := t1Invocation()
 	direct := num(t, findRow(t, tbl, "direct")[1])
 	iface := num(t, findRow(t, tbl, "interface")[1])
 	deleg := num(t, findRow(t, tbl, "delegated")[1])
@@ -57,7 +60,7 @@ func TestT1InvocationShape(t *testing.T) {
 }
 
 func TestT2CrossDomainShape(t *testing.T) {
-	tbl := T2CrossDomain()
+	tbl := t2CrossDomain()
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -76,7 +79,7 @@ func TestT2CrossDomainShape(t *testing.T) {
 }
 
 func TestT3InterruptShape(t *testing.T) {
-	tbl := T3Interrupt()
+	tbl := t3Interrupt()
 	raw := cell(t, tbl, 0, 2)
 	protoInline := cell(t, tbl, 1, 2)
 	protoBlocked := cell(t, tbl, 2, 2)
@@ -90,7 +93,7 @@ func TestT3InterruptShape(t *testing.T) {
 }
 
 func TestT4CertificationShape(t *testing.T) {
-	tbl := T4Certification()
+	tbl := t4Certification()
 	// Cold validation grows with image size; cached is much cheaper
 	// than cold for large images.
 	var colds, warms []float64
@@ -126,7 +129,7 @@ func TestT4CertificationShape(t *testing.T) {
 }
 
 func TestT5FilterPlacementShape(t *testing.T) {
-	tbl := T5FilterPlacement()
+	tbl := t5FilterPlacement()
 	certified := num(t, findRow(t, tbl, "kernel-certified")[1])
 	sandboxed := num(t, findRow(t, tbl, "kernel-sandboxed")[1])
 	user := num(t, findRow(t, tbl, "user")[1])
@@ -140,7 +143,7 @@ func TestT5FilterPlacementShape(t *testing.T) {
 }
 
 func TestT6ReconfigurationShape(t *testing.T) {
-	tbl := T6Reconfiguration()
+	tbl := t6Reconfiguration()
 	cold := num(t, findRow(t, tbl, "cold")[1])
 	bind := num(t, findRow(t, tbl, "bind")[1])
 	if cold <= bind {
@@ -152,7 +155,7 @@ func TestT6ReconfigurationShape(t *testing.T) {
 }
 
 func TestF1ThroughputShape(t *testing.T) {
-	tbl := F1Throughput()
+	tbl := f1Throughput()
 	last := tbl.Rows[len(tbl.Rows)-1]
 	cert := num(t, last[1])
 	sfi := num(t, last[2])
@@ -168,7 +171,7 @@ func TestF1ThroughputShape(t *testing.T) {
 }
 
 func TestF2BreakEvenShape(t *testing.T) {
-	tbl := F2BreakEven()
+	tbl := f2BreakEven()
 	var evens []float64
 	for _, r := range tbl.Rows {
 		if r[4] == "never" {
@@ -184,7 +187,7 @@ func TestF2BreakEvenShape(t *testing.T) {
 }
 
 func TestF3BlockingFractionShape(t *testing.T) {
-	tbl := F3BlockingFraction()
+	tbl := f3BlockingFraction()
 	// At 0% blocking proto clearly beats eager.
 	p0, e0 := cell(t, tbl, 0, 1), cell(t, tbl, 0, 2)
 	if p0 >= e0 {
@@ -198,7 +201,7 @@ func TestF3BlockingFractionShape(t *testing.T) {
 }
 
 func TestF4NamespaceShape(t *testing.T) {
-	tbl := F4Namespace()
+	tbl := f4Namespace()
 	d1 := num(t, findRow(t, tbl, "depth 1, direct")[1])
 	d8 := num(t, findRow(t, tbl, "depth 8, direct")[1])
 	ov := num(t, findRow(t, tbl, "override hit")[1])
@@ -211,7 +214,7 @@ func TestF4NamespaceShape(t *testing.T) {
 }
 
 func TestF5TrapCostSweepShape(t *testing.T) {
-	tbl := F5TrapCostSweep()
+	tbl := f5TrapCostSweep()
 	if len(tbl.Rows) != 4*3*2 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -252,7 +255,7 @@ func TestF5TrapCostSweepShape(t *testing.T) {
 // attach (map) and revoke (shootdown path) charges included in the
 // share measurement.
 func TestP6ShareBeatsCopyByFourXAtPageSize(t *testing.T) {
-	tbl := P6BulkTransfer()
+	tbl := p6BulkTransfer()
 	row := findRow(t, tbl, "4096")
 	copyCost, shareCost := num(t, row[1]), num(t, row[2])
 	if copyCost < 4*shareCost {
@@ -264,7 +267,7 @@ func TestP6ShareBeatsCopyByFourXAtPageSize(t *testing.T) {
 // TestP6ShapeIsFlatVsLinear: share cost is flat in payload size while
 // copy cost grows with it — the structural signature of zero-copy.
 func TestP6ShapeIsFlatVsLinear(t *testing.T) {
-	tbl := P6BulkTransfer()
+	tbl := p6BulkTransfer()
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -277,6 +280,8 @@ func TestP6ShapeIsFlatVsLinear(t *testing.T) {
 	}
 }
 
+// TestRenderAndAll renders a table, then every experiment in the
+// list: each renders non-empty under its own id.
 func TestRenderAndAll(t *testing.T) {
 	tbl := Table{ID: "X", Title: "t", Header: []string{"a", "b"}}
 	tbl.AddRow("x", 1)
@@ -285,20 +290,41 @@ func TestRenderAndAll(t *testing.T) {
 	if !strings.Contains(out, "== X: t ==") || !strings.Contains(out, "longer") {
 		t.Fatalf("render:\n%s", out)
 	}
-	ids := map[string]bool{}
-	for _, run := range []func() Table{
-		T1Invocation, T2CrossDomain, T3Interrupt, T4Certification, T5FilterPlacement, T6Reconfiguration,
-		F1Throughput, F2BreakEven, F3BlockingFraction, F4Namespace, F5TrapCostSweep,
-	} {
-		tb := run()
-		if tb.Render() == "" {
-			t.Fatalf("%s renders empty", tb.ID)
+	for _, e := range Experiments {
+		tb := e.Run()
+		if tb.ID != e.ID || len(tb.Rows) == 0 || tb.Render() == "" {
+			t.Fatalf("experiment %s: table %q with %d rows", e.ID, tb.ID, len(tb.Rows))
 		}
-		ids[tb.ID] = true
 	}
-	for _, want := range []string{"T1", "T2", "T3", "T4", "T5", "T6", "F1", "F2", "F3", "F4", "F5"} {
-		if !ids[want] {
-			t.Fatalf("missing experiment %s", want)
+}
+
+// TestScenarioRegistry: scenario names are unique, and every row of
+// the committed bench baseline names a registered scenario, so no
+// gated row can be built outside the registry.
+func TestScenarioRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	for _, s := range Scenarios {
+		if seen[s.Name] {
+			t.Errorf("scenario %s registered twice", s.Name)
+		}
+		seen[s.Name] = true
+	}
+	data, err := os.ReadFile(filepath.Join("..", "..", "ci", "bench_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var baseline struct {
+		Benchmarks map[string]json.RawMessage `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(data, &baseline); err != nil {
+		t.Fatal(err)
+	}
+	if len(baseline.Benchmarks) == 0 {
+		t.Fatal("baseline lists no rows")
+	}
+	for row := range baseline.Benchmarks {
+		if name := strings.TrimPrefix(row, "Benchmark"); !seen[name] {
+			t.Errorf("baseline row %s names no registered scenario", row)
 		}
 	}
 }

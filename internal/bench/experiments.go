@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"paramecium/internal/baseline"
 	"paramecium/internal/cert"
@@ -10,6 +11,7 @@ import (
 	"paramecium/internal/event"
 	"paramecium/internal/hw"
 	"paramecium/internal/mmu"
+	"paramecium/internal/names"
 	"paramecium/internal/netstack"
 	"paramecium/internal/obj"
 	"paramecium/internal/threads"
@@ -23,24 +25,56 @@ var counterDecl = obj.MustInterfaceDecl("bench.counter.v1",
 	obj.MethodDecl{Name: "inc", NumIn: 0, NumOut: 1},
 )
 
-func newCounter(w *World) (*obj.Object, *int) {
+// newCounter builds the metered counter object T1 calls.
+func newCounter(w *World) *obj.Object {
 	o := obj.New("counter", w.K.Meter)
-	n := new(int)
-	bi, err := o.AddInterface(counterDecl, n)
+	n := 0
+	bi, err := o.AddInterface(counterDecl, &n)
 	if err != nil {
 		panic(err)
 	}
 	bi.MustBind("inc", func(...any) ([]any, error) {
-		*n++
-		return []any{*n}, nil
+		n++
+		return []any{n}, nil
 	})
-	return o, n
+	return o
 }
 
-// T1Invocation measures method invocation overhead: direct procedure
+// localDecl is the meterless counter's interface: inc counts, add adds
+// its argument.
+var localDecl = obj.MustInterfaceDecl("bench.local.v1",
+	obj.MethodDecl{Name: "inc", NumIn: 0, NumOut: 1},
+	obj.MethodDecl{Name: "add", NumIn: 1, NumOut: 1},
+)
+
+// newLocalCounter builds the meterless counter of the host-only
+// invocation rows, which measure host dispatch cost alone. Both
+// methods are bound in the buffer-threading form and return the
+// counter's state pointer — the paper's interfaces are "methods, state
+// pointers and type information" — so a caller that supplies the
+// result buffer completes an invocation with zero allocations. The
+// count is atomic, so the parallel row can share one counter.
+func newLocalCounter() *obj.Object {
+	o := obj.New("counter", nil)
+	n := new(atomic.Int64)
+	bi, err := o.AddInterface(localDecl, n)
+	if err != nil {
+		panic(err)
+	}
+	bi.MustBindInto("inc", func(out []any, _ ...any) ([]any, error) {
+		n.Add(1)
+		return append(out, n), nil
+	}).MustBindInto("add", func(out []any, args ...any) ([]any, error) {
+		n.Add(int64(args[0].(int)))
+		return append(out, n), nil
+	})
+	return o
+}
+
+// t1Invocation measures method invocation overhead: direct procedure
 // call, object interface call, delegated call, and interposer chains
 // of depth 1–4.
-func T1Invocation() Table {
+func t1Invocation() Table {
 	t := Table{
 		ID:     "T1",
 		Title:  "Method invocation overhead (cycles/call)",
@@ -50,24 +84,19 @@ func T1Invocation() Table {
 	w := NewWorld()
 
 	// Direct procedure call: the compiler-level baseline.
-	n := 0
-	direct := perOp(w, iters, func() {
+	direct := perOp(w, iters, repeat(func() error {
 		w.K.Meter.ChargeFor(clock.KernelDomain, clock.OpCall)
-		n++
-	})
+		return nil
+	}))
 
-	o, _ := newCounter(w)
+	o := newCounter(w)
 	iv, _ := o.Iface("bench.counter.v1")
-	ifaceCall := perOp(w, iters, func() { obj.Invoke(iv, "inc") })
+	ifaceCall := perOp(w, iters, invokes(iv, "inc"))
 
 	// Pre-resolved handle: same virtual cost as string invocation (the
 	// cost model charges the indirect call, not the lookup), but the
 	// host-machine lookup and lock disappear — see BenchmarkInvoke*.
-	inc, err := iv.Resolve("inc")
-	if err != nil {
-		panic(err)
-	}
-	handleCall := perOp(w, iters, func() { inc.Call() })
+	handleCall := perOp(w, iters, calls(resolve(o, "bench.counter.v1", "inc")))
 
 	// Delegated: front object forwards to the backend through a handle
 	// resolved at delegation time.
@@ -78,12 +107,7 @@ func T1Invocation() Table {
 	if err := front.Delegate("bench.counter.v1", o); err != nil {
 		panic(err)
 	}
-	fv, _ := front.Iface("bench.counter.v1")
-	finc, err := fv.Resolve("inc")
-	if err != nil {
-		panic(err)
-	}
-	delegated := perOp(w, iters, func() { finc.Call() })
+	delegated := perOp(w, iters, calls(resolve(front, "bench.counter.v1", "inc")))
 
 	t.AddRow("direct procedure call", direct, "1.0x")
 	t.AddRow("interface invocation", ifaceCall, ratio(ifaceCall, direct))
@@ -101,12 +125,7 @@ func T1Invocation() Table {
 			panic(err)
 		}
 		target = ip
-		tv, _ := target.Iface("bench.counter.v1")
-		tinc, err := tv.Resolve("inc")
-		if err != nil {
-			panic(err)
-		}
-		c := perOp(w, iters, func() { tinc.Call() })
+		c := perOp(w, iters, calls(resolve(target, "bench.counter.v1", "inc")))
 		t.AddRow(fmt.Sprintf("interposed depth %d", depth), c, ratio(c, direct))
 	}
 	return t
@@ -119,10 +138,27 @@ func ratio(a, b uint64) string {
 	return fmt.Sprintf("%.1fx", float64(a)/float64(b))
 }
 
-// T2CrossDomain compares invocation across protection regimes for a
+// newEcho registers an echo server in a server domain and returns its
+// same-domain handle and a client domain's cross-domain handle on it.
+func newEcho(w *World) (local, remote obj.MethodHandle) {
+	decl := obj.MustInterfaceDecl("bench.echo.v1",
+		obj.MethodDecl{Name: "echo", NumIn: 1, NumOut: 1})
+	server := obj.New("echo", w.K.Meter)
+	bi, err := server.AddInterface(decl, nil)
+	if err != nil {
+		panic(err)
+	}
+	bi.MustBind("echo", func(args ...any) ([]any, error) { return []any{args[0]}, nil })
+	serverDom := w.K.NewDomain("server")
+	clientDom := w.K.NewDomain("client")
+	remote = w.export("/services/echo", server, serverDom, clientDom, "bench.echo.v1", "echo")
+	return resolve(server, "bench.echo.v1", "echo"), remote
+}
+
+// t2CrossDomain compares invocation across protection regimes for a
 // range of argument sizes: same-domain interface call, Paramecium
 // fault-driven proxy, and the monolithic kernel's trap-per-call path.
-func T2CrossDomain() Table {
+func t2CrossDomain() Table {
 	t := Table{
 		ID:     "T2",
 		Title:  "Cross-domain invocation (cycles/call)",
@@ -130,26 +166,7 @@ func T2CrossDomain() Table {
 		Header: []string{"arg bytes", "same-domain", "proxy cross-domain", "monolith syscall"},
 	}
 	w := NewWorld()
-
-	echoDecl := obj.MustInterfaceDecl("bench.echo.v1",
-		obj.MethodDecl{Name: "echo", NumIn: 1, NumOut: 1})
-	server := obj.New("echo", w.K.Meter)
-	bi, err := server.AddInterface(echoDecl, nil)
-	if err != nil {
-		panic(err)
-	}
-	bi.MustBind("echo", func(args ...any) ([]any, error) { return []any{args[0]}, nil })
-
-	serverDom := w.K.NewDomain("server")
-	clientDom := w.K.NewDomain("client")
-	if err := w.K.Register("/services/echo", server, serverDom.Ctx); err != nil {
-		panic(err)
-	}
-	remote, err := clientDom.BindInterface("/services/echo", "bench.echo.v1")
-	if err != nil {
-		panic(err)
-	}
-	local, _ := server.Iface("bench.echo.v1")
+	local, remote := newEcho(w)
 
 	mono := baseline.New(w.K.Machine)
 	if err := mono.AddService("echo", func(args ...any) ([]any, error) {
@@ -159,19 +176,14 @@ func T2CrossDomain() Table {
 	}
 	mono.Seal()
 
-	lecho, err := local.Resolve("echo")
-	if err != nil {
-		panic(err)
-	}
-	recho, err := remote.Resolve("echo")
-	if err != nil {
-		panic(err)
-	}
 	for _, size := range []int{0, 64, 1024, 4096} {
 		arg := make([]byte, size)
-		lc := perOp(w, iters, func() { lecho.Call(arg) })
-		pc := perOp(w, iters, func() { recho.Call(arg) })
-		mc := perOp(w, iters, func() { mono.Syscall("echo", arg) })
+		lc := perOp(w, iters, calls(local, arg))
+		pc := perOp(w, iters, calls(remote, arg))
+		mc := perOp(w, iters, repeat(func() error {
+			_, err := mono.Syscall("echo", arg)
+			return err
+		}))
 		t.AddRow(size, lc, pc, mc)
 	}
 	t.Notes = append(t.Notes,
@@ -179,55 +191,71 @@ func T2CrossDomain() Table {
 	return t
 }
 
-// interruptRig builds a machine + scheduler + event service with a
-// registered handler under the given dispatch policy.
+// interruptRig is a machine, a scheduler and an event service with IRQ
+// 3 bound under one dispatch policy, routed to the boot CPU.
 type interruptRig struct {
 	machine *hw.Machine
 	sched   *threads.Scheduler
-	events  *event.Service
 	mtx     *threads.Mutex
 	q       *threads.Queue
+	// block makes the handler take the rig's mutex, so it blocks while
+	// holdMutex has parked a holder.
+	block bool
 }
 
-// newInterruptRig binds IRQ 3 to a handler under dispatch policy d,
-// routed to the boot CPU; with blockers the handler takes the rig's
-// mutex, so it blocks whenever holdMutex has parked a holder.
-func newInterruptRig(d event.Dispatch, blockers bool) *interruptRig {
+// newInterruptRig binds IRQ 3 under dispatch policy d, routed to the
+// boot CPU, where every interrupt of these experiments arrives. A
+// thread-free handler does nothing and never needs a thread; otherwise
+// the handler takes its thread and, while the rig's block is set, the
+// rig's mutex.
+func newInterruptRig(d event.Dispatch, threadFree bool) *interruptRig {
 	machine := hw.New(hw.Config{PhysFrames: 16})
 	sched := threads.NewScheduler(machine.Meter)
 	events := event.New(machine, sched)
-	r := &interruptRig{machine: machine, sched: sched, events: events}
-	r.mtx = threads.NewMutex(sched)
-	var err error
-	r.q, err = threads.NewQueue(sched, 1)
+	q, err := threads.NewQueue(sched, 1)
 	if err != nil {
 		panic(err)
 	}
-	handler := func(f hw.TrapFrame, th *threads.Thread) {
-		if blockers && th != nil {
-			r.mtx.Lock(th)
-			r.mtx.Unlock(th)
-		}
+	r := &interruptRig{machine: machine, sched: sched, mtx: threads.NewMutex(sched), q: q}
+	if threadFree {
+		err = events.RegisterThreadFreeIRQOn(3, "bench", mmu.KernelContext, d, mmu.BootCPU, func(hw.TrapFrame) {})
+	} else {
+		err = events.RegisterIRQOn(3, "bench", mmu.KernelContext, d, mmu.BootCPU, func(_ hw.TrapFrame, th *threads.Thread) {
+			if r.block && th != nil {
+				r.mtx.Lock(th)
+				r.mtx.Unlock(th)
+			}
+		})
 	}
-	if err := events.RegisterIRQOn(3, "bench", mmu.KernelContext, d, mmu.BootCPU, handler); err != nil {
+	if err != nil {
 		panic(err)
 	}
 	return r
 }
 
-// fire delivers one interrupt to the boot CPU and runs the system to
-// idle, returning the cycles consumed.
-func (r *interruptRig) fire() uint64 {
-	watch := r.machine.Meter.Clock.StartWatch()
-	if err := r.machine.RaiseIRQOn(3, mmu.BootCPU); err != nil {
-		panic(err)
+// interrupts is the rig's loop: n interrupts to the boot CPU, then the
+// system run to idle.
+func interrupts(d event.Dispatch, threadFree bool) Setup {
+	return func() (func(int) error, *clock.Meter) {
+		r := newInterruptRig(d, threadFree)
+		return r.raise, r.machine.Meter
 	}
-	r.sched.RunUntilIdle()
-	return watch.Elapsed()
 }
 
-// holdMutex parks a thread holding the rig's mutex (so the next
-// proto-thread handler must block and promote); release lets it go.
+// raise delivers n interrupts to the boot CPU, then runs the system to
+// idle.
+func (r *interruptRig) raise(n int) error {
+	for i := 0; i < n; i++ {
+		if err := r.machine.RaiseIRQOn(3, mmu.BootCPU); err != nil {
+			return err
+		}
+	}
+	r.sched.RunUntilIdle()
+	return nil
+}
+
+// holdMutex parks a thread holding the rig's mutex, so the next
+// handler that takes it must block and promote.
 func (r *interruptRig) holdMutex() {
 	r.sched.Spawn("holder", func(th *threads.Thread) {
 		r.mtx.Lock(th)
@@ -237,51 +265,76 @@ func (r *interruptRig) holdMutex() {
 	r.sched.RunUntilIdle()
 }
 
-func (r *interruptRig) release() {
+// raiseBlocked delivers one interrupt to the boot CPU while
+// holdMutex's holder is parked, then lets the holder go and runs the
+// system to idle.
+func (r *interruptRig) raiseBlocked() error {
+	if err := r.machine.RaiseIRQOn(3, mmu.BootCPU); err != nil {
+		return err
+	}
 	r.q.TryPush(struct{}{})
 	r.sched.RunUntilIdle()
+	return nil
 }
 
-// T3Interrupt measures interrupt-to-completion cost per dispatch
+// t3Interrupt measures interrupt-to-completion cost per dispatch
 // policy, including the promotion path. Every interrupt arrives on
 // the boot CPU.
-func T3Interrupt() Table {
+func t3Interrupt() Table {
 	t := Table{
 		ID:     "T3",
 		Title:  "Interrupt handling cost (cycles/event)",
 		Claim:  `proto-threads give "fast interrupt processing of user code with proper thread semantics" (§3)`,
 		Header: []string{"dispatch", "handler", "cycles/event"},
 	}
-	measure := func(d event.Dispatch, blocking bool) uint64 {
-		r := newInterruptRig(d, blocking)
-		var total uint64
-		for i := 0; i < iters; i++ {
-			if blocking && d == event.DispatchProto {
-				r.holdMutex()
-				watch := r.machine.Meter.Clock.StartWatch()
-				if err := r.machine.RaiseIRQOn(3, mmu.BootCPU); err != nil {
-					panic(err)
-				}
-				r.release()
-				total += watch.Elapsed()
-				continue
-			}
-			total += r.fire()
+	perEvent := func(name string) uint64 { return find(name).Setup.cycles(iters) / iters }
+	r := newInterruptRig(event.DispatchProto, false)
+	r.block = true
+	var promoted uint64
+	for i := 0; i < iters; i++ {
+		r.holdMutex()
+		watch := r.machine.Meter.Clock.StartWatch()
+		if err := r.raiseBlocked(); err != nil {
+			panic(err)
 		}
-		return total / uint64(iters)
+		promoted += watch.Elapsed()
 	}
-	t.AddRow("raw call-back", "non-blocking", measure(event.DispatchRaw, false))
-	t.AddRow("proto-thread", "non-blocking (runs inline)", measure(event.DispatchProto, false))
-	t.AddRow("proto-thread", "blocking (promoted)", measure(event.DispatchProto, true))
-	t.AddRow("eager pop-up thread", "non-blocking", measure(event.DispatchEager, false))
+	t.AddRow("raw call-back", "non-blocking", perEvent("P11_InterruptPath/path=raw"))
+	t.AddRow("proto-thread", "non-blocking (runs inline)", perEvent("T3_Interrupt"))
+	t.AddRow("proto-thread", "blocking (promoted)", promoted/iters)
+	t.AddRow("eager pop-up thread", "non-blocking", perEvent("F3_BlockingFraction"))
 	t.Notes = append(t.Notes,
 		"proto non-blocking ~ raw + proto-thread cost; promotion pays thread creation only when the handler actually blocks")
 	return t
 }
 
-// T4Certification measures load-time validation: image size sweep,
+// certifiedImage returns a pseudo-random image of size bytes and its
+// kernel-residence certificate.
+func certifiedImage(w *World, size int) ([]byte, *cert.Certificate) {
+	image := make([]byte, size)
+	clock.NewRand(uint64(size)).Bytes(image)
+	c, err := w.Admin.Certify("img", image, cert.PrivKernelResident)
+	if err != nil {
+		panic(err)
+	}
+	return image, c
+}
+
+// validates is the loop of n validations of image against c. A cold
+// loop empties the validator's cache before each, so each pays the
+// digest and the signature check.
+func validates(w *World, image []byte, c *cert.Certificate, cold bool) func(int) error {
+	return repeat(func() error {
+		if cold {
+			w.K.Validator.InvalidateCache()
+		}
+		return w.K.Validator.Validate(image, c, cert.PrivKernelResident)
+	})
+}
+
+// t4Certification measures load-time validation: image size sweep,
 // cache effect, and delegation chain registration by depth.
-func T4Certification() Table {
+func t4Certification() Table {
 	t := Table{
 		ID:     "T4",
 		Title:  "Certificate validation cost (cycles)",
@@ -289,25 +342,10 @@ func T4Certification() Table {
 		Header: []string{"case", "parameter", "cycles"},
 	}
 	w := NewWorld()
-	meter := w.K.Meter
-
 	for _, size := range []int{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10} {
-		image := make([]byte, size)
-		clock.NewRand(uint64(size)).Bytes(image)
-		c, err := w.Admin.Certify("img", image, cert.PrivKernelResident)
-		if err != nil {
-			panic(err)
-		}
-		watch := meter.Clock.StartWatch()
-		if err := w.K.Validator.Validate(image, c, cert.PrivKernelResident); err != nil {
-			panic(err)
-		}
-		cold := watch.Elapsed()
-		watch = meter.Clock.StartWatch()
-		if err := w.K.Validator.Validate(image, c, cert.PrivKernelResident); err != nil {
-			panic(err)
-		}
-		warm := watch.Elapsed()
+		image, c := certifiedImage(w, size)
+		cold := perOp(w, 1, validates(w, image, c, true))
+		warm := perOp(w, 1, validates(w, image, c, false))
 		t.AddRow("validate (cold)", fmt.Sprintf("%d KiB image", size/1024), cold)
 		t.AddRow("validate (cached)", fmt.Sprintf("%d KiB image", size/1024), warm)
 	}
@@ -336,9 +374,17 @@ func T4Certification() Table {
 	return t
 }
 
-// T5FilterPlacement measures per-packet filter cost across the three
+// accepts is the loop of n filter decisions of lf on frame.
+func accepts(lf *core.LoadedFilter, frame []byte) func(int) error {
+	return repeat(func() error {
+		_, err := lf.Accept(frame)
+		return err
+	})
+}
+
+// t5FilterPlacement measures per-packet filter cost across the three
 // Paramecium placements and the monolith's fixed path.
-func T5FilterPlacement() Table {
+func t5FilterPlacement() Table {
 	t := Table{
 		ID:     "T5",
 		Title:  "Packet filter placement (cycles/packet)",
@@ -347,25 +393,20 @@ func T5FilterPlacement() Table {
 	}
 	w := NewWorld()
 	w.AddPVM("portfilter", netstack.PortFilterProgram(7), true)
-	frame := Frame(7, 256)
+	f := frame(7, 256)
 
 	costs := map[string]uint64{}
 	for _, p := range []core.Placement{core.PlaceKernelCertified, core.PlaceKernelSandboxed, core.PlaceUser} {
-		lf, err := w.K.LoadFilter("portfilter", p)
-		if err != nil {
-			panic(err)
-		}
-		costs[p.String()] = perOp(w, iters, func() {
-			if _, err := lf.Accept(frame); err != nil {
-				panic(err)
-			}
-		})
+		costs[p.String()] = perOp(w, iters, accepts(w.load("portfilter", p), f))
 	}
 
 	mono := baseline.New(w.K.Machine)
 	mono.Seal()
 	path := baseline.NewNetPath(mono, 7)
-	costs["monolith fixed path"] = perOp(w, iters, func() { path.Deliver(frame) })
+	costs["monolith fixed path"] = perOp(w, iters, repeat(func() error {
+		path.Deliver(f)
+		return nil
+	}))
 
 	certified := costs[core.PlaceKernelCertified.String()]
 	for _, name := range []string{
@@ -381,8 +422,16 @@ func T5FilterPlacement() Table {
 	return t
 }
 
-// T6Reconfiguration measures the dynamic-configuration primitives.
-func T6Reconfiguration() Table {
+// binds is the loop of n binds of path through v.
+func binds(v *names.View, path string) func(int) error {
+	return repeat(func() error {
+		_, err := v.Bind(path)
+		return err
+	})
+}
+
+// t6Reconfiguration measures the dynamic-configuration primitives.
+func t6Reconfiguration() Table {
 	t := Table{
 		ID:     "T6",
 		Title:  "Reconfiguration primitives (cycles/op)",
@@ -393,26 +442,16 @@ func T6Reconfiguration() Table {
 	w.AddPVM("f", netstack.PortFilterProgram(7), true)
 
 	watch := w.K.Meter.Clock.StartWatch()
-	lf, err := w.K.LoadFilter("f", core.PlaceKernelCertified)
-	if err != nil {
-		panic(err)
-	}
+	lf := w.load("f", core.PlaceKernelCertified)
 	t.AddRow("dynamic load (cold, incl. validation)", watch.Elapsed())
 	if err := w.K.Unload(lf); err == nil {
 		watch = w.K.Meter.Clock.StartWatch()
-		if _, err := w.K.LoadFilter("f", core.PlaceKernelCertified); err != nil {
-			panic(err)
-		}
+		w.load("f", core.PlaceKernelCertified)
 		t.AddRow("dynamic load (warm, cached validation)", watch.Elapsed())
 	}
 
 	path := "/services/f." + core.PlaceKernelCertified.String()
-	bindCost := perOp(w, iters, func() {
-		if _, err := w.K.RootView.Bind(path); err != nil {
-			panic(err)
-		}
-	})
-	t.AddRow("name-space bind", bindCost)
+	t.AddRow("name-space bind", perOp(w, iters, binds(w.K.RootView, path)))
 
 	watch = w.K.Meter.Clock.StartWatch()
 	if _, err := w.K.Interpose(path, func(target obj.Instance) (obj.Instance, error) {
@@ -438,10 +477,49 @@ func T6Reconfiguration() Table {
 	return t
 }
 
-// F1Throughput derives delivered-vs-offered curves for the three
+// filteredStack builds a network stack bound to port 7 over an empty
+// driver, with the repository's port filter loaded at placement p.
+// Frames are fed to the stack by Deliver, so the driver is never
+// called.
+func filteredStack(w *World, p core.Placement) *netstack.Stack {
+	drv := obj.New("nulldrv", w.K.Meter)
+	bi, err := drv.AddInterface(obj.MustInterfaceDecl("paramecium.netdev.v1",
+		obj.MethodDecl{Name: "send", NumIn: 1, NumOut: 0},
+		obj.MethodDecl{Name: "recv", NumIn: 0, NumOut: 1},
+		obj.MethodDecl{Name: "stats", NumIn: 0, NumOut: 3},
+	), nil)
+	if err != nil {
+		panic(err)
+	}
+	bi.MustBind("send", func(...any) ([]any, error) { return nil, nil }).
+		MustBind("recv", func(...any) ([]any, error) { return []any{[]byte(nil)}, nil }).
+		MustBind("stats", func(...any) ([]any, error) { return []any{uint64(0), uint64(0), uint64(0)}, nil })
+	iv, _ := drv.Iface("paramecium.netdev.v1")
+	stack, err := netstack.NewStack("stack-"+p.String(), w.K.Meter, iv,
+		netstack.MAC{2, 0, 0, 0, 0, 1}, netstack.IP{10, 0, 0, 1})
+	if err != nil {
+		panic(err)
+	}
+	stack.AttachFilter(w.load("portfilter", p))
+	if _, err := stack.Bind(7); err != nil {
+		panic(err)
+	}
+	return stack
+}
+
+// delivers is the loop of n deliveries of frame up stack's receive
+// path.
+func delivers(stack *netstack.Stack, frame []byte) func(int) error {
+	return repeat(func() error {
+		stack.Deliver(frame)
+		return nil
+	})
+}
+
+// f1Throughput derives delivered-vs-offered curves for the three
 // filter placements from measured per-packet full-path cost
 // (filter + stack parse + demux).
-func F1Throughput() Table {
+func f1Throughput() Table {
 	t := Table{
 		ID:     "F1",
 		Title:  "Delivered throughput vs offered load (packets per Mcycle)",
@@ -450,26 +528,11 @@ func F1Throughput() Table {
 	}
 	w := NewWorld()
 	w.AddPVM("portfilter", netstack.PortFilterProgram(7), true)
-	frame := Frame(7, 256)
 
 	// Measure the full receive path per placement: filter + parse.
 	perPacket := map[core.Placement]uint64{}
 	for _, p := range []core.Placement{core.PlaceKernelCertified, core.PlaceKernelSandboxed, core.PlaceUser} {
-		lf, err := w.K.LoadFilter("portfilter", p)
-		if err != nil {
-			panic(err)
-		}
-		drv := nullDriver(w)
-		stack, err := netstack.NewStack("stack-"+p.String(), w.K.Meter, drv,
-			netstack.MAC{2, 0, 0, 0, 0, 1}, netstack.IP{10, 0, 0, 1})
-		if err != nil {
-			panic(err)
-		}
-		stack.AttachFilter(lf)
-		if _, err := stack.Bind(7); err != nil {
-			panic(err)
-		}
-		perPacket[p] = perOp(w, iters, func() { stack.Deliver(frame) })
+		perPacket[p] = perOp(w, iters, delivers(filteredStack(w, p), frame(7, 256)))
 	}
 
 	// Saturation curve: delivered = min(offered, capacity). Offered
@@ -486,7 +549,7 @@ func F1Throughput() Table {
 	for _, offered := range offeredRates {
 		row := []any{offered}
 		for _, p := range []core.Placement{core.PlaceKernelCertified, core.PlaceKernelSandboxed, core.PlaceUser} {
-			row = append(row, min2(offered, capacity(p)))
+			row = append(row, min(offered, capacity(p)))
 		}
 		t.AddRow(row...)
 	}
@@ -497,43 +560,17 @@ func F1Throughput() Table {
 	return t
 }
 
-func min2(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// nullDriver builds an empty netdev object (the F1 stack is fed via
-// Deliver, not the driver).
-func nullDriver(w *World) obj.Invoker {
-	drv := obj.New("nulldrv", w.K.Meter)
-	bi, err := drv.AddInterface(obj.MustInterfaceDecl("paramecium.netdev.v1",
-		obj.MethodDecl{Name: "send", NumIn: 1, NumOut: 0},
-		obj.MethodDecl{Name: "recv", NumIn: 0, NumOut: 1},
-		obj.MethodDecl{Name: "stats", NumIn: 0, NumOut: 3},
-	), nil)
-	if err != nil {
-		panic(err)
-	}
-	bi.MustBind("send", func(...any) ([]any, error) { return nil, nil }).
-		MustBind("recv", func(...any) ([]any, error) { return []any{[]byte(nil)}, nil }).
-		MustBind("stats", func(...any) ([]any, error) { return []any{uint64(0), uint64(0), uint64(0)}, nil })
-	iv, _ := drv.Iface("paramecium.netdev.v1")
-	return iv
-}
-
-// F2BreakEven computes the invocation count at which paying the
+// f2BreakEven computes the invocation count at which paying the
 // one-time certification validation beats per-call SFI overhead, as a
 // function of filter complexity.
-func F2BreakEven() Table {
+func f2BreakEven() Table {
 	t := Table{
 		ID:     "F2",
 		Title:  "Certification break-even vs filter complexity",
 		Claim:  `certification "is efficient ... all run time checks can then be omitted" (§4)`,
 		Header: []string{"filter work (bytes summed)", "validate cycles", "cert cycles/pkt", "sfi cycles/pkt", "break-even packets"},
 	}
-	frame := Frame(7, 1024)
+	f := frame(7, 1024)
 	for _, work := range []int{0, 64, 256, 1024} {
 		w := NewWorld()
 		src := netstack.PortFilterProgram(7)
@@ -546,23 +583,13 @@ func F2BreakEven() Table {
 		if err != nil {
 			panic(err)
 		}
-		watch := w.K.Meter.Clock.StartWatch()
-		if err := w.K.Validator.Validate(img.Data, img.Cert, cert.PrivKernelResident); err != nil {
-			panic(err)
-		}
-		validate := watch.Elapsed()
+		validate := perOp(w, 1, validates(w, img.Data, img.Cert, false))
 		w.K.Validator.InvalidateCache()
 
-		lfC, err := w.K.LoadFilter("f", core.PlaceKernelCertified)
-		if err != nil {
-			panic(err)
-		}
-		lfS, err := w.K.LoadFilter("f", core.PlaceKernelSandboxed)
-		if err != nil {
-			panic(err)
-		}
-		certCost := perOp(w, iters, func() { lfC.Accept(frame) })
-		sfiCost := perOp(w, iters, func() { lfS.Accept(frame) })
+		lfC := w.load("f", core.PlaceKernelCertified)
+		lfS := w.load("f", core.PlaceKernelSandboxed)
+		certCost := perOp(w, iters, accepts(lfC, f))
+		sfiCost := perOp(w, iters, accepts(lfS, f))
 
 		breakEven := "never"
 		if sfiCost > certCost {
@@ -575,9 +602,9 @@ func F2BreakEven() Table {
 	return t
 }
 
-// F3BlockingFraction measures interrupt cost for proto vs eager
+// f3BlockingFraction measures interrupt cost for proto vs eager
 // dispatch as the fraction of handlers that block varies.
-func F3BlockingFraction() Table {
+func f3BlockingFraction() Table {
 	t := Table{
 		ID:     "F3",
 		Title:  "Interrupt cost vs blocking fraction (cycles/event)",
@@ -586,8 +613,8 @@ func F3BlockingFraction() Table {
 	}
 	const events = 100
 	for _, pct := range []int{0, 25, 50, 75, 100} {
-		proto := runBlockingMix(event.DispatchProto, pct, events)
-		eager := runBlockingMix(event.DispatchEager, pct, events)
+		proto := blockingMix(event.DispatchProto, pct, events)
+		eager := blockingMix(event.DispatchEager, pct, events)
 		saving := "-"
 		if eager > proto {
 			saving = fmt.Sprintf("%.0f%%", 100*float64(eager-proto)/float64(eager))
@@ -599,56 +626,50 @@ func F3BlockingFraction() Table {
 	return t
 }
 
-// runBlockingMix delivers events to the boot CPU, of which pct% block
-// on a held mutex, returning average cycles per event.
-func runBlockingMix(d event.Dispatch, pct, events int) uint64 {
-	machine := hw.New(hw.Config{PhysFrames: 16})
-	sched := threads.NewScheduler(machine.Meter)
-	evts := event.New(machine, sched)
-	mtx := threads.NewMutex(sched)
-	q, err := threads.NewQueue(sched, 1)
-	if err != nil {
-		panic(err)
-	}
-	shouldBlock := false
-	if err := evts.RegisterIRQOn(3, "mix", mmu.KernelContext, d, mmu.BootCPU, func(f hw.TrapFrame, th *threads.Thread) {
-		if shouldBlock && th != nil {
-			mtx.Lock(th)
-			mtx.Unlock(th)
-		}
-	}); err != nil {
-		panic(err)
-	}
+// blockingMix delivers events to the boot CPU, of which pct% block on
+// a held mutex, returning average cycles per event.
+func blockingMix(d event.Dispatch, pct, events int) uint64 {
+	r := newInterruptRig(d, false)
 	rand := clock.NewRand(42)
-	watch := machine.Meter.Clock.StartWatch()
+	watch := r.machine.Meter.Clock.StartWatch()
 	for i := 0; i < events; i++ {
-		shouldBlock = rand.Intn(100) < pct
-		if shouldBlock {
+		r.block = rand.Intn(100) < pct
+		var err error
+		if r.block {
 			// Park a holder so a blocking handler really blocks.
-			sched.Spawn("holder", func(th *threads.Thread) {
-				mtx.Lock(th)
-				q.Pop(th)
-				mtx.Unlock(th)
-			})
-			sched.RunUntilIdle()
-			if err := machine.RaiseIRQOn(3, mmu.BootCPU); err != nil {
-				panic(err)
-			}
-			q.TryPush(struct{}{})
-			sched.RunUntilIdle()
-			continue
+			r.holdMutex()
+			err = r.raiseBlocked()
+		} else {
+			err = r.raise(1)
 		}
-		if err := machine.RaiseIRQOn(3, mmu.BootCPU); err != nil {
+		if err != nil {
 			panic(err)
 		}
-		sched.RunUntilIdle()
 	}
 	return watch.Elapsed() / uint64(events)
 }
 
-// F4Namespace measures lookup cost vs path depth and override/alias
+// deepPath is the depth-4 path the F4 and P2 rows bind.
+const deepPath = "/a/b/c/d"
+
+// deepLeaf boots a world with a leaf object registered at deepPath.
+func deepLeaf() *World {
+	w := NewWorld()
+	if err := w.K.Space.Register(deepPath, obj.New("leaf", w.K.Meter)); err != nil {
+		panic(err)
+	}
+	return w
+}
+
+// deepBind is a bind of deepPath through the root view.
+func deepBind() (func(int) error, *clock.Meter) {
+	w := deepLeaf()
+	return binds(w.K.RootView, deepPath), w.K.Meter
+}
+
+// f4Namespace measures lookup cost vs path depth and override/alias
 // configurations.
-func F4Namespace() Table {
+func f4Namespace() Table {
 	t := Table{
 		ID:     "F4",
 		Title:  "Name-space lookup cost (cycles/bind)",
@@ -672,12 +693,7 @@ func F4Namespace() Table {
 		if err := w.K.Space.Register(path, target); err != nil {
 			panic(err)
 		}
-		c := perOp(w, iters, func() {
-			if _, err := w.K.RootView.Bind(path); err != nil {
-				panic(err)
-			}
-		})
-		t.AddRow(fmt.Sprintf("depth %d, direct", depth), c)
+		t.AddRow(fmt.Sprintf("depth %d, direct", depth), perOp(w, iters, binds(w.K.RootView, path)))
 	}
 
 	// Override hit: constant cost regardless of path depth.
@@ -686,31 +702,37 @@ func F4Namespace() Table {
 	if err := v.Override(deep, target); err != nil {
 		panic(err)
 	}
-	c := perOp(w, iters, func() {
-		if _, err := v.Bind(deep); err != nil {
-			panic(err)
-		}
-	})
-	t.AddRow("depth 8, override hit", c)
+	t.AddRow("depth 8, override hit", perOp(w, iters, binds(v, deep)))
 
 	// Alias chain: one redirect then the real lookup.
 	v2 := w.K.RootView.Child()
 	if err := v2.Alias("/short", pathAt(1)); err != nil {
 		panic(err)
 	}
-	c = perOp(w, iters, func() {
-		if _, err := v2.Bind("/short"); err != nil {
-			panic(err)
-		}
-	})
-	t.AddRow("alias -> depth 1", c)
+	t.AddRow("alias -> depth 1", perOp(w, iters, binds(v2, "/short")))
 	return t
 }
 
-// F5TrapCostSweep is the ablation: cross-domain proxy call cost as the
+// noopCall is a cross-domain call to a method with no arguments and no
+// results, on the default cost model.
+func noopCall() (func(int) error, *clock.Meter) {
+	w := NewWorld()
+	decl := obj.MustInterfaceDecl("bench.noop.v1", obj.MethodDecl{Name: "noop", NumIn: 0, NumOut: 0})
+	server := obj.New("noop", w.K.Meter)
+	bi, err := server.AddInterface(decl, nil)
+	if err != nil {
+		panic(err)
+	}
+	bi.MustBind("noop", func(...any) ([]any, error) { return nil, nil })
+	serverDom := w.K.NewDomain("server")
+	clientDom := w.K.NewDomain("client")
+	return calls(w.export("/services/noop", server, serverDom, clientDom, "bench.noop.v1", "noop")), w.K.Meter
+}
+
+// f5TrapCostSweep is the ablation: cross-domain proxy call cost as the
 // hardware trap and context-switch costs vary, plus the
 // TLB-flush-on-switch configuration.
-func F5TrapCostSweep() Table {
+func f5TrapCostSweep() Table {
 	t := Table{
 		ID:     "F5",
 		Title:  "Proxy call cost vs hardware cost model (cycles/call)",
@@ -737,25 +759,19 @@ func F5TrapCostSweep() Table {
 	return t
 }
 
-// measureProxyCall builds a two-domain echo service under the given
-// cost model and measures one cross-domain call that also touches a
-// page of domain memory (so TLB policy matters). The server's touch
-// goes through the boot CPU deliberately: this single-CPU experiment
-// sweeps trap/switch/TLB costs, and one fixed TLB keeps the refill
-// pattern comparable across cost models.
+// measureProxyCall builds a two-domain service under the given cost
+// model and measures one cross-domain call that also touches a page of
+// domain memory (so TLB policy matters). The server's touch goes
+// through the boot CPU deliberately: this single-CPU experiment sweeps
+// trap/switch/TLB costs, and one fixed TLB keeps the refill pattern
+// comparable across cost models.
 func measureProxyCall(costs clock.CostModel, flushOnSwitch bool) uint64 {
-	auth := cert.NewAuthority(0xB007)
-	k, err := core.Boot(core.Config{
-		AuthorityKey: auth.PublicKey(),
-		Machine: hw.Config{
-			PhysFrames: 64,
-			Costs:      &costs,
-			MMU:        mmu.Config{FlushOnSwitch: flushOnSwitch, TLBSize: 16},
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
+	w := newWorld(core.Config{Machine: hw.Config{
+		PhysFrames: 64,
+		Costs:      &costs,
+		MMU:        mmu.Config{FlushOnSwitch: flushOnSwitch, TLBSize: 16},
+	}})
+	k := w.K
 	serverDom := k.NewDomain("server")
 	clientDom := k.NewDomain("client")
 
@@ -773,22 +789,10 @@ func measureProxyCall(costs clock.CostModel, flushOnSwitch bool) uint64 {
 	bi.MustBind("touch", func(...any) ([]any, error) {
 		return nil, k.Machine.LoadOn(mmu.BootCPU, serverDom.Ctx, 0x10000, buf)
 	})
-	if err := k.Register("/services/touch", server, serverDom.Ctx); err != nil {
-		panic(err)
-	}
-	touch, err := clientDom.ResolveMethod("/services/touch", "bench.touch.v1", "touch")
-	if err != nil {
-		panic(err)
-	}
+	touch := calls(w.export("/services/touch", server, serverDom, clientDom, "bench.touch.v1", "touch"))
 	// Warm up, then measure.
-	if _, err := touch.Call(); err != nil {
+	if err := touch(1); err != nil {
 		panic(err)
 	}
-	watch := k.Meter.Clock.StartWatch()
-	for i := 0; i < iters; i++ {
-		if _, err := touch.Call(); err != nil {
-			panic(err)
-		}
-	}
-	return watch.Elapsed() / uint64(iters)
+	return perOp(w, iters, touch)
 }

@@ -7,15 +7,15 @@ import (
 	"paramecium/internal/obj"
 )
 
-// BatchLoop returns the one batch loop of the P5 and P8 experiments,
-// for benchtab and for the Go benchmarks alike. The returned function
-// issues n invocations in batches of size, run in the given mode,
-// through handles round-robin: entry j of every batch targets
+// batchLoop returns the one batch loop of the P5, P8 and P9
+// experiments, tables and rows alike. The returned function issues n
+// invocations in batches of size, run in the given mode, through
+// handles round-robin: entry j of every batch targets
 // handles[j%len(handles)]. The last batch is short when size does not
 // divide n. The batch and one result buffer per entry are allocated
 // here, once, and reused by every batch (AddInto), so a steady-state
 // batch allocates nothing.
-func BatchLoop(handles []obj.MethodHandle, size int, mode obj.BatchMode) func(n int) error {
+func batchLoop(handles []obj.MethodHandle, size int, mode obj.BatchMode) func(n int) error {
 	batch := obj.NewBatch(size)
 	batch.SetMode(mode)
 	bufs := make([][1]any, size)
@@ -37,7 +37,16 @@ func BatchLoop(handles []obj.MethodHandle, size int, mode obj.BatchMode) func(n 
 	}
 }
 
-// P5BatchSweep sweeps the vectored invocation plane's batch size,
+// batchedCall is the shared counter called in batches of size, in
+// order.
+func batchedCall(size int) Setup {
+	return func() (func(int) error, *clock.Meter) {
+		inc, w := newSharedCounter(1)
+		return batchLoop([]obj.MethodHandle{inc}, size, obj.InOrder), w.K.Meter
+	}
+}
+
+// p5BatchSweep sweeps the vectored invocation plane's batch size,
 // reporting deterministic virtual cycles per invocation. A vectored
 // call carries N pre-resolved invocations across the protection
 // boundary in ONE crossing — one trap, one page fault, one
@@ -49,7 +58,7 @@ func BatchLoop(handles []obj.MethodHandle, size int, mode obj.BatchMode) func(n 
 // Unlike the rest of the P-series this experiment is deterministic
 // (virtual cycles, not host wall-clock): batching is a cost-model
 // property, not a host-parallelism property.
-func P5BatchSweep() Table {
+func p5BatchSweep() Table {
 	t := Table{
 		ID:     "P5",
 		Title:  "Vectored cross-domain invocation: batch-size sweep (virtual cycles per invocation)",
@@ -63,14 +72,8 @@ func P5BatchSweep() Table {
 		costs.Cost(clock.OpPageFault) + 2*costs.Cost(clock.OpCtxSwitch))
 	single := float64(0)
 	for _, size := range []int{1, 2, 4, 8, 16, 32, 64} {
-		inc, _, w := SharedCounterHandleCPUs(1)
-		loop := BatchLoop([]obj.MethodHandle{inc}, size, obj.InOrder)
 		const rounds = 64
-		watch := w.K.Meter.Clock.StartWatch()
-		if err := loop(rounds * size); err != nil {
-			panic(fmt.Sprintf("bench: batch: %v", err))
-		}
-		perInv := float64(watch.Elapsed()) / float64(rounds*size)
+		perInv := float64(batchedCall(size).cycles(rounds*size)) / float64(rounds*size)
 		if size == 1 {
 			single = perInv
 		}

@@ -2,63 +2,44 @@ package bench
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"paramecium/internal/obj"
 )
 
-// MixedCounterHandles boots a single-CPU world with k server domains,
+// newMixedCounters boots a single-CPU world with k server domains,
 // each exporting its own concurrency-safe counter object, and returns
 // k pre-resolved cross-domain handles from one client domain plus the
-// world — the mixed-target fixture used by the P8 experiment and the
-// root-level BenchmarkP8 family. Each handle routes through a distinct
-// proxy, so a batch interleaving them exercises the multi-target
-// dispatch path rather than the consecutive-run fast path.
-func MixedCounterHandles(k int) ([]obj.MethodHandle, *World) {
+// world. Each handle routes through a distinct proxy, so a batch
+// interleaving them exercises the multi-target dispatch path rather
+// than the consecutive-run fast path.
+func newMixedCounters(k int) ([]obj.MethodHandle, *World) {
 	w := NewWorld()
-	decl := obj.MustInterfaceDecl("bench.atomic.v1", obj.MethodDecl{Name: "inc", NumIn: 0, NumOut: 1})
 	clientDom := w.K.NewDomain("client")
 	handles := make([]obj.MethodHandle, k)
 	for i := 0; i < k; i++ {
-		server := obj.New(fmt.Sprintf("atomic-counter-%d", i), w.K.Meter)
-		n := new(atomic.Int64)
-		bi, err := server.AddInterface(decl, n)
-		if err != nil {
-			panic(err)
-		}
-		bi.MustBindInto("inc", func(out []any, _ ...any) ([]any, error) {
-			n.Add(1)
-			return append(out, n), nil
-		})
+		server := newAtomicCounter(fmt.Sprintf("atomic-counter-%d", i), w.K.Meter)
 		serverDom := w.K.NewDomain(fmt.Sprintf("server-%d", i))
-		path := fmt.Sprintf("/services/atomic%d", i)
-		if err := w.K.Register(path, server, serverDom.Ctx); err != nil {
-			panic(err)
-		}
-		h, err := clientDom.ResolveMethod(path, "bench.atomic.v1", "inc")
-		if err != nil {
-			panic(err)
-		}
-		handles[i] = h
+		handles[i] = w.export(fmt.Sprintf("/services/atomic%d", i), server, serverDom, clientDom, "bench.atomic.v1", "inc")
 	}
 	return handles, w
 }
+
+// batchModes names the two batch dispatch modes P8 compares.
+var batchModes = []struct {
+	name string
+	mode obj.BatchMode
+}{{"inorder", obj.InOrder}, {"grouped", obj.Grouped}}
 
 // mixedBatchCycles measures virtual cycles per invocation for a batch
 // of the given size whose entries round-robin across the handles
 // (entry j targets handles[j%len(handles)] — the worst case for
 // consecutive-run vectoring), run in the given mode.
 func mixedBatchCycles(handles []obj.MethodHandle, w *World, size int, mode obj.BatchMode) float64 {
-	loop := BatchLoop(handles, size, mode)
 	const rounds = 64
-	watch := w.K.Meter.Clock.StartWatch()
-	if err := loop(rounds * size); err != nil {
-		panic(fmt.Sprintf("bench: mixed batch: %v", err))
-	}
-	return float64(watch.Elapsed()) / float64(rounds*size)
+	return float64(elapsed(w.K.Meter, rounds*size, batchLoop(handles, size, mode))) / float64(rounds*size)
 }
 
-// P8MixedTargetSweep measures the mixed-target batch cliff and the
+// p8MixedTargetSweep measures the mixed-target batch cliff and the
 // grouped-mode fix. A batch that interleaves k targets — A, B, A, B —
 // defeats the consecutive-run vectoring of the default in-order mode:
 // every entry is a run of one, so every entry pays a full crossing.
@@ -68,7 +49,7 @@ func mixedBatchCycles(handles []obj.MethodHandle, w *World, size int, mode obj.B
 //
 // Deterministic virtual cycles, like P5: the comparison is a
 // cost-model property, not a host-parallelism property.
-func P8MixedTargetSweep() Table {
+func p8MixedTargetSweep() Table {
 	t := Table{
 		ID:     "P8",
 		Title:  "Mixed-target batch: in-order vs grouped dispatch (virtual cycles per invocation)",
@@ -80,7 +61,7 @@ func P8MixedTargetSweep() Table {
 			if size < k {
 				continue
 			}
-			handles, w := MixedCounterHandles(k)
+			handles, w := newMixedCounters(k)
 			inOrder := mixedBatchCycles(handles, w, size, obj.InOrder)
 			grouped := mixedBatchCycles(handles, w, size, obj.Grouped)
 			speedup := inOrder / grouped

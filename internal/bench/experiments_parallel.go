@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"paramecium/internal/clock"
 	"paramecium/internal/mmu"
 	"paramecium/internal/obj"
 )
@@ -27,9 +28,9 @@ func parallelWorkers() []int {
 	return ws
 }
 
-// throughput runs total ops split across workers and reports ops/ms
-// of wall time.
-func throughput(workers, total int, op func()) float64 {
+// throughput splits total ops across workers, each calling run(1) per
+// op, and reports ops/ms of wall time.
+func throughput(workers, total int, run func(int) error) float64 {
 	each := total / workers
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -38,7 +39,7 @@ func throughput(workers, total int, op func()) float64 {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				op()
+				_ = run(1) // host throughput only; the gated rows check errors
 			}
 		}()
 	}
@@ -50,70 +51,58 @@ func throughput(workers, total int, op func()) float64 {
 	return float64(workers*each) / (elapsed.Seconds() * 1000)
 }
 
-// SharedCounterHandle boots a single-CPU world with a concurrency-safe
+// newSharedCounter boots an ncpu-CPU world with a concurrency-safe
 // counter in a server domain and returns one pre-resolved cross-domain
-// handle from a client domain plus the counter itself — the
-// shared-handle fixture used by both the P1 experiment and the
-// root-level BenchmarkP* family.
-func SharedCounterHandle() (obj.MethodHandle, *atomic.Int64) {
-	h, n, _ := SharedCounterHandleCPUs(1)
-	return h, n
+// handle on it from a client domain, shared by every caller, plus the
+// world.
+func newSharedCounter(ncpu int) (obj.MethodHandle, *World) {
+	w := newWorldCPUs(ncpu)
+	server := newAtomicCounter("atomic-counter", w.K.Meter)
+	serverDom := w.K.NewDomain("server")
+	clientDom := w.K.NewDomain("client")
+	return w.export("/services/atomic", server, serverDom, clientDom, "bench.atomic.v1", "inc"), w
 }
 
-// SharedCounterHandleCPUs is SharedCounterHandle on an ncpu-CPU
-// machine, also returning the world so callers can read per-CPU stats.
-func SharedCounterHandleCPUs(ncpu int) (obj.MethodHandle, *atomic.Int64, *World) {
-	w := NewWorldCPUs(ncpu)
-	decl := obj.MustInterfaceDecl("bench.atomic.v1", obj.MethodDecl{Name: "inc", NumIn: 0, NumOut: 1})
-	server := obj.New("atomic-counter", w.K.Meter)
+// atomicDecl is the interface of the cross-domain counters.
+var atomicDecl = obj.MustInterfaceDecl("bench.atomic.v1", obj.MethodDecl{Name: "inc", NumIn: 0, NumOut: 1})
+
+// newAtomicCounter builds a concurrency-safe counter object. Its method
+// is bound in the buffer-threading form and returns the counter's state
+// pointer (one result word): callers that thread result buffers — the
+// vectored plane's AddInto path — complete whole invocations with zero
+// allocations.
+func newAtomicCounter(name string, m *clock.Meter) *obj.Object {
+	o := obj.New(name, m)
 	n := new(atomic.Int64)
-	bi, err := server.AddInterface(decl, n)
+	bi, err := o.AddInterface(atomicDecl, n)
 	if err != nil {
 		panic(err)
 	}
-	// Bound in the buffer-threading form, returning the counter's state
-	// pointer (one result word, same charge as the boxed count it used
-	// to return): callers that thread result buffers — the vectored
-	// plane's AddInto path — complete whole invocations with zero
-	// allocations.
 	bi.MustBindInto("inc", func(out []any, _ ...any) ([]any, error) {
 		n.Add(1)
 		return append(out, n), nil
 	})
-	serverDom := w.K.NewDomain("server")
-	clientDom := w.K.NewDomain("client")
-	if err := w.K.Register("/services/atomic", server, serverDom.Ctx); err != nil {
-		panic(err)
-	}
-	inc, err := clientDom.ResolveMethod("/services/atomic", "bench.atomic.v1", "inc")
-	if err != nil {
-		panic(err)
-	}
-	return inc, n, w
+	return o
 }
 
-// P1ParallelProxyCall compares serialized and concurrent cross-domain
+// p1ParallelProxyCall compares serialized and concurrent cross-domain
 // invocation at increasing worker counts. The serialized column
 // models the pre-frame-table design, where one pending slot per
 // interface forced one call at a time.
-func P1ParallelProxyCall() Table {
+func p1ParallelProxyCall() Table {
 	t := Table{
 		ID:     "P1",
 		Title:  "Concurrent cross-domain invocation (host ops/ms, higher is better)",
 		Claim:  `cross-domain calls carry per-call frames, so one imported interface serves as many concurrent callers as the hardware allows`,
 		Header: []string{"workers", "serialized ops/ms", "concurrent ops/ms", "speedup"},
 	}
-	inc, _ := SharedCounterHandle()
+	serializedRun, _ := find("P0_SerializedProxyCall").Setup()
+	concurrentRun, _ := find("P1_ParallelProxyCall").Setup()
 
 	const total = 64_000
-	var mu sync.Mutex
 	for _, workers := range parallelWorkers() {
-		serialized := throughput(workers, total, func() {
-			mu.Lock()
-			_, _ = inc.Call()
-			mu.Unlock()
-		})
-		concurrent := throughput(workers, total, func() { _, _ = inc.Call() })
+		serialized := throughput(workers, total, serializedRun)
+		concurrent := throughput(workers, total, concurrentRun)
 		speedup := 0.0
 		if serialized > 0 {
 			speedup = concurrent / serialized
@@ -127,25 +116,23 @@ func P1ParallelProxyCall() Table {
 	return t
 }
 
-// P2ParallelLookup measures name-space lookup scaling: the
+// p2ParallelLookup measures name-space lookup scaling: the
 // copy-on-write tree serves lock-free reads, so lookups should scale
 // with workers while a mutation churns in the background.
-func P2ParallelLookup() Table {
+func p2ParallelLookup() Table {
 	t := Table{
 		ID:     "P2",
 		Title:  "Concurrent name-space lookup (host ops/ms, higher is better)",
 		Claim:  `lookups walk an immutable snapshot of the copy-on-write tree, taking no lock on the hot path`,
 		Header: []string{"workers", "lookup ops/ms", "with writer churn"},
 	}
-	w := NewWorld()
+	w := deepLeaf()
 	leaf := obj.New("leaf", w.K.Meter)
-	if err := w.K.Space.Register("/a/b/c/d", leaf); err != nil {
-		panic(err)
-	}
+	lookups := binds(w.K.RootView, deepPath)
 
 	const total = 256_000
 	for _, workers := range parallelWorkers() {
-		quiet := throughput(workers, total, func() { _, _ = w.K.Space.Bind("/a/b/c/d") })
+		quiet := throughput(workers, total, lookups)
 
 		stop := make(chan struct{})
 		var churn sync.WaitGroup
@@ -164,7 +151,7 @@ func P2ParallelLookup() Table {
 				}
 			}
 		}()
-		contended := throughput(workers, total, func() { _, _ = w.K.Space.Bind("/a/b/c/d") })
+		contended := throughput(workers, total, lookups)
 		close(stop)
 		churn.Wait()
 
@@ -175,13 +162,13 @@ func P2ParallelLookup() Table {
 	return t
 }
 
-// P3CPUTopology sweeps the virtual CPU count: the same parallel
+// p3CPUTopology sweeps the virtual CPU count: the same parallel
 // cross-domain workload on machines of 1, 2, 4 and 8 CPUs, with as
 // many workers as CPUs. Beyond throughput it reports where the TLB
 // traffic landed — with per-CPU TLBs the misses spread across the
 // topology instead of funnelling through one shared TLB behind one
 // global mutex.
-func P3CPUTopology() Table {
+func p3CPUTopology() Table {
 	t := Table{
 		ID:     "P3",
 		Title:  "CPU topology sweep: parallel cross-domain invocation (host ops/ms, higher is better)",
@@ -190,8 +177,8 @@ func P3CPUTopology() Table {
 	}
 	const total = 32_000
 	for _, ncpu := range []int{1, 2, 4, 8} {
-		inc, _, w := SharedCounterHandleCPUs(ncpu)
-		ops := throughput(ncpu, total, func() { _, _ = inc.Call() })
+		inc, w := newSharedCounter(ncpu)
+		ops := throughput(ncpu, total, calls(inc))
 		populated := 0
 		var misses uint64
 		for i := 0; i < ncpu; i++ {

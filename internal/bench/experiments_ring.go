@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
+	"paramecium/internal/core"
 	"paramecium/internal/obj"
 	"paramecium/internal/ring"
 )
@@ -24,12 +26,12 @@ import (
 // that actually touches them; path=inline instead copies the full
 // payload through Push/Pop on every record, as a contrast row.
 
-// RingStream is the P7 harness: producer and consumer domains joined
+// ringStream is the P7 harness: producer and consumer domains joined
 // by a ring, the consumer draining inside its doorbell method — one
 // vectored crossing wakes it for a whole burst.
-type RingStream struct {
-	W     *World
-	R     *ring.Ring
+type ringStream struct {
+	w     *World
+	r     *ring.Ring
 	prod  *ring.Producer
 	burst int
 	size  int
@@ -39,31 +41,48 @@ type RingStream struct {
 	popbuf  []byte // pop destination (inline rows)
 }
 
-// NewRingStream boots a world with producer and consumer domains, a
-// ring of 2*burst slots of the given record size between them, and a
-// drain service in the consumer domain installed as the ring's
-// doorbell: each Notify crosses once and the consumer drains every
-// published record. With inline set, records are pushed and popped by
-// full copy; otherwise they are published in place and only the
-// descriptor is validated, like P6's share path.
-func NewRingStream(size, burst int, inline bool) *RingStream {
+// ringRows is the P7 sweep: burst size at 4 KiB records and record
+// size at burst 64, place path, plus the inline contrast row.
+var ringRows = []struct {
+	size, burst int
+	path        string
+}{
+	{256, 64, "place"},
+	{4096, 16, "place"},
+	{4096, 64, "place"},
+	{4096, 256, "place"},
+	{65536, 64, "place"},
+	{4096, 64, "inline"},
+}
+
+// newRingStream boots a world with producer and consumer domains and
+// one ring stream between them.
+func newRingStream(size, burst int, inline bool) *ringStream {
 	w := NewWorld()
 	prodDom := w.K.NewDomain("producer")
 	consDom := w.K.NewDomain("consumer")
+	return newRing(w, prodDom, consDom, "/services/ringdrain", size, burst, inline)
+}
+
+// newRing joins prodDom to consDom by a ring of 2*burst slots of the
+// given record size, and installs a drain service, registered at path
+// in the consumer domain, as the ring's doorbell: each Notify crosses
+// once and the consumer drains every published record. With inline
+// set, records are pushed and popped by full copy; otherwise they are
+// published in place and only the descriptor is validated, like P6's
+// share path.
+func newRing(w *World, prodDom, consDom *core.Domain, path string, size, burst int, inline bool) *ringStream {
 	r, err := prodDom.NewRing(consDom, 2*burst, size)
 	if err != nil {
 		panic(fmt.Sprintf("bench: ring: %v", err))
 	}
-	h := &RingStream{
-		W: w, R: r, prod: r.Producer(), burst: burst, size: size,
+	h := &ringStream{
+		w: w, r: r, prod: r.Producer(), burst: burst, size: size,
 		inline: inline,
 	}
 	cons := r.Consumer()
 	if inline {
-		h.payload = make([]byte, size)
-		for i := range h.payload {
-			h.payload[i] = 0x5A
-		}
+		h.payload = bytes.Repeat([]byte{0x5A}, size)
 		h.popbuf = make([]byte, size)
 	}
 
@@ -103,47 +122,45 @@ func NewRingStream(size, burst int, inline bool) *RingStream {
 			}
 		}
 	})
-	if err := w.K.Register("/services/ringdrain", server, consDom.Ctx); err != nil {
-		panic(err)
-	}
-	drain, err := prodDom.ResolveMethod("/services/ringdrain", "bench.ringdrain.v1", "drain")
-	if err != nil {
-		panic(err)
-	}
-	h.prod.SetDoorbell(drain)
+	h.prod.SetDoorbell(w.export(path, server, consDom, prodDom, "bench.ringdrain.v1", "drain"))
 	return h
 }
 
-// Prepare stages the in-place payload pattern once, mirroring the P6
-// share harness: production writes the mapped slots at the producer's
-// own (charged) pace — per record, only the descriptor rides the
-// protocol.
-func (h *RingStream) Prepare() {
+// run streams n records with the one-time staging and the hangup
+// inside the caller's measurement window. The hangup mirrors P6's
+// revoke: the tombstone left behind is what a consumer would read as
+// end-of-stream.
+func (h *ringStream) run(n int) error {
+	if err := h.stage(); err != nil {
+		return err
+	}
+	if err := h.stream(n); err != nil {
+		return err
+	}
+	return h.prod.Hangup()
+}
+
+// stage writes the payload pattern into the mapped slots once on the
+// place path, mirroring the P6 share harness: production writes the
+// slots at the producer's own (charged) pace, and per record only the
+// descriptor rides the protocol.
+func (h *ringStream) stage() error {
 	if h.inline {
-		return
+		return nil
 	}
 	off, err := h.prod.ProduceOffset()
 	if err != nil {
-		panic(err)
+		return err
 	}
-	pattern := make([]byte, h.size)
-	for i := range pattern {
-		pattern[i] = 0x5A
-	}
-	if err := h.R.Segment().Store(off, pattern); err != nil {
-		panic(err)
-	}
+	return h.r.Segment().Store(off, bytes.Repeat([]byte{0x5A}, h.size))
 }
 
-// Run streams n records through the ring in bursts: push the burst,
+// stream pushes n records through the ring in bursts: push the burst,
 // ring the doorbell once, and the consumer's drain method consumes
 // every record inside that one crossing.
-func (h *RingStream) Run(n int) {
+func (h *ringStream) stream(n int) error {
 	for i := 0; i < n; {
-		k := h.burst
-		if rem := n - i; rem < k {
-			k = rem
-		}
+		k := min(h.burst, n-i)
 		for j := 0; j < k; j++ {
 			var err error
 			if h.inline {
@@ -152,26 +169,18 @@ func (h *RingStream) Run(n int) {
 				err = h.prod.PushInPlace(h.size)
 			}
 			if err != nil {
-				panic(fmt.Sprintf("bench: ring push: %v", err))
+				return fmt.Errorf("bench: ring push: %w", err)
 			}
 		}
 		if err := h.prod.Notify(); err != nil {
-			panic(fmt.Sprintf("bench: ring notify: %v", err))
+			return fmt.Errorf("bench: ring notify: %w", err)
 		}
 		i += k
 	}
+	return nil
 }
 
-// Finish hangs the ring up inside the measured window, mirroring P6's
-// revoke: the tombstone left behind is what a consumer would read as
-// end-of-stream.
-func (h *RingStream) Finish() {
-	if err := h.prod.Hangup(); err != nil {
-		panic(err)
-	}
-}
-
-// P7RingStream sweeps burst size at 4 KiB records and record size at
+// p7RingStream sweeps burst size at 4 KiB records and record size at
 // burst 64, comparing sustained ring streaming against the
 // per-transfer share+notify of P6. The ring's advantage is the
 // notification amortization: per record it pays push+pop bookkeeping
@@ -179,7 +188,7 @@ func (h *RingStream) Finish() {
 // per-transfer pattern ≥2x from burst 16 up and the gap widens with
 // burst — while the inline contrast row shows the copy cost the
 // in-place path avoids.
-func P7RingStream() Table {
+func p7RingStream() Table {
 	t := Table{
 		ID:     "P7",
 		Title:  "Streaming ring vs per-transfer share+notify (virtual cycles per record)",
@@ -188,45 +197,14 @@ func P7RingStream() Table {
 	}
 	const ops = 2048
 	shareCost := map[int]float64{}
-	cost := func(size, burst int, inline bool) float64 {
-		h := NewRingStream(size, burst, inline)
-		watch := h.W.K.Meter.Clock.StartWatch()
-		h.Prepare()
-		h.Run(ops)
-		h.Finish()
-		return float64(watch.Elapsed()) / ops
-	}
-	share := func(size int) float64 {
-		if c, ok := shareCost[size]; ok {
-			return c
+	for _, r := range ringRows {
+		rc := rowCycles(fmt.Sprintf("P7_RingStream/bytes=%d/burst=%d/path=%s", r.size, r.burst, r.path), ops)
+		sc, ok := shareCost[r.size]
+		if !ok {
+			sc = rowCycles(fmt.Sprintf("P6_BulkTransfer/bytes=%d/path=share", r.size), ops)
+			shareCost[r.size] = sc
 		}
-		h := NewBulkShare(size)
-		watch := h.W.K.Meter.Clock.StartWatch()
-		h.Prepare()
-		h.Run(ops)
-		h.Finish()
-		shareCost[size] = float64(watch.Elapsed()) / ops
-		return shareCost[size]
-	}
-	type row struct {
-		size, burst int
-		inline      bool
-	}
-	for _, r := range []row{
-		{256, 64, false},
-		{4096, 16, false},
-		{4096, 64, false},
-		{4096, 256, false},
-		{65536, 64, false},
-		{4096, 64, true},
-	} {
-		path := "place"
-		if r.inline {
-			path = "inline"
-		}
-		rc := cost(r.size, r.burst, r.inline)
-		sc := share(r.size)
-		t.AddRow(r.size, r.burst, path,
+		t.AddRow(r.size, r.burst, r.path,
 			fmt.Sprintf("%.1f", rc),
 			fmt.Sprintf("%.1f", sc),
 			fmt.Sprintf("%.2fx", sc/rc))

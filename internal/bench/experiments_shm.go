@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 
 	"paramecium/internal/mmu"
@@ -23,28 +24,28 @@ import (
 //
 // Both harnesses do equivalent per-transfer work (the consumer
 // validates the transfer's 8-byte header) and both vector their calls
-// in groups of BulkGroup, so the difference isolated is exactly the
+// in groups of bulkGroup, so the difference isolated is exactly the
 // payload's trip through the invocation plane.
 
-// BulkGroup is the vectoring factor both bulk-transfer harnesses use.
-const BulkGroup = 16
+// bulkGroup is the vectoring factor both bulk-transfer harnesses use.
+const bulkGroup = 16
 
-// bulkSizes is the payload sweep of the P6 experiment and benchmark.
+// bulkSizes is the payload sweep of the P6 experiment and rows.
 var bulkSizes = []int{256, 1024, 4096, 16384, 65536}
 
-// BulkCopy is the copy-through-batch harness: each transfer carries
+// bulkCopy is the copy-through-batch harness: each transfer carries
 // the whole payload across the invocation plane as an argument.
-type BulkCopy struct {
-	W     *World
+type bulkCopy struct {
+	w     *World
 	put   obj.MethodHandle
 	args  [][]any
 	batch *obj.Batch
 }
 
-// NewBulkCopy boots a world with a sink service in its own domain and
+// newBulkCopy boots a world with a sink service in its own domain and
 // a client holding a pre-resolved handle plus pre-built argument
-// lists, so the steady-state Run allocates nothing.
-func NewBulkCopy(size int) *BulkCopy {
+// lists, so the steady-state run allocates nothing.
+func newBulkCopy(size int) *bulkCopy {
 	w := NewWorld()
 	decl := obj.MustInterfaceDecl("bench.bulk.v1",
 		obj.MethodDecl{Name: "put", NumIn: 1, NumOut: 0})
@@ -62,50 +63,45 @@ func NewBulkCopy(size int) *BulkCopy {
 	})
 	serverDom := w.K.NewDomain("server")
 	clientDom := w.K.NewDomain("client")
-	if err := w.K.Register("/services/bulk", server, serverDom.Ctx); err != nil {
-		panic(err)
-	}
-	put, err := clientDom.ResolveMethod("/services/bulk", "bench.bulk.v1", "put")
-	if err != nil {
-		panic(err)
-	}
-	payload := make([]byte, size)
-	for i := range payload {
-		payload[i] = 0x5A
-	}
-	args := make([][]any, BulkGroup)
+	put := w.export("/services/bulk", server, serverDom, clientDom, "bench.bulk.v1", "put")
+	payload := bytes.Repeat([]byte{0x5A}, size)
+	args := make([][]any, bulkGroup)
 	for i := range args {
 		args[i] = []any{payload}
 	}
-	return &BulkCopy{W: w, put: put, args: args, batch: obj.NewBatch(BulkGroup)}
+	return &bulkCopy{w: w, put: put, args: args, batch: obj.NewBatch(bulkGroup)}
 }
 
-// Run performs n transfers, vectored in groups of BulkGroup.
-func (h *BulkCopy) Run(n int) {
+// run performs n transfers, vectored in groups of bulkGroup.
+func (h *bulkCopy) run(n int) error {
+	return groups(h.batch, h.put, h.args, n)
+}
+
+// groups performs n calls of h, vectored in groups of bulkGroup, the
+// j-th call of each group taking args[j].
+func groups(batch *obj.Batch, h obj.MethodHandle, args [][]any, n int) error {
 	for i := 0; i < n; {
-		k := BulkGroup
-		if rem := n - i; rem < k {
-			k = rem
-		}
-		h.batch.Reset()
+		k := min(bulkGroup, n-i)
+		batch.Reset()
 		for j := 0; j < k; j++ {
-			if err := h.batch.Add(h.put, h.args[j]...); err != nil {
-				panic(fmt.Sprintf("bench: bulk add: %v", err))
+			if err := batch.Add(h, args[j]...); err != nil {
+				return err
 			}
 		}
-		if err := h.batch.Run(); err != nil {
-			panic(fmt.Sprintf("bench: bulk run: %v", err))
+		if err := batch.Run(); err != nil {
+			return err
 		}
 		i += k
 	}
+	return nil
 }
 
-// BulkShare is the shared-segment harness: the payload lives in a
+// bulkShare is the shared-segment harness: the payload lives in a
 // segment the client owns and granted read-only to the server; each
 // transfer is a vectored notify carrying only the region offset, and
 // the server validates the header in place through its attachment.
-type BulkShare struct {
-	W     *World
+type bulkShare struct {
+	w     *World
 	ready obj.MethodHandle
 	args  [][]any
 	batch *obj.Batch
@@ -116,11 +112,12 @@ type BulkShare struct {
 	payload []byte
 }
 
-// NewBulkShare boots the world, creates the client-owned segment and
+// newBulkShare boots the world, creates the client-owned segment and
 // its RO grant to the server domain, and binds the server's notify
 // method, which reads the transfer's 8-byte header through the
-// attachment. Prepare maps and fills the segment; Finish revokes it.
-func NewBulkShare(size int) *BulkShare {
+// attachment. Each run maps and fills the segment first and revokes it
+// last.
+func newBulkShare(size int) *bulkShare {
 	w := NewWorld()
 	pages := (size + 4095) / 4096
 	serverDom := w.K.NewDomain("server")
@@ -135,10 +132,7 @@ func NewBulkShare(size int) *BulkShare {
 		panic(err)
 	}
 
-	h := &BulkShare{W: w, seg: seg, grant: grant, payload: make([]byte, size)}
-	for i := range h.payload {
-		h.payload[i] = 0x5A
-	}
+	h := &bulkShare{w: w, seg: seg, grant: grant, payload: bytes.Repeat([]byte{0x5A}, size)}
 	decl := obj.MustInterfaceDecl("bench.bulknotify.v1",
 		obj.MethodDecl{Name: "ready", NumIn: 1, NumOut: 0})
 	server := obj.New("bulk-reader", w.K.Meter)
@@ -156,76 +150,46 @@ func NewBulkShare(size int) *BulkShare {
 		}
 		return out, nil
 	})
-	if err := w.K.Register("/services/bulknotify", server, serverDom.Ctx); err != nil {
-		panic(err)
-	}
-	ready, err := clientDom.ResolveMethod("/services/bulknotify", "bench.bulknotify.v1", "ready")
-	if err != nil {
-		panic(err)
-	}
-	h.ready = ready
-	h.args = make([][]any, BulkGroup)
+	h.ready = w.export("/services/bulknotify", server, serverDom, clientDom, "bench.bulknotify.v1", "ready")
+	h.args = make([][]any, bulkGroup)
 	for i := range h.args {
 		h.args[i] = []any{0}
 	}
-	h.batch = obj.NewBatch(BulkGroup)
+	h.batch = obj.NewBatch(bulkGroup)
 	return h
 }
 
-// Prepare performs the one-time zero-copy setup INSIDE the caller's
-// measurement window: the server attaches the granted segment (map
-// charges) and the client produces the payload into it. Amortized over
-// a run, this is the "cycles charged for map, not per byte" half of
-// the claim.
-func (h *BulkShare) Prepare() {
-	att, err := h.W.K.Shm.Attach(h.grant.Ref())
+// run performs n transfers — vectored notifies, header validated in
+// place, zero payload bytes on the invocation plane — with the
+// one-time zero-copy setup and teardown inside the caller's
+// measurement window. First the server attaches the granted segment
+// (map charges) and the client produces the payload into it: amortized
+// over a run, the "cycles charged for map, not per byte" half of the
+// claim. Last the grant is revoked from the boot CPU: the unmap pays
+// the per-remote-CPU TLB shootdown charge for any page a remote CPU
+// still holds cached — the "plus shootdown" half (zero remotes on this
+// single-CPU world, charged exactly as such).
+func (h *bulkShare) run(n int) error {
+	att, err := h.w.K.Shm.Attach(h.grant.Ref())
 	if err != nil {
-		panic(err)
+		return err
 	}
 	h.att = att
 	if err := h.seg.Store(0, h.payload); err != nil {
-		panic(err)
+		return err
 	}
+	if err := groups(h.batch, h.ready, h.args, n); err != nil {
+		return err
+	}
+	return h.grant.RevokeFrom(mmu.BootCPU)
 }
 
-// Run performs n transfers: vectored notifies, header validated in
-// place, zero payload bytes on the invocation plane.
-func (h *BulkShare) Run(n int) {
-	for i := 0; i < n; {
-		k := BulkGroup
-		if rem := n - i; rem < k {
-			k = rem
-		}
-		h.batch.Reset()
-		for j := 0; j < k; j++ {
-			if err := h.batch.Add(h.ready, h.args[j]...); err != nil {
-				panic(fmt.Sprintf("bench: notify add: %v", err))
-			}
-		}
-		if err := h.batch.Run(); err != nil {
-			panic(fmt.Sprintf("bench: notify run: %v", err))
-		}
-		i += k
-	}
-}
-
-// Finish revokes the grant from the boot CPU inside the measurement
-// window: the unmap pays the per-remote-CPU TLB shootdown charge for
-// any page a remote CPU still holds cached — the "plus shootdown" half
-// of the claim (zero remotes on this single-CPU world, charged exactly
-// as such).
-func (h *BulkShare) Finish() {
-	if err := h.grant.RevokeFrom(mmu.BootCPU); err != nil {
-		panic(err)
-	}
-}
-
-// P6BulkTransfer sweeps payload size over the copy-vs-share pair,
+// p6BulkTransfer sweeps payload size over the copy-vs-share pair,
 // reporting deterministic virtual cycles per transfer. Copy cost grows
 // a word per 8 payload bytes; share cost is flat — the capability and
 // notify words, the map amortized — so the advantage grows linearly
 // with payload size, crossing 4x around the page size.
-func P6BulkTransfer() Table {
+func p6BulkTransfer() Table {
 	t := Table{
 		ID:     "P6",
 		Title:  "Bulk transfer: copy through the invocation plane vs shared-segment attach (virtual cycles per transfer)",
@@ -234,20 +198,8 @@ func P6BulkTransfer() Table {
 	}
 	const ops = 1024
 	for _, size := range bulkSizes {
-		copyCost := func() float64 {
-			h := NewBulkCopy(size)
-			watch := h.W.K.Meter.Clock.StartWatch()
-			h.Run(ops)
-			return float64(watch.Elapsed()) / ops
-		}()
-		shareCost := func() float64 {
-			h := NewBulkShare(size)
-			watch := h.W.K.Meter.Clock.StartWatch()
-			h.Prepare()
-			h.Run(ops)
-			h.Finish()
-			return float64(watch.Elapsed()) / ops
-		}()
+		copyCost := rowCycles(fmt.Sprintf("P6_BulkTransfer/bytes=%d/path=copy", size), ops)
+		shareCost := rowCycles(fmt.Sprintf("P6_BulkTransfer/bytes=%d/path=share", size), ops)
 		t.AddRow(size,
 			fmt.Sprintf("%.1f", copyCost),
 			fmt.Sprintf("%.1f", shareCost),
@@ -255,7 +207,7 @@ func P6BulkTransfer() Table {
 			size/8)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("deterministic virtual cycles; both paths vector calls in groups of %d and validate the 8-byte transfer header", BulkGroup),
+		fmt.Sprintf("deterministic virtual cycles; both paths vector calls in groups of %d and validate the 8-byte transfer header", bulkGroup),
 		"share includes attach (map) and revoke (TLB-shootdown path) inside the measured window, amortized over the run",
 		"copy pays OpCopyWord per 8 payload bytes on EVERY transfer; share pays it only for bytes the consumer actually touches")
 	return t

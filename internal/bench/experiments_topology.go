@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"paramecium/internal/mmu"
 	"paramecium/internal/obj"
-	"paramecium/internal/ring"
 )
 
 // The P9 experiment sweeps the NUMA topology: the same two workloads —
@@ -23,20 +21,20 @@ import (
 // wall-clock, not virtual cycles — scaling is a property of the real
 // machine underneath.
 
-// TopologyShape is one point of the P9 sweep: a machine of Nodes ×
-// CPUsPerNode virtual CPUs.
-type TopologyShape struct {
-	Nodes       int
-	CPUsPerNode int
+// topologyShape is one point of the P9 sweep: a machine of nodes ×
+// cpusPerNode virtual CPUs.
+type topologyShape struct {
+	nodes       int
+	cpusPerNode int
 }
 
-// CPUs is the shape's total CPU count.
-func (s TopologyShape) CPUs() int { return s.Nodes * s.CPUsPerNode }
+// cpus is the shape's total CPU count.
+func (s topologyShape) cpus() int { return s.nodes * s.cpusPerNode }
 
-// TopologyShapes is the P9 sweep: square-ish node grids at 1, 4, 16,
+// topologyShapes is the P9 sweep: square-ish node grids at 1, 4, 16,
 // 64 and 256 CPUs.
-func TopologyShapes() []TopologyShape {
-	return []TopologyShape{{1, 1}, {2, 2}, {4, 4}, {8, 8}, {16, 16}}
+func topologyShapes() []topologyShape {
+	return []topologyShape{{1, 1}, {2, 2}, {4, 4}, {8, 8}, {16, 16}}
 }
 
 // invokeBatchSize is the per-round batch each invoke worker issues —
@@ -44,91 +42,44 @@ func TopologyShapes() []TopologyShape {
 // floor and the steady-state round allocates nothing.
 const invokeBatchSize = 16
 
-// TopologyInvoke is the P9 parallel-invoke harness: one worker per
+// topologyInvoke is the P9 parallel-invoke harness: one worker per
 // virtual CPU, each with its own counter object in a shared server
-// domain, its own pre-resolved handle and its own reusable batch and
-// result buffers. The steady-state round — batch machinery, crossing,
-// method bodies, results — allocates nothing, which CI gates the
-// cpus=16 row to.
-type TopologyInvoke struct {
-	W       *World
-	workers int
-	handles []obj.MethodHandle
-	batches []*obj.Batch
-	bufs    [][][1]any
+// domain, its own pre-resolved handle and its own batch loop. The
+// steady-state round — batch machinery, crossing, method bodies,
+// results — allocates nothing, which CI gates the cpus=16 row to.
+type topologyInvoke struct {
+	w     *World
+	loops []func(int) error
 }
 
-// NewTopologyInvoke boots a nodes × cpusPerNode world and wires one
+// newTopologyInvoke boots a world of the given shape and wires one
 // invoke worker per CPU.
-func NewTopologyInvoke(nodes, cpusPerNode int) *TopologyInvoke {
-	w := NewWorldTopology(nodes, cpusPerNode)
-	h := &TopologyInvoke{W: w, workers: nodes * cpusPerNode}
+func newTopologyInvoke(shape topologyShape) *topologyInvoke {
+	w := newWorldTopology(shape.nodes, shape.cpusPerNode)
+	h := &topologyInvoke{w: w}
 	serverDom := w.K.NewDomain("server")
 	clientDom := w.K.NewDomain("client")
-	decl := obj.MustInterfaceDecl("bench.atomic.v1", obj.MethodDecl{Name: "inc", NumIn: 0, NumOut: 1})
-	for i := 0; i < h.workers; i++ {
-		server := obj.New(fmt.Sprintf("atomic-counter-%d", i), w.K.Meter)
-		n := new(atomic.Int64)
-		bi, err := server.AddInterface(decl, n)
-		if err != nil {
-			panic(err)
-		}
-		// Bound in the buffer-threading form, as in SharedCounterHandleCPUs:
-		// callers that thread result buffers complete whole invocations
-		// with zero allocations.
-		bi.MustBindInto("inc", func(out []any, _ ...any) ([]any, error) {
-			n.Add(1)
-			return append(out, n), nil
-		})
-		path := fmt.Sprintf("/services/atomic/w%d", i)
-		if err := w.K.Register(path, server, serverDom.Ctx); err != nil {
-			panic(err)
-		}
-		inc, err := clientDom.ResolveMethod(path, "bench.atomic.v1", "inc")
-		if err != nil {
-			panic(err)
-		}
-		h.handles = append(h.handles, inc)
-		h.batches = append(h.batches, obj.NewBatch(invokeBatchSize))
-		h.bufs = append(h.bufs, make([][1]any, invokeBatchSize))
+	for i := 0; i < shape.cpus(); i++ {
+		server := newAtomicCounter(fmt.Sprintf("atomic-counter-%d", i), w.K.Meter)
+		inc := w.export(fmt.Sprintf("/services/atomic/w%d", i), server, serverDom, clientDom, "bench.atomic.v1", "inc")
+		h.loops = append(h.loops, batchLoop([]obj.MethodHandle{inc}, invokeBatchSize, obj.InOrder))
 	}
 	return h
 }
 
-// Run performs n cross-domain invocations split evenly across the
+// run performs n cross-domain invocations split evenly across the
 // workers, each worker issuing vectored batches against its own
 // target.
-func (h *TopologyInvoke) Run(n int) {
-	h.eachWorker(n, func(w, quota int) {
-		batch, bufs, inc := h.batches[w], h.bufs[w], h.handles[w]
-		for i := 0; i < quota; {
-			k := invokeBatchSize
-			if rem := quota - i; rem < k {
-				k = rem
-			}
-			batch.Reset()
-			for j := 0; j < k; j++ {
-				if err := batch.AddInto(inc, bufs[j][:0]); err != nil {
-					panic(fmt.Sprintf("bench: topology invoke add: %v", err))
-				}
-			}
-			if err := batch.Run(); err != nil {
-				panic(fmt.Sprintf("bench: topology invoke run: %v", err))
-			}
-			i += k
-		}
-	})
+func (h *topologyInvoke) run(n int) error {
+	return eachWorker(len(h.loops), n, func(w, quota int) error { return h.loops[w](quota) })
 }
 
-// eachWorker splits n ops across the harness's workers (first workers
-// pick up the remainder) and runs body concurrently, one goroutine per
-// worker with a non-zero quota.
-func (h *TopologyInvoke) eachWorker(n int, body func(w, quota int)) {
-	eachWorkers(h.workers, n, body)
-}
-
-func eachWorkers(workers, n int, body func(w, quota int)) {
+// eachWorker splits n ops across workers (first workers pick up the
+// remainder) and runs body concurrently, one goroutine per worker with
+// a non-zero quota, returning the workers' errors joined.
+func eachWorker(workers, n int, body func(w, quota int) error) error {
 	each, extra := n/workers, n%workers
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		quota := each
@@ -139,12 +90,13 @@ func eachWorkers(workers, n int, body func(w, quota int)) {
 			continue
 		}
 		wg.Add(1)
-		go func(w, quota int) {
+		go func() {
 			defer wg.Done()
-			body(w, quota)
-		}(w, quota)
+			errs[w] = body(w, quota)
+		}()
 	}
 	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // streamBurst and streamRecordSize fix the P9 streaming workload at
@@ -155,116 +107,45 @@ const (
 	streamRecordSize = 256
 )
 
-// TopologyStream is the P9 ring-stream harness: one SPSC ring per
+// topologyStream is the P9 ring-stream harness: one SPSC ring per
 // virtual CPU between a shared producer domain and a shared consumer
 // domain, each with its own drain service as the doorbell — per
 // worker, the P7 place-path protocol, all rings streaming
 // concurrently.
-type TopologyStream struct {
-	W       *World
-	workers int
-	prods   []*ring.Producer
+type topologyStream struct {
+	rings []*ringStream
 }
 
-// NewTopologyStream boots a nodes × cpusPerNode world and wires one
-// ring streamer per CPU.
-func NewTopologyStream(nodes, cpusPerNode int) *TopologyStream {
-	w := NewWorldTopology(nodes, cpusPerNode)
-	h := &TopologyStream{W: w, workers: nodes * cpusPerNode}
+// newTopologyStream boots a world of the given shape and wires one
+// ring streamer per CPU, its payload staged.
+func newTopologyStream(shape topologyShape) *topologyStream {
+	w := newWorldTopology(shape.nodes, shape.cpusPerNode)
+	h := &topologyStream{}
 	prodDom := w.K.NewDomain("producer")
 	consDom := w.K.NewDomain("consumer")
-	decl := obj.MustInterfaceDecl("bench.ringdrain.v1",
-		obj.MethodDecl{Name: "drain", NumIn: 0, NumOut: 0})
-	for i := 0; i < h.workers; i++ {
-		r, err := prodDom.NewRing(consDom, 2*streamBurst, streamRecordSize)
-		if err != nil {
-			panic(fmt.Sprintf("bench: topology ring: %v", err))
-		}
-		cons := r.Consumer()
-		server := obj.New(fmt.Sprintf("ring-drain-%d", i), w.K.Meter)
-		bi, err := server.AddInterface(decl, nil)
-		if err != nil {
+	for i := 0; i < shape.cpus(); i++ {
+		r := newRing(w, prodDom, consDom, fmt.Sprintf("/services/ringdrain/w%d", i), streamRecordSize, streamBurst, false)
+		if err := r.stage(); err != nil {
 			panic(err)
 		}
-		// The P7 place-path drain: validate each record's 8-byte
-		// descriptor in place and release the slot; payload bytes never
-		// ride the protocol.
-		bi.MustBindInto("drain", func(out []any, _ ...any) ([]any, error) {
-			for {
-				_, n, err := cons.Peek()
-				if err != nil {
-					if errors.Is(err, ring.ErrEmpty) {
-						return out, nil
-					}
-					return nil, err
-				}
-				if n != streamRecordSize {
-					return nil, fmt.Errorf("bench: ring record %d bytes, want %d", n, streamRecordSize)
-				}
-				if err := cons.Release(); err != nil {
-					return nil, err
-				}
-			}
-		})
-		path := fmt.Sprintf("/services/ringdrain/w%d", i)
-		if err := w.K.Register(path, server, consDom.Ctx); err != nil {
-			panic(err)
-		}
-		drain, err := prodDom.ResolveMethod(path, "bench.ringdrain.v1", "drain")
-		if err != nil {
-			panic(err)
-		}
-		prod := r.Producer()
-		prod.SetDoorbell(drain)
-		// Stage the in-place payload pattern once, as P7's Prepare does:
-		// production writes the mapped slots at the producer's own
-		// (charged) pace, and per record only the descriptor rides.
-		off, err := prod.ProduceOffset()
-		if err != nil {
-			panic(err)
-		}
-		pattern := make([]byte, streamRecordSize)
-		for j := range pattern {
-			pattern[j] = 0x5A
-		}
-		if err := r.Segment().Store(off, pattern); err != nil {
-			panic(err)
-		}
-		h.prods = append(h.prods, prod)
+		h.rings = append(h.rings, r)
 	}
 	return h
 }
 
-// Run streams n records split evenly across the workers, each pushing
+// run streams n records split evenly across the workers, each pushing
 // bursts through its own ring and ringing its own doorbell.
-func (h *TopologyStream) Run(n int) {
-	eachWorkers(h.workers, n, func(w, quota int) {
-		prod := h.prods[w]
-		for i := 0; i < quota; {
-			k := streamBurst
-			if rem := quota - i; rem < k {
-				k = rem
-			}
-			for j := 0; j < k; j++ {
-				if err := prod.PushInPlace(streamRecordSize); err != nil {
-					panic(fmt.Sprintf("bench: topology ring push: %v", err))
-				}
-			}
-			if err := prod.Notify(); err != nil {
-				panic(fmt.Sprintf("bench: topology ring notify: %v", err))
-			}
-			i += k
-		}
-	})
+func (h *topologyStream) run(n int) error {
+	return eachWorker(len(h.rings), n, func(w, quota int) error { return h.rings[w].stream(quota) })
 }
 
-// P9ScalingSweep sweeps both P9 workloads across the topology shapes
+// p9ScalingSweep sweeps both P9 workloads across the topology shapes
 // and reports throughput, speedup over the single-CPU machine, and
 // where the TLB traffic landed — with unified CPU identity every
 // worker's translations charge the CPU it actually ran on, so the
 // misses spread across the grid instead of funnelling through one
 // shared TLB.
-func P9ScalingSweep() Table {
+func p9ScalingSweep() Table {
 	t := Table{
 		ID:     "P9",
 		Title:  "NUMA topology scaling: parallel invoke and ring streaming (host ops/ms, higher is better)",
@@ -272,28 +153,29 @@ func P9ScalingSweep() Table {
 		Header: []string{"cpus", "nodes", "invoke ops/ms", "speedup", "stream recs/ms", "speedup", "CPUs with TLB traffic"},
 	}
 	const total = 8_192
-	run := func(n int, f func(int)) float64 {
+	rate := func(run func(int) error) float64 {
 		start := time.Now()
-		f(n)
+		if err := run(total); err != nil {
+			panic(fmt.Sprintf("bench: %v", err))
+		}
 		elapsed := time.Since(start)
 		if elapsed <= 0 {
 			return 0
 		}
-		return float64(n) / (elapsed.Seconds() * 1000)
+		return float64(total) / (elapsed.Seconds() * 1000)
 	}
 	var invokeBase, streamBase float64
-	for _, shape := range TopologyShapes() {
-		ncpu := shape.CPUs()
-		hi := NewTopologyInvoke(shape.Nodes, shape.CPUsPerNode)
-		invoke := run(total, hi.Run)
-		hs := NewTopologyStream(shape.Nodes, shape.CPUsPerNode)
-		stream := run(total, hs.Run)
+	for _, shape := range topologyShapes() {
+		ncpu := shape.cpus()
+		hi := newTopologyInvoke(shape)
+		invoke := rate(hi.run)
+		stream := rate(newTopologyStream(shape).run)
 		if ncpu == 1 {
 			invokeBase, streamBase = invoke, stream
 		}
 		populated := 0
 		for i := 0; i < ncpu; i++ {
-			if hi.W.K.Machine.MMU.TLBStatsOn(mmu.CPUID(i)).Misses > 0 {
+			if hi.w.K.Machine.MMU.TLBStatsOn(mmu.CPUID(i)).Misses > 0 {
 				populated++
 			}
 		}
@@ -303,7 +185,7 @@ func P9ScalingSweep() Table {
 			}
 			return fmt.Sprintf("%.2fx", v/base)
 		}
-		t.AddRow(ncpu, shape.Nodes,
+		t.AddRow(ncpu, shape.nodes,
 			fmt.Sprintf("%.0f", invoke), speedup(invoke, invokeBase),
 			fmt.Sprintf("%.0f", stream), speedup(stream, streamBase),
 			populated)

@@ -3,12 +3,9 @@ package bench
 import (
 	"fmt"
 	"time"
-
-	"paramecium/internal/clock"
-	"paramecium/internal/probe"
 )
 
-// P10TraceOverhead measures what the kernel flight recorder costs the
+// p10TraceOverhead measures what the kernel flight recorder costs the
 // host, and proves it costs the simulation nothing. Two workloads, each
 // run with tracing off and on: the bare emit path (one gated event
 // emission, the per-event cost every instrumented site pays), and the
@@ -22,7 +19,7 @@ import (
 // hardware; the cycles column is deterministic and its off/on equality
 // is the claim under test (the root-level TestTraceCyclesUnperturbed
 // asserts it exactly).
-func P10TraceOverhead() Table {
+func p10TraceOverhead() Table {
 	t := Table{
 		ID:     "P10",
 		Title:  "Flight-recorder overhead: emit and crossing cost, tracing off vs on",
@@ -30,50 +27,29 @@ func P10TraceOverhead() Table {
 		Header: []string{"workload", "tracing", "host ns/op", "cycles/op"},
 	}
 	const rounds = 4096
-
-	for _, state := range []string{"off", "on"} {
-		m := clock.NewMeter(clock.DefaultCosts())
-		if state == "on" {
-			m.EnableTracing(probe.NewRecorder(1, 0), probe.NewLedger(clock.LedgerSlots))
-		}
-		start := time.Now()
-		for i := 0; i < rounds; i++ {
-			if probe.Enabled() {
-				m.Emit(0, probe.KindDoorbell, 1, uint64(i), 0)
+	var crossCycles []uint64
+	for _, w := range []struct{ path, label string }{{"emit", "emit"}, {"cross", "cross-domain call"}} {
+		for _, state := range []string{"off", "on"} {
+			run, m := find(fmt.Sprintf("P10_TraceOverhead/path=%s/state=%s", w.path, state)).Setup()
+			start := time.Now()
+			if m == nil { // emit: host time only
+				if err := run(rounds); err != nil {
+					panic(fmt.Sprintf("bench: %v", err))
+				}
+				t.AddRow(w.label, state, fmt.Sprintf("%.1f", float64(time.Since(start).Nanoseconds())/rounds), 0)
+				continue
 			}
+			c := elapsed(m, rounds, run)
+			crossCycles = append(crossCycles, c)
+			t.AddRow(w.label, state,
+				fmt.Sprintf("%.1f", float64(time.Since(start).Nanoseconds())/rounds),
+				fmt.Sprintf("%.1f", float64(c)/rounds))
 		}
-		hostNS := float64(time.Since(start).Nanoseconds()) / rounds
-		t.AddRow("emit", state, fmt.Sprintf("%.1f", hostNS), 0)
-		m.DisableTracing()
 	}
-
-	var cyclesByState [2]uint64
-	for si, state := range []string{"off", "on"} {
-		inc, _, w := SharedCounterHandleCPUs(1)
-		if state == "on" {
-			w.K.Meter.EnableTracing(
-				probe.NewRecorder(w.K.Machine.NumCPUs(), 0),
-				probe.NewLedger(clock.LedgerSlots))
-		}
-		var buf [1]any
-		watch := w.K.Meter.Clock.StartWatch()
-		start := time.Now()
-		for i := 0; i < rounds; i++ {
-			if _, err := inc.CallInto(buf[:0]); err != nil {
-				panic(fmt.Sprintf("bench: traced cross call: %v", err))
-			}
-		}
-		hostNS := float64(time.Since(start).Nanoseconds()) / rounds
-		cyclesByState[si] = watch.Elapsed()
-		t.AddRow("cross-domain call", state,
-			fmt.Sprintf("%.1f", hostNS),
-			fmt.Sprintf("%.1f", float64(cyclesByState[si])/rounds))
-		w.K.Meter.DisableTracing()
-	}
-	if cyclesByState[0] != cyclesByState[1] {
+	if crossCycles[0] != crossCycles[1] {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"WARNING: tracing perturbed the virtual clock (off=%d on=%d cycles)",
-			cyclesByState[0], cyclesByState[1]))
+			crossCycles[0], crossCycles[1]))
 	} else {
 		t.Notes = append(t.Notes,
 			"virtual cycles identical off and on: recording is free in virtual time")

@@ -1,8 +1,9 @@
-// Package bench is the experiment harness: one function per
-// claim-derived table or figure (see DESIGN.md §4), each returning a
-// Table of deterministic virtual-cycle measurements. The same
-// functions back the root-level testing.B benchmarks and the
-// cmd/benchtab executable that regenerates every experiment as text.
+// Package bench is the experiment harness (README.md, "Performance"):
+// one registry of measured scenarios (Scenarios), which the root-level
+// testing.B benchmarks run under their names, and one function per
+// claim-derived table or figure (Experiments), each returning a Table
+// priced with the same scenario setups, which cmd/benchtab prints as
+// text.
 package bench
 
 import (

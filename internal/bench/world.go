@@ -7,6 +7,7 @@ import (
 	"paramecium/internal/core"
 	"paramecium/internal/hw"
 	"paramecium/internal/netstack"
+	"paramecium/internal/obj"
 	"paramecium/internal/repoz"
 	"paramecium/internal/sandbox"
 )
@@ -22,17 +23,17 @@ type World struct {
 // NewWorld boots a fresh single-CPU world. Panics on setup failure:
 // the harness cannot proceed without a kernel, and every failure here
 // is a programming error, not an experimental outcome.
-func NewWorld() *World { return NewWorldCPUs(1) }
+func NewWorld() *World { return newWorldCPUs(1) }
 
-// NewWorldCPUs boots a world on a machine with ncpu virtual CPUs.
-func NewWorldCPUs(ncpu int) *World {
+// newWorldCPUs boots a world on a machine with ncpu virtual CPUs.
+func newWorldCPUs(ncpu int) *World {
 	return newWorld(core.Config{CPUs: ncpu})
 }
 
-// NewWorldTopology boots a world on a NUMA machine of nodes ×
+// newWorldTopology boots a world on a NUMA machine of nodes ×
 // cpusPerNode CPUs with the uniform node-distance matrix, the
 // configuration the P9 scaling experiments sweep.
-func NewWorldTopology(nodes, cpusPerNode int) *World {
+func newWorldTopology(nodes, cpusPerNode int) *World {
 	cfg := core.Config{}
 	cfg.Machine.Topology = hw.NewTopology(nodes, cpusPerNode)
 	// Big topologies run wide workloads (hundreds of domains and ring
@@ -75,20 +76,39 @@ func (w *World) AddPVM(name, src string, certified bool) {
 	}
 }
 
-// Frame builds a UDP test frame addressed to port with a payload of
+// load loads the repository component name as a filter at placement p.
+func (w *World) load(name string, p core.Placement) *core.LoadedFilter {
+	lf, err := w.K.LoadFilter(name, p)
+	if err != nil {
+		panic(fmt.Sprintf("bench: load %s at %v: %v", name, p, err))
+	}
+	return lf
+}
+
+// export registers server at path in domain dom and returns client's
+// pre-resolved cross-domain handle on its iface.method.
+func (w *World) export(path string, server obj.Instance, dom, client *core.Domain, iface, method string) obj.MethodHandle {
+	if err := w.K.Register(path, server, dom.Ctx); err != nil {
+		panic(fmt.Sprintf("bench: register %s: %v", path, err))
+	}
+	h, err := client.ResolveMethod(path, iface, method)
+	if err != nil {
+		panic(fmt.Sprintf("bench: resolve %s: %v", path, err))
+	}
+	return h
+}
+
+// frame builds a UDP test frame addressed to port with a payload of
 // the given size.
-func Frame(port uint16, payloadSize int) []byte {
+func frame(port uint16, payloadSize int) []byte {
 	return netstack.BuildUDPFrame(
 		netstack.MAC{2, 0, 0, 0, 0, 1}, netstack.MAC{2, 0, 0, 0, 0, 2},
 		netstack.IP{10, 0, 0, 2}, netstack.IP{10, 0, 0, 1},
 		999, port, make([]byte, payloadSize))
 }
 
-// perOp measures the virtual cycles per iteration of fn over n runs.
-func perOp(w *World, n int, fn func()) uint64 {
-	watch := w.K.Meter.Clock.StartWatch()
-	for i := 0; i < n; i++ {
-		fn()
-	}
-	return watch.Elapsed() / uint64(n)
+// perOp runs run(n) and returns the virtual cycles per operation,
+// rounded down: the unit of the T and F tables' cells.
+func perOp(w *World, n int, run func(int) error) uint64 {
+	return elapsed(w.K.Meter, n, run) / uint64(n)
 }

@@ -8,11 +8,10 @@
 //
 // A Meter's clock is derived, not accumulated: a charge only counts the
 // operation, and the clock reads as the sum over operations of count ×
-// cost, plus the cycles advanced outside any charge (the scheduler's
-// idle fast-forward). "Clock equals the sum of charges" therefore holds
-// by construction, and a charge costs one atomic add. The cost model is
-// frozen once the meter is built, since every read of the clock
-// multiplies by it.
+// cost, plus the cycles Clock.Advance moves outside any charge. "Clock
+// equals the sum of charges" therefore holds by construction, and a
+// charge costs one atomic add. The cost model is frozen once the meter
+// is built, since every read of the clock multiplies by it.
 package clock
 
 import (
@@ -250,24 +249,13 @@ const (
 	// KernelDomain is the ledger row for charges no domain is known to
 	// owe: boot-time machinery, scheduling, interrupts, teardown sweeps.
 	KernelDomain uint32 = 0
-	// IdleSlot is the ledger's pseudo-operation slot for clock advances
-	// outside any costed operation — the scheduler fast-forwarding
-	// virtual time to the next sleep deadline. It sits after every real
-	// Op ordinal so the two index spaces never collide.
-	IdleSlot = NumOps
 	// LedgerSlots is the operation-slot count a Meter's ledger needs:
-	// every Op plus the idle pseudo-slot.
-	LedgerSlots = NumOps + 1
+	// one per Op.
+	LedgerSlots = NumOps
 )
 
-// LedgerOpName names a ledger operation slot: Op mnemonics for real
-// ordinals, "idle-advance" for the pseudo-slot.
-func LedgerOpName(slot int) string {
-	if slot == IdleSlot {
-		return "idle-advance"
-	}
-	return Op(slot).String()
-}
+// LedgerOpName names a ledger operation slot by its Op mnemonic.
+func LedgerOpName(slot int) string { return Op(slot).String() }
 
 // Class buckets an operation for the attribution report's cost split:
 // protection-crossing machinery, wire-level streaming bookkeeping,
@@ -286,13 +274,8 @@ func (o Op) Class() string {
 	return "other"
 }
 
-// LedgerOpClass is Op.Class extended over ledger slots.
-func LedgerOpClass(slot int) string {
-	if slot == IdleSlot {
-		return "other"
-	}
-	return Op(slot).Class()
-}
+// LedgerOpClass is Op.Class over ledger slots.
+func LedgerOpClass(slot int) string { return Op(slot).Class() }
 
 // probeSink bundles the flight recorder and ledger a tracing-enabled
 // Meter feeds. It is installed atomically as one pointer so the
@@ -401,20 +384,6 @@ func (m *Meter) ChargeNFor(payer uint32, op Op, n uint64) {
 			s.led.Add(payer, int(op), n)
 		}
 	}
-}
-
-// AdvanceAttributed advances the clock by n cycles outside any costed
-// operation — the scheduler fast-forwarding to a sleep deadline — and
-// attributes them to the kernel row's idle pseudo-slot, so an enabled
-// ledger's total still equals the clock. Returns the new time.
-func (m *Meter) AdvanceAttributed(n uint64) uint64 {
-	t := m.Clock.Advance(n)
-	if n != 0 && probe.Enabled() {
-		if s := m.sink.Load(); s != nil && s.led != nil {
-			s.led.AddCycles(KernelDomain, IdleSlot, n, 1)
-		}
-	}
-	return t
 }
 
 // Count reports how many times op has been charged since the last

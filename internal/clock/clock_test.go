@@ -158,7 +158,7 @@ func TestMeterResetCounts(t *testing.T) {
 	m := NewMeter(DefaultCosts())
 	m.ChargeFor(KernelDomain, OpSchedule)
 	m.ChargeNFor(KernelDomain, OpCopyWord, 9)
-	m.AdvanceAttributed(13)
+	m.Clock.Advance(13)
 	before := m.Clock.Now()
 	m.ResetCounts()
 	if got := m.Count(OpSchedule); got != 0 {
@@ -215,15 +215,11 @@ func TestDerivedClockConcurrentMix(t *testing.T) {
 			r := NewRand(uint64(w) + 1)
 			var sum uint64
 			for i := 0; i < perWorker; i++ {
-				switch r.Intn(3) {
+				switch r.Intn(2) {
 				case 0:
 					op, n := Op(r.Intn(NumOps)), uint64(r.Intn(5))
 					m.ChargeNFor(uint32(w), op, n)
 					sum += n * m.Model.Cost(op)
-				case 1:
-					n := uint64(r.Intn(100))
-					m.AdvanceAttributed(n)
-					sum += n
 				default:
 					n := uint64(r.Intn(100))
 					m.Clock.Advance(n)
@@ -247,9 +243,9 @@ func TestDerivedClockConcurrentMix(t *testing.T) {
 	}
 }
 
-// TestLedgerMatchesClock: with tracing on, every charge and attributed
-// advance lands in the ledger as well as the clock, so the ledger's
-// total equals the clock and its per-op counts equal the meter's. The
+// TestLedgerMatchesClock: with tracing on, every charge lands in the
+// ledger as well as the clock, so the ledger's total equals the clock
+// and its per-op counts equal the meter's. The
 // ledger keeps its own counts, so a charge that skipped it would show
 // here as drift.
 func TestLedgerMatchesClock(t *testing.T) {
@@ -259,10 +255,6 @@ func TestLedgerMatchesClock(t *testing.T) {
 	defer m.DisableTracing()
 	r := NewRand(3)
 	for i := 0; i < 2000; i++ {
-		if r.Intn(10) == 0 {
-			m.AdvanceAttributed(uint64(r.Intn(300)))
-			continue
-		}
 		m.ChargeNFor(uint32(r.Intn(4)), Op(r.Intn(NumOps)), uint64(r.Intn(4)))
 	}
 	if got, want := led.Total(), m.Clock.Now(); got != want {
@@ -342,16 +334,6 @@ func TestRandIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	NewRand(1).Intn(0)
-}
-
-func TestRandFloat64Range(t *testing.T) {
-	r := NewRand(9)
-	for i := 0; i < 1000; i++ {
-		f := r.float64()
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float64 = %v out of range", f)
-		}
-	}
 }
 
 func TestRandPermIsPermutation(t *testing.T) {

@@ -56,7 +56,7 @@ func TestSetTrapHandlerReturnsPrevious(t *testing.T) {
 	}
 }
 
-func TestIRQDispatchAndMasking(t *testing.T) {
+func TestIRQDispatch(t *testing.T) {
 	m := newTestMachine()
 	count := 0
 	if _, err := m.SetIRQHandler(3, func(f TrapFrame) bool {
@@ -74,23 +74,6 @@ func TestIRQDispatchAndMasking(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("count = %d", count)
 	}
-	if err := m.maskIRQ(3); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := m.RaiseIRQOn(3, mmu.BootCPU); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if count != 1 {
-		t.Fatal("masked IRQ delivered")
-	}
-	if err := m.unmaskIRQ(3); err != nil {
-		t.Fatal(err)
-	}
-	if count != 4 {
-		t.Fatalf("pending IRQs not delivered on unmask: count = %d", count)
-	}
 }
 
 func TestIRQBadLine(t *testing.T) {
@@ -103,12 +86,6 @@ func TestIRQBadLine(t *testing.T) {
 	}
 	if _, err := m.SetIRQHandler(NumIRQLines, nil); !errors.Is(err, ErrBadIRQ) {
 		t.Fatalf("SetIRQHandler: %v", err)
-	}
-	if err := m.maskIRQ(-2); !errors.Is(err, ErrBadIRQ) {
-		t.Fatalf("maskIRQ: %v", err)
-	}
-	if err := m.unmaskIRQ(99); !errors.Is(err, ErrBadIRQ) {
-		t.Fatalf("unmaskIRQ: %v", err)
 	}
 }
 

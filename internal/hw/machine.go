@@ -111,13 +111,12 @@ type Machine struct {
 	// at boot, so the copy costs nothing per trap.
 	traps atomic.Pointer[map[TrapVector]TrapHandler]
 
-	// mu guards the IRQ state and I/O spaces, and serializes trap
-	// table writers. Trap delivery never takes it.
-	mu         sync.RWMutex
-	irqTable   [NumIRQLines]TrapHandler
-	irqMasked  [NumIRQLines]bool
-	irqPending [NumIRQLines]int
-	iospaces   map[string]*IORegion
+	// mu guards the IRQ handler table and I/O spaces, and serializes
+	// trap table writers. Trap delivery never takes it; interrupt
+	// delivery takes it shared.
+	mu       sync.RWMutex
+	irqTable [NumIRQLines]TrapHandler
+	iospaces map[string]*IORegion
 
 	// stats, atomic: counted on the concurrent interrupt and lease
 	// paths.
@@ -213,37 +212,6 @@ func (m *Machine) SetIRQHandler(line IRQLine, h TrapHandler) (TrapHandler, error
 	return prev, nil
 }
 
-// maskIRQ disables delivery on a line; raised interrupts are counted as
-// pending and delivered when the line is unmasked.
-func (m *Machine) maskIRQ(line IRQLine) error {
-	if line < 0 || line >= NumIRQLines {
-		return fmt.Errorf("%w: %d", ErrBadIRQ, line)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.irqMasked[line] = true
-	return nil
-}
-
-// unmaskIRQ re-enables a line and delivers any pending interrupts to
-// the boot CPU.
-func (m *Machine) unmaskIRQ(line IRQLine) error {
-	if line < 0 || line >= NumIRQLines {
-		return fmt.Errorf("%w: %d", ErrBadIRQ, line)
-	}
-	m.mu.Lock()
-	pending := m.irqPending[line]
-	m.irqPending[line] = 0
-	m.irqMasked[line] = false
-	m.mu.Unlock()
-	for i := 0; i < pending; i++ {
-		if err := m.RaiseIRQOn(line, mmu.BootCPU); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RaiseTrap delivers a synchronous trap, charging trap entry and exit.
 // It returns the handler's verdict (meaningful for page faults) or
 // ErrNoHandler.
@@ -269,9 +237,10 @@ func (m *Machine) RaiseTrap(frame TrapFrame) (bool, error) {
 
 // RaiseIRQOn delivers an interrupt on the given line to one CPU: the
 // trap frame carries that CPU's ID and active context, so the handler
-// runs against the interrupted CPU's MMU state. Concurrent interrupts
-// on distinct CPUs dispatch in parallel. Masked lines accumulate
-// pending counts; unhandled lines drop the interrupt and count it.
+// runs against the interrupted CPU's MMU state. Delivery only reads the
+// handler table, under the shared lock, so concurrent interrupts
+// dispatch in parallel. An unhandled line drops the interrupt and
+// counts it.
 func (m *Machine) RaiseIRQOn(line IRQLine, cpu mmu.CPUID) error {
 	if line < 0 || line >= NumIRQLines {
 		return fmt.Errorf("%w: %d", ErrBadIRQ, line)
@@ -279,20 +248,14 @@ func (m *Machine) RaiseIRQOn(line IRQLine, cpu mmu.CPUID) error {
 	if cpu < 0 || int(cpu) >= len(m.cpus) {
 		return fmt.Errorf("hw: no CPU %d (machine has %d)", cpu, len(m.cpus))
 	}
-	m.mu.Lock()
-	if m.irqMasked[line] {
-		m.irqPending[line]++
-		m.mu.Unlock()
-		return nil
-	}
+	m.mu.RLock()
 	h := m.irqTable[line]
+	m.mu.RUnlock()
 	if h == nil {
 		m.irqsDropped.Add(1)
-		m.mu.Unlock()
 		return fmt.Errorf("%w: irq %d", ErrNoHandler, line)
 	}
 	m.cpus[cpu].irqs.Add(1)
-	m.mu.Unlock()
 	m.Meter.ChargeFor(clock.KernelDomain, clock.OpInterrupt)
 	h(TrapFrame{Vector: -1, IRQ: line, Ctx: m.MMU.CurrentOn(cpu), CPU: cpu})
 	return nil

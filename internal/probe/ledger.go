@@ -14,15 +14,13 @@ import (
 //
 // A cell keeps a count only. Its cycles are the count times the slot's
 // cost, which the meter hands over (SetCosts) when tracing is enabled,
-// so a charge is one atomic add. A slot without a fixed cost — the
-// idle pseudo-slot — records explicit cycles through AddCycles. The
-// counts are the ledger's own record, kept apart from the meter's
-// tally, so a charge that misses the ledger still shows as drift.
+// so a charge is one atomic add. The counts are the ledger's own
+// record, kept apart from the meter's tally, so a charge that misses
+// the ledger still shows as drift.
 //
-// The operation index space is the clock package's Op ordinals plus one
-// trailing pseudo-slot for unattributed clock advances (scheduler idle
-// fast-forward); the ledger itself only knows the slot count, keeping
-// this package free of a clock dependency.
+// The operation index space is the clock package's Op ordinals; the
+// ledger itself only knows the slot count, keeping this package free
+// of a clock dependency.
 type Ledger struct {
 	ops int
 
@@ -45,12 +43,10 @@ const maxIndexedDomain = 1 << 16
 
 // ledgerRow is one domain's accumulation. Cells are updated with
 // atomics on the charge path; a row's total is the sum of its cells'
-// cycles. counts is dense so a charge touches one word of it; cycles
-// holds only explicit cycles, written by AddCycles.
+// cycles. counts is dense so a charge touches one word of it.
 type ledgerRow struct {
 	frozen atomic.Bool
 	counts []atomic.Uint64
-	cycles []atomic.Uint64
 }
 
 // NewLedger builds a ledger with the given operation-slot count. Every
@@ -66,9 +62,8 @@ func NewLedger(ops int) *Ledger {
 func (l *Ledger) Ops() int { return l.ops }
 
 // SetCosts prices the ledger's slots: slot i's cycles are its count
-// times costs[i]. Slots past len(costs) stay unpriced and carry only
-// explicit cycles. Readers price counts at read time, so SetCosts
-// reprices everything already counted.
+// times costs[i]. Slots past len(costs) stay unpriced. Readers price
+// counts at read time, so SetCosts reprices everything already counted.
 func (l *Ledger) SetCosts(costs []uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -87,18 +82,6 @@ func (l *Ledger) Add(domain uint32, op int, n uint64) {
 	l.row(domain).counts[op].Add(n)
 }
 
-// AddCycles attributes n occurrences of op worth cycles virtual cycles
-// in total, beyond any cost SetCosts gave op, to domain's row. It is
-// for slots with no fixed cost: the idle pseudo-slot.
-func (l *Ledger) AddCycles(domain uint32, op int, cycles, n uint64) {
-	if l == nil || op < 0 || op >= l.ops {
-		return
-	}
-	r := l.row(domain)
-	r.cycles[op].Add(cycles)
-	r.counts[op].Add(n)
-}
-
 // row returns domain's row, creating it on first sight.
 func (l *Ledger) row(domain uint32) *ledgerRow {
 	if t := l.index.Load(); t != nil && int(domain) < len(*t) {
@@ -111,7 +94,7 @@ func (l *Ledger) row(domain uint32) *ledgerRow {
 	if r := l.rows[domain]; r != nil {
 		return r
 	}
-	r := &ledgerRow{counts: make([]atomic.Uint64, l.ops), cycles: make([]atomic.Uint64, l.ops)}
+	r := &ledgerRow{counts: make([]atomic.Uint64, l.ops)}
 	l.rows[domain] = r
 	if domain >= maxIndexedDomain {
 		return r
@@ -185,11 +168,11 @@ func (l *Ledger) Total() uint64 {
 }
 
 // total sums the row's cycles: each cell's count times its slot's
-// cost, plus its explicit cycles. Caller holds l.mu.
+// cost. Caller holds l.mu.
 func (l *Ledger) total(r *ledgerRow) uint64 {
 	var sum uint64
 	for i := range r.counts {
-		sum += r.counts[i].Load()*l.costs[i] + r.cycles[i].Load()
+		sum += r.counts[i].Load() * l.costs[i]
 	}
 	return sum
 }
@@ -223,7 +206,7 @@ func (l *Ledger) Snapshot() []RowSnapshot {
 		}
 		for i := range r.counts {
 			row.Counts[i] = r.counts[i].Load()
-			row.Cycles[i] = row.Counts[i]*l.costs[i] + r.cycles[i].Load()
+			row.Cycles[i] = row.Counts[i] * l.costs[i]
 			row.Total += row.Cycles[i]
 		}
 		out = append(out, row)

@@ -142,7 +142,7 @@ func TestRecorderSnapshotUnderFire(t *testing.T) {
 }
 
 // TestLedgerAccounting: counts accumulate per cell and are priced by
-// SetCosts, explicit cycles ride on unpriced slots, rows sort by domain,
+// SetCosts, unpriced slots count without cycles, rows sort by domain,
 // out-of-range ops are ignored, and the grand total is the sum of the
 // rows.
 func TestLedgerAccounting(t *testing.T) {
@@ -150,15 +150,14 @@ func TestLedgerAccounting(t *testing.T) {
 	if l.Ops() != 4 {
 		t.Fatalf("Ops = %d", l.Ops())
 	}
-	l.SetCosts([]uint64{7, 50}) // slots 2 and 3 stay unpriced
+	l.SetCosts([]uint64{7, 50, 0, 5}) // slot 2 stays unpriced
 	l.Add(2, 1, 2)
 	l.Add(2, 1, 1)
-	l.AddCycles(2, 3, 25, 5)
+	l.Add(2, 3, 5)
 	l.Add(2, 2, 4) // unpriced count: no cycles
 	l.Add(0, 0, 1)
-	l.Add(2, -1, 1)           // out of range: dropped
-	l.Add(2, 4, 1)            // out of range: dropped
-	l.AddCycles(2, 4, 999, 1) // out of range: dropped
+	l.Add(2, -1, 1) // out of range: dropped
+	l.Add(2, 4, 1)  // out of range: dropped
 
 	if got := l.DomainCycles(2); got != 175 {
 		t.Fatalf("DomainCycles(2) = %d, want 175", got)
@@ -207,7 +206,6 @@ func TestLedgerFreeze(t *testing.T) {
 
 	var nilLedger *Ledger
 	nilLedger.Add(0, 0, 1) // all nil-receiver paths are no-ops
-	nilLedger.AddCycles(0, 0, 1, 1)
 	nilLedger.Freeze(0)
 	if nilLedger.DomainCycles(0) != 0 || nilLedger.Snapshot() != nil {
 		t.Fatal("nil ledger not inert")

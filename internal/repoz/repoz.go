@@ -86,19 +86,6 @@ func (r *Repository) Add(img *Image) error {
 	return nil
 }
 
-// replace stores an image, overwriting any previous version (a new
-// version invalidates the old certificate by construction, since the
-// digest changes).
-func (r *Repository) replace(img *Image) error {
-	if img == nil || img.Name == "" {
-		return fmt.Errorf("%w: missing name", ErrBadManifest)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.images[img.Name] = img
-	return nil
-}
-
 // Get fetches an image by name.
 func (r *Repository) Get(name string) (*Image, error) {
 	r.mu.RLock()
@@ -108,17 +95,6 @@ func (r *Repository) Get(name string) (*Image, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	return img, nil
-}
-
-// remove deletes an image.
-func (r *Repository) remove(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.images[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	delete(r.images, name)
-	return nil
 }
 
 // List returns the stored component names, sorted.

@@ -14,7 +14,7 @@ func pvmImage(name string) *Image {
 	return &Image{Name: name, Kind: KindPVM, Data: prog.Encode()}
 }
 
-func TestAddGetRemove(t *testing.T) {
+func TestAddGet(t *testing.T) {
 	r := New()
 	img := pvmImage("filter")
 	if err := r.Add(img); err != nil {
@@ -27,14 +27,8 @@ func TestAddGetRemove(t *testing.T) {
 	if err := r.Add(pvmImage("filter")); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate: %v", err)
 	}
-	if err := r.remove("filter"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Get("filter"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("after remove: %v", err)
-	}
-	if err := r.remove("filter"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double remove: %v", err)
+	if _, err := r.Get("missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("missing: %v", err)
 	}
 }
 
@@ -48,22 +42,6 @@ func TestAddValidation(t *testing.T) {
 	}
 	if err := r.Add(&Image{Name: "x", Kind: Kind("weird")}); !errors.Is(err, ErrBadManifest) {
 		t.Fatalf("bad kind: %v", err)
-	}
-}
-
-func TestReplace(t *testing.T) {
-	r := New()
-	if err := r.replace(pvmImage("f")); err != nil {
-		t.Fatal(err)
-	}
-	v2 := pvmImage("f")
-	v2.Data = append(v2.Data, 0)
-	if err := r.replace(v2); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := r.Get("f")
-	if got != v2 {
-		t.Fatal("replace did not take")
 	}
 }
 

@@ -87,15 +87,6 @@ func MustAssemble(src string) Program {
 	return p
 }
 
-// disassemble renders a program as assembler text.
-func disassemble(p Program) string {
-	var b strings.Builder
-	for i, ins := range p {
-		fmt.Fprintf(&b, "%4d: %s\n", i, ins)
-	}
-	return b.String()
-}
-
 func isIdent(s string) bool {
 	if s == "" {
 		return false

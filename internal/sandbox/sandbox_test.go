@@ -2,7 +2,6 @@ package sandbox
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -103,16 +102,6 @@ func TestDecodeErrors(t *testing.T) {
 	img := MustAssemble("halt r0").Encode()
 	if _, err := Decode(img[:len(img)-3]); !errors.Is(err, ErrBadImage) {
 		t.Fatalf("truncated: %v", err)
-	}
-}
-
-func TestDisassembleRoundTrip(t *testing.T) {
-	p := MustAssemble(sumProgram)
-	text := disassemble(p)
-	for _, want := range []string{"loadi", "ld8", "jge", "halt"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, text)
-		}
 	}
 }
 

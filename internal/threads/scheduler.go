@@ -16,7 +16,7 @@ import (
 // with more (NewSchedulerCPUs) it runs one dispatch loop per CPU over
 // per-CPU run queues with randomized work stealing, so pop-up threads
 // from concurrent interrupts genuinely run on distinct CPUs. It also
-// owns the sleep queue and charges all thread-related costs.
+// charges all thread-related costs.
 //
 // Scheduler CPU k IS machine CPU k: the run-queue index, the
 // mmu.CPUID a thread last ran on, and the per-CPU TLB a
@@ -45,13 +45,12 @@ type Scheduler struct {
 	// takes no lock.
 	nextID atomic.Uint64
 
-	// mu is the global scheduler lock: sleepers, live count, and the
+	// mu is the global scheduler lock: the live count and the
 	// wait-queue registrations of the synchronization primitives
 	// (sync.go). The per-CPU run queues have their own locks, nested
 	// inside mu.
-	mu       sync.Mutex
-	sleepers []sleeper
-	live     int // spawned or popped up, not yet done
+	mu   sync.Mutex
+	live int // spawned or popped up, not yet done
 
 	// carriers are the idle proto-thread carriers (see PopUpProtoOn):
 	// each a Thread, its channels and a host goroutine parked on its
@@ -119,11 +118,6 @@ type runqueue struct {
 	mu sync.Mutex
 	q  []*Thread
 	_  [32]byte
-}
-
-type sleeper struct {
-	t        *Thread
-	deadline uint64
 }
 
 // nodeCounter is one node's placement cursor, padded to a 64-byte
@@ -223,9 +217,9 @@ func (s *Scheduler) PopUpEagerOn(cpu mmu.CPUID, name string, fn func(*Thread)) *
 // behalf of the caller's (interrupt) context, for the cheap
 // proto-thread cost. If fn runs to completion without blocking, no
 // thread is ever created and PopUpProtoOn returns nil. The moment fn
-// blocks, yields or sleeps, the proto-thread is promoted to a real
-// thread (promotion + creation costs are charged) and PopUpProtoOn
-// returns it while it continues under the scheduler.
+// blocks or yields, the proto-thread is promoted to a real thread
+// (promotion + creation costs are charged) and PopUpProtoOn returns it
+// while it continues under the scheduler.
 //
 // A promoted thread is queued on (and keeps returning to) cpu, so an
 // interrupt handler that blocks stays on the CPU its event was bound
@@ -421,11 +415,9 @@ func (s *Scheduler) wakeLocked(t *Thread) {
 	s.ready(t)
 }
 
-// RunUntilIdle dispatches ready threads until none remain. When every
-// run queue drains but threads are sleeping on the virtual clock, the
-// clock is advanced to the earliest deadline and the sleepers are
-// woken. With one CPU it dispatches inline on the caller, round-robin,
-// exactly as the original uniprocessor scheduler; with more it runs
+// RunUntilIdle dispatches ready threads until none remain. With one
+// CPU it dispatches inline on the caller, round-robin, exactly as the
+// original uniprocessor scheduler; with more it runs
 // one dispatch loop per CPU, each popping its local queue, stealing
 // from random victims when empty, and parking when there is nothing to
 // steal. It returns the number of dispatches performed.
@@ -441,7 +433,7 @@ func (s *Scheduler) RunUntilIdle() int {
 func (s *Scheduler) runSequential() int {
 	dispatches := 0
 	for {
-		t := s.next()
+		t := s.pop(0)
 		if t == nil {
 			return dispatches
 		}
@@ -456,24 +448,6 @@ func (s *Scheduler) dispatch(cpu int, t *Thread) {
 	s.meter.ChargeFor(clock.KernelDomain, clock.OpSchedule)
 	t.resume <- struct{}{}
 	<-t.parked // until the thread stops running again
-}
-
-// next pops the next ready thread for the single-CPU path, advancing
-// virtual time over sleep gaps when necessary. It returns nil when the
-// system is idle. Holding s.mu across the empty-queue check and the
-// clock advance keeps them atomic against concurrent Spawns, exactly
-// as the original single-runqueue scheduler behaved.
-func (s *Scheduler) next() *Thread {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if t := s.pop(0); t != nil {
-			return t
-		}
-		if !s.advanceDueLocked() {
-			return nil
-		}
-	}
 }
 
 // pop takes the oldest thread from one CPU's queue.
@@ -571,43 +545,11 @@ func (s *Scheduler) stealScan(me, base, width int, rng *clock.Rand) *Thread {
 	return nil
 }
 
-// advanceDueLocked advances the virtual clock to the earliest sleep
-// deadline and wakes every due sleeper. It returns false when there is
-// nothing to advance to (no sleepers). Callers hold s.mu.
-func (s *Scheduler) advanceDueLocked() bool {
-	if len(s.sleepers) == 0 {
-		return false
-	}
-	earliest := s.sleepers[0].deadline
-	for _, sl := range s.sleepers[1:] {
-		if sl.deadline < earliest {
-			earliest = sl.deadline
-		}
-	}
-	now := s.meter.Clock.Now()
-	if earliest > now {
-		// Attributed so the ledger's total still equals the clock: the
-		// idle fast-forward lands in the kernel row's idle pseudo-slot.
-		s.meter.AdvanceAttributed(earliest - now)
-	}
-	now = s.meter.Clock.Now()
-	var rest []sleeper
-	for _, sl := range s.sleepers {
-		if sl.deadline <= now {
-			s.wakeLocked(sl.t)
-		} else {
-			rest = append(rest, sl)
-		}
-	}
-	s.sleepers = rest
-	return true
-}
-
 // runParallel pumps the persistent dispatcher pool through one run
-// generation and waits for it to go idle: every queue empty, every
-// CPU parked, and no sleepers left to advance the clock to. The pool
-// — one parked host goroutine per CPU — is spawned once, on the first
-// parallel run, and reused by every later pump: a long-running
+// generation and waits for it to go idle: every queue empty and every
+// CPU parked. The pool — one parked host goroutine per CPU — is
+// spawned once, on the first parallel run, and reused by every later
+// pump: a long-running
 // embedding that calls RunUntilIdle repeatedly pays no per-call
 // goroutine creation, only a broadcast.
 func (s *Scheduler) runParallel() int {
@@ -711,27 +653,15 @@ func (s *Scheduler) dispatchLoop(cpu int, rng *clock.Rand) {
 }
 
 // quiesce parks an idle CPU until work appears, returning true when the
-// run is over. The last CPU to park is responsible for the virtual
-// clock: if every queue is empty and threads sleep on the clock, it
-// advances time and wakes them; if there is nothing left at all, it
+// run is over. The last CPU to park, finding every queue empty,
 // declares the run done and releases everyone.
 func (s *Scheduler) quiesce(cpu int) (done bool) {
 	s.idleMu.Lock()
 	s.parked++
 	s.nparked.Add(1)
-	if s.parked == len(s.cpus) && s.nready.Load() == 0 {
-		// advanceDueLocked needs s.mu, which must never be acquired
-		// under idleMu; drop and re-take. Another CPU waking in the
-		// window only delays the done declaration, never corrupts it.
-		s.idleMu.Unlock()
-		s.mu.Lock()
-		progressed := s.nready.Load() > 0 || s.advanceDueLocked()
-		s.mu.Unlock()
-		s.idleMu.Lock()
-		if !progressed && s.nready.Load() == 0 && s.parked == len(s.cpus) && !s.runDone {
-			s.runDone = true
-			s.idleCond.Broadcast()
-		}
+	if s.parked == len(s.cpus) && s.nready.Load() == 0 && !s.runDone {
+		s.runDone = true
+		s.idleCond.Broadcast()
 	}
 	for !s.runDone && s.nready.Load() == 0 {
 		if probe.Enabled() {

@@ -39,19 +39,6 @@ func (m *Mutex) Lock(t *Thread) {
 	})
 }
 
-// tryLock acquires the mutex without blocking; it reports success.
-func (m *Mutex) tryLock(t *Thread) bool {
-	s := m.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m.held {
-		return false
-	}
-	m.held = true
-	m.owner = t
-	return true
-}
-
 // Unlock releases the mutex, handing it to the oldest waiter if any.
 func (m *Mutex) Unlock(t *Thread) error {
 	s := m.s
@@ -74,111 +61,6 @@ func (m *Mutex) unlockLocked(t *Thread) error {
 	m.held = false
 	m.owner = nil
 	return nil
-}
-
-// cond is a condition variable tied to a Mutex.
-type cond struct {
-	m       *Mutex
-	waiters []*Thread
-}
-
-// newCond builds a condition variable over m.
-func newCond(m *Mutex) *cond {
-	return &cond{m: m}
-}
-
-// wait atomically releases the mutex and blocks until the thread is
-// signalled, then reacquires the mutex before returning.
-func (c *cond) wait(t *Thread) error {
-	s := c.m.s
-	s.mu.Lock()
-	if !c.m.held || c.m.owner != t {
-		s.mu.Unlock()
-		return ErrNotOwner
-	}
-	if err := c.m.unlockLocked(t); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	t.blockLocked(func() {
-		c.waiters = append(c.waiters, t)
-	})
-	//paralint:ignore lockorder blockLocked parks the thread and releases s.mu before Lock reacquires it
-	c.m.Lock(t)
-	return nil
-}
-
-// signal wakes the oldest waiter, if any. The caller should hold the
-// mutex but this is not enforced (as with sync.Cond).
-func (c *cond) signal() {
-	s := c.m.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(c.waiters) == 0 {
-		return
-	}
-	t := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	s.wakeLocked(t)
-}
-
-// broadcast wakes every waiter.
-func (c *cond) broadcast() {
-	s := c.m.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, t := range c.waiters {
-		s.wakeLocked(t)
-	}
-	c.waiters = nil
-}
-
-// semaphore is a counting semaphore.
-type semaphore struct {
-	s       *Scheduler
-	count   int
-	waiters []*Thread
-}
-
-// newSemaphore builds a semaphore with the given initial count.
-func newSemaphore(s *Scheduler, initial int) *semaphore {
-	return &semaphore{s: s, count: initial}
-}
-
-// p (down) decrements the semaphore, blocking while it is zero.
-func (sem *semaphore) p(t *Thread) {
-	s := sem.s
-	s.mu.Lock()
-	if sem.count > 0 {
-		sem.count--
-		s.mu.Unlock()
-		return
-	}
-	t.blockLocked(func() {
-		sem.waiters = append(sem.waiters, t)
-	})
-}
-
-// v (up) increments the semaphore, waking one waiter if any. The count
-// is transferred directly to the woken thread.
-func (sem *semaphore) v() {
-	s := sem.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(sem.waiters) > 0 {
-		t := sem.waiters[0]
-		sem.waiters = sem.waiters[1:]
-		s.wakeLocked(t)
-		return
-	}
-	sem.count++
-}
-
-// value reports the current count (waiters imply zero).
-func (sem *semaphore) value() int {
-	sem.s.mu.Lock()
-	defer sem.s.mu.Unlock()
-	return sem.count
 }
 
 // Queue is a bounded blocking FIFO of arbitrary items — the mailbox

@@ -33,7 +33,6 @@ const (
 	StateReady State = iota
 	StateRunning
 	StateBlocked
-	StateSleeping
 	StateDone
 )
 
@@ -45,8 +44,6 @@ func (s State) String() string {
 		return "running"
 	case StateBlocked:
 		return "blocked"
-	case StateSleeping:
-		return "sleeping"
 	case StateDone:
 		return "done"
 	}
@@ -101,7 +98,7 @@ func (t *Thread) setState(s State) {
 	t.mu.Unlock()
 }
 
-// stop reports "I stopped running" before a block, yield or sleep to
+// stop reports "I stopped running" before a block or yield to
 // whoever is waiting: the scheduler (parked) or, for a not-yet-promoted
 // proto-thread, the event dispatcher (protoDone) — which is the moment
 // the proto-thread becomes a real thread.
@@ -133,24 +130,6 @@ func (t *Thread) Yield() {
 	}
 	t.setState(StateReady)
 	s.ready(t)
-	s.mu.Unlock()
-	t.stop()
-	<-t.resume
-	t.setState(StateRunning)
-}
-
-// sleep blocks the thread for the given number of virtual cycles. The
-// scheduler advances the clock when all threads are sleeping, so
-// virtual sleeps complete without wall-clock delay.
-func (t *Thread) sleep(cycles uint64) {
-	s := t.sched
-	s.mu.Lock()
-	if t.proto && !t.promoted {
-		s.chargePromotion()
-	}
-	t.setState(StateSleeping)
-	deadline := s.meter.Clock.Now() + cycles
-	s.sleepers = append(s.sleepers, sleeper{t: t, deadline: deadline})
 	s.mu.Unlock()
 	t.stop()
 	<-t.resume

@@ -145,114 +145,6 @@ func TestMutexUnlockByNonOwner(t *testing.T) {
 	}
 }
 
-func TestTryLock(t *testing.T) {
-	s, _ := newSched()
-	m := NewMutex(s)
-	var got []bool
-	s.Spawn("a", func(th *Thread) {
-		got = append(got, m.tryLock(th)) // true
-		got = append(got, m.tryLock(th)) // false, already held
-		m.Unlock(th)
-		got = append(got, m.tryLock(th)) // true again
-		m.Unlock(th)
-	})
-	s.RunUntilIdle()
-	if len(got) != 3 || !got[0] || got[1] || !got[2] {
-		t.Fatalf("TryLock results = %v", got)
-	}
-}
-
-func TestCondWaitSignal(t *testing.T) {
-	s, _ := newSched()
-	m := NewMutex(s)
-	c := newCond(m)
-	ready := false
-	var consumed []int
-	s.Spawn("consumer", func(th *Thread) {
-		m.Lock(th)
-		for !ready {
-			if err := c.wait(th); err != nil {
-				t.Errorf("wait: %v", err)
-			}
-		}
-		consumed = append(consumed, 1)
-		m.Unlock(th)
-	})
-	s.Spawn("producer", func(th *Thread) {
-		m.Lock(th)
-		ready = true
-		c.signal()
-		m.Unlock(th)
-	})
-	s.RunUntilIdle()
-	if len(consumed) != 1 {
-		t.Fatalf("consumed = %v", consumed)
-	}
-}
-
-func TestCondWaitRequiresMutex(t *testing.T) {
-	s, _ := newSched()
-	m := NewMutex(s)
-	c := newCond(m)
-	var err error
-	s.Spawn("w", func(th *Thread) {
-		err = c.wait(th) // without holding m
-	})
-	s.RunUntilIdle()
-	if err != ErrNotOwner {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestCondBroadcast(t *testing.T) {
-	s, _ := newSched()
-	m := NewMutex(s)
-	c := newCond(m)
-	woken := 0
-	for i := 0; i < 3; i++ {
-		s.Spawn("waiter", func(th *Thread) {
-			m.Lock(th)
-			c.wait(th)
-			woken++
-			m.Unlock(th)
-		})
-	}
-	s.Spawn("caster", func(th *Thread) {
-		m.Lock(th)
-		c.broadcast()
-		m.Unlock(th)
-	})
-	s.RunUntilIdle()
-	if woken != 3 {
-		t.Fatalf("woken = %d", woken)
-	}
-}
-
-func TestSemaphore(t *testing.T) {
-	s, _ := newSched()
-	sem := newSemaphore(s, 2)
-	active, peak := 0, 0
-	for i := 0; i < 5; i++ {
-		s.Spawn("w", func(th *Thread) {
-			sem.p(th)
-			active++
-			if active > peak {
-				peak = active
-			}
-			th.Yield()
-			active--
-			sem.v()
-		})
-	}
-	s.RunUntilIdle()
-	if peak != 2 {
-		t.Fatalf("peak concurrency = %d, want 2", peak)
-	}
-	if sem.value() != 2 {
-		t.Fatalf("final count = %d", sem.value())
-	}
-}
-
 func TestQueueProducerConsumer(t *testing.T) {
 	s, _ := newSched()
 	q, err := NewQueue(s, 2)
@@ -410,18 +302,6 @@ func TestPopUpProtoPromotesOnYield(t *testing.T) {
 	<-th.done
 }
 
-func TestPopUpProtoPromotesOnSleep(t *testing.T) {
-	s, _ := newSched()
-	th := s.PopUpProtoOn(mmu.NoCPU, "irq", func(t2 *Thread) {
-		t2.sleep(100)
-	})
-	if th == nil || !promoted(th) {
-		t.Fatal("sleeping proto-thread not promoted")
-	}
-	s.RunUntilIdle()
-	<-th.done
-}
-
 func TestPopUpEagerAlwaysCreatesThread(t *testing.T) {
 	s, meter := newSched()
 	ran := false
@@ -463,34 +343,10 @@ func TestProtoCheaperThanEagerForNonBlocking(t *testing.T) {
 	}
 }
 
-func TestSleepAdvancesVirtualTime(t *testing.T) {
-	s, meter := newSched()
-	start := meter.Clock.Now()
-	var wakeTimes []uint64
-	s.Spawn("short", func(th *Thread) {
-		th.sleep(100)
-		wakeTimes = append(wakeTimes, meter.Clock.Now())
-	})
-	s.Spawn("long", func(th *Thread) {
-		th.sleep(500)
-		wakeTimes = append(wakeTimes, meter.Clock.Now())
-	})
-	s.RunUntilIdle()
-	if len(wakeTimes) != 2 {
-		t.Fatalf("wakeTimes = %v", wakeTimes)
-	}
-	if wakeTimes[0] > wakeTimes[1] {
-		t.Fatal("short sleeper woke after long sleeper")
-	}
-	if meter.Clock.Now() < start+500 {
-		t.Fatalf("clock = %d, want >= %d", meter.Clock.Now(), start+500)
-	}
-}
-
 func TestStateString(t *testing.T) {
 	names := map[State]string{
 		StateReady: "ready", StateRunning: "running", StateBlocked: "blocked",
-		StateSleeping: "sleeping", StateDone: "done",
+		StateDone: "done",
 	}
 	for st, want := range names {
 		if st.String() != want {

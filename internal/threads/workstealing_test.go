@@ -239,30 +239,6 @@ func TestIdleCPUsParkAndWakeUnderHandoff(t *testing.T) {
 	}
 }
 
-// TestMultiCPUSleepersAdvanceClock: when every CPU idles and threads
-// sleep on the virtual clock, the last parking CPU advances time and
-// the sleepers wake — no wall-clock delay, no hang.
-func TestMultiCPUSleepersAdvanceClock(t *testing.T) {
-	s, meter := newSchedN(4)
-	start := meter.Clock.Now()
-	var woke atomic.Int64
-	s.Spawn("short", func(th *Thread) {
-		th.sleep(100)
-		woke.Add(1)
-	})
-	s.Spawn("long", func(th *Thread) {
-		th.sleep(500)
-		woke.Add(1)
-	})
-	s.RunUntilIdle()
-	if woke.Load() != 2 {
-		t.Fatalf("woke = %d, want 2", woke.Load())
-	}
-	if meter.Clock.Now() < start+500 {
-		t.Fatalf("clock = %d, want >= %d", meter.Clock.Now(), start+500)
-	}
-}
-
 // TestMultiCPUConcurrentSpawn: spawns racing the parallel dispatch
 // loops from many host goroutines all complete exactly once.
 func TestMultiCPUConcurrentSpawn(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"paramecium/internal/probe"
 	"paramecium/internal/ring"
 	"paramecium/internal/shm"
-	"paramecium/internal/trace"
 )
 
 // Method is a late-bound method implementation. Arguments and results
@@ -235,19 +234,20 @@ var (
 // virtual cycles, without the target or its clients changing at all —
 // the paper's "powerful monitoring tools" built out of interposition.
 // Install one on a bound name with Handle.Trace.
-type Tracer = trace.Tracer
+type Tracer = probe.Tracer
 
-// MethodStats aggregates one traced method's observations: calls,
-// errors, total cycles inside the target, and a latency histogram.
-type MethodStats = trace.MethodStats
+// MethodStats aggregates one traced method's observations: errors and
+// a latency histogram whose Count is the calls and whose Sum is the
+// cycles spent inside the target.
+type MethodStats = probe.MethodStats
 
 // MethodSnapshot is one traced method's stats as copied out by
 // Tracer.Snapshot: the "iface.method" key plus the stats value.
-type MethodSnapshot = trace.MethodSnapshot
+type MethodSnapshot = probe.MethodSnapshot
 
 // Histogram is a power-of-two bucketed latency histogram; bucket i
 // counts observations in [2^i, 2^(i+1)) virtual cycles.
-type Histogram = trace.Histogram
+type Histogram = probe.Histogram
 
 // TraceEvent is one kernel flight-recorder event: a typed occurrence
 // (crossing leg, batch dispatch, fault, TLB traffic, doorbell, grant

@@ -235,8 +235,8 @@ func TestInvokeHandleErrorAgreement(t *testing.T) {
 			// The "call" case's three calls pass the tracer's wrapper;
 			// the arity errors fail before it.
 			if p.name == "tracer" {
-				if st, _ := tracer.Stats("test.v1.ok"); st.Calls != 3 {
-					t.Errorf("tracer saw %d calls of ok, want 3", st.Calls)
+				if st, _ := tracer.Stats("test.v1.ok"); st.Hist.Count != 3 {
+					t.Errorf("tracer saw %d calls of ok, want 3", st.Hist.Count)
 				}
 			}
 		})

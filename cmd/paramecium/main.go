@@ -21,9 +21,9 @@ import (
 	"paramecium/internal/mem"
 	"paramecium/internal/mmu"
 	"paramecium/internal/netstack"
+	"paramecium/internal/probe"
 	"paramecium/internal/repoz"
 	"paramecium/internal/sandbox"
-	"paramecium/internal/trace"
 )
 
 func main() {
@@ -97,12 +97,8 @@ func run(packets int) error {
 	}
 
 	// A monitoring agent interposed on the shared stack.
-	tracer, err := trace.NewTracer(stack, k.Meter)
+	tracer, err := k.Trace("/shared/network")
 	if err != nil {
-		return err
-	}
-	tracer.Agent().SetMeter(k.Meter)
-	if _, err := k.Space.Replace("/shared/network", tracer.Agent()); err != nil {
 		return err
 	}
 	fmt.Println("paramecium: interposed monitoring agent on /shared/network")
@@ -191,7 +187,9 @@ func run(packets int) error {
 	}
 
 	fmt.Println("\nmonitoring agent observations on /shared/network:")
-	fmt.Print(tracer.Report())
+	if err := probe.WriteMethods(os.Stdout, []probe.TracedMethods{tracer.Snapshot()}); err != nil {
+		return err
+	}
 
 	fmt.Printf("machine: %d total virtual cycles, %d traps, %d TLB misses, %d interrupts\n",
 		k.Meter.Clock.Now(),

@@ -12,8 +12,9 @@
 //	paratrace -format=methods      # interposed-tracer method histograms
 //	paratrace -cpus=4 -top=5       # more CPUs, deeper hot-op listing
 //
-// On one CPU the workload is fully deterministic, so the table output
-// is diffable against a golden copy — CI does exactly that.
+// On one CPU the workload is fully deterministic, so the table and
+// methods outputs are diffable against golden copies — CI does exactly
+// that.
 package main
 
 import (

@@ -9,12 +9,13 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"paramecium/internal/cert"
 	"paramecium/internal/core"
 	"paramecium/internal/mmu"
 	"paramecium/internal/obj"
-	"paramecium/internal/trace"
+	"paramecium/internal/probe"
 )
 
 var rpcDecl = obj.MustInterfaceDecl("example.rpc.v1",
@@ -63,14 +64,8 @@ func main() {
 	// *future* bind goes through the tracer; existing references keep
 	// talking to the raw object (exactly the handle-replacement
 	// semantics of the paper).
-	tracer, err := trace.NewTracer(rpc, k.Meter)
+	tracer, err := k.Trace("/services/rpc")
 	if err != nil {
-		log.Fatal(err)
-	}
-	tracer.Agent().SetMeter(k.Meter)
-	if _, err := k.Interpose("/services/rpc", func(target obj.Instance) (obj.Instance, error) {
-		return tracer.Agent(), nil
-	}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("interposed tracer on /services/rpc")
@@ -97,7 +92,9 @@ func main() {
 	}
 
 	fmt.Println("\nmeasurement report (note: the early binding's call is absent):")
-	fmt.Print(tracer.Report())
+	if err := probe.WriteMethods(os.Stdout, []probe.TracedMethods{tracer.Snapshot()}); err != nil {
+		log.Fatal(err)
+	}
 
 	st, _ := tracer.Stats("example.rpc.v1.call")
 	fmt.Printf("\nhistogram of call latencies: %s\n", st.Hist.String())

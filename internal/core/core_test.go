@@ -9,6 +9,7 @@ import (
 	"paramecium/internal/mmu"
 	"paramecium/internal/netstack"
 	"paramecium/internal/obj"
+	"paramecium/internal/probe"
 	"paramecium/internal/repoz"
 	"paramecium/internal/sandbox"
 )
@@ -371,6 +372,99 @@ func TestInterposeAndUnwrap(t *testing.T) {
 	}
 	if err := w.k.Unwrap("/services/target"); err == nil {
 		t.Fatal("double unwrap succeeded")
+	}
+}
+
+// newTracedService registers a "svc" object whose work method burns
+// the cycles it is passed and whose fail method always fails, then
+// interposes a tracer on it.
+func newTracedService(t *testing.T, k *Kernel) *probe.Tracer {
+	t.Helper()
+	o := obj.New("svc", k.Meter)
+	bi, err := o.AddInterface(obj.MustInterfaceDecl("svc.v1",
+		obj.MethodDecl{Name: "work", NumIn: 1, NumOut: 0},
+		obj.MethodDecl{Name: "fail", NumIn: 0, NumOut: 0},
+	), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bi.MustBind("work", func(args ...any) ([]any, error) {
+		k.Meter.Clock.Advance(args[0].(uint64))
+		return nil, nil
+	}).MustBind("fail", func(...any) ([]any, error) {
+		return nil, errors.New("deliberate")
+	})
+	if err := k.Register("/services/svc", o, mmu.KernelContext); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := k.Trace("/services/svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+func TestTracerCountsAndTimes(t *testing.T) {
+	w := newWorld(t)
+	tr := newTracedService(t, w.k)
+	iv, err := w.k.RootView.BindInterface("/services/svc", "svc.v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := obj.Invoke(iv, "work", uint64(100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := obj.Invoke(iv, "fail"); err == nil {
+		t.Fatal("fail did not fail")
+	}
+	st, ok := tr.Stats("svc.v1.work")
+	if !ok || st.Hist.Count != 3 || st.Errors != 0 {
+		t.Fatalf("work stats = %+v, %v", st, ok)
+	}
+	if st.Hist.Sum < 300 {
+		t.Fatalf("work cycles = %d, want >= 300", st.Hist.Sum)
+	}
+	st, _ = tr.Stats("svc.v1.fail")
+	if st.Hist.Count != 1 || st.Errors != 1 {
+		t.Fatalf("fail stats = %+v", st)
+	}
+	if _, ok := tr.Stats("svc.v1.missing"); ok {
+		t.Fatal("phantom stats")
+	}
+}
+
+// TestTracerTransparency: the traced object behaves as the original,
+// and calls through the tracer bill what direct calls do.
+func TestTracerTransparency(t *testing.T) {
+	w := newWorld(t)
+	newTracedService(t, w.k)
+	agent, err := w.k.RootView.Bind("/services/svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agent.Class() != "svc-tracer" {
+		t.Fatalf("class = %q", agent.Class())
+	}
+	names := agent.InterfaceNames()
+	if len(names) != 1 || names[0] != "svc.v1" {
+		t.Fatalf("interfaces = %v", names)
+	}
+	iv, _ := agent.Iface("svc.v1")
+	if _, err := obj.Invoke(iv, "work", uint64(1), 2); err == nil {
+		t.Fatal("arity check lost through tracer")
+	}
+	raw, _ := agent.(*obj.Interposer).Target().Iface("svc.v1")
+	cost := func(iv obj.Invoker) uint64 {
+		watch := w.k.Meter.Clock.StartWatch()
+		if _, err := obj.Invoke(iv, "work", uint64(10)); err != nil {
+			t.Fatal(err)
+		}
+		return watch.Elapsed()
+	}
+	if traced, direct := cost(iv), cost(raw); traced != direct {
+		t.Fatalf("traced call billed %d cycles, direct call %d", traced, direct)
 	}
 }
 

@@ -613,3 +613,40 @@ func (k *Kernel) Unwrap(path string) error {
 	_, err = k.Space.Replace(path, ip.Target())
 	return err
 }
+
+// Trace interposes a method tracer on path: every method of every
+// interface the instance exports is counted and timed in virtual
+// cycles, without the target or its callers changing. The tracer is
+// measurement apparatus, like the flight recorder, so its agent charges
+// nothing: a traced path bills exactly what the untraced one does.
+// Unwrap removes it.
+func (k *Kernel) Trace(path string) (*probe.Tracer, error) {
+	var tr *probe.Tracer // set before Interpose publishes the agent
+	if _, err := k.Interpose(path, func(target obj.Instance) (obj.Instance, error) {
+		agent := obj.NewInterposer(target.Class()+"-tracer", target)
+		var keys []string
+		for _, name := range target.InterfaceNames() {
+			iv, ok := target.Iface(name)
+			if !ok {
+				continue
+			}
+			for _, m := range iv.Decl().Methods {
+				cell := len(keys)
+				keys = append(keys, name+"."+m.Name)
+				if err := agent.Wrap(name, m.Name, func(next obj.Method, args ...any) ([]any, error) {
+					watch := k.Meter.Clock.StartWatch()
+					res, err := next(args...)
+					tr.Record(cell, watch.Elapsed(), err != nil)
+					return res, err
+				}); err != nil {
+					return nil, err
+				}
+			}
+		}
+		tr = probe.NewTracer(path, keys)
+		return agent, nil
+	}); err != nil {
+		return nil, err
+	}
+	return tr, nil
+}

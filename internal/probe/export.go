@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,16 +16,17 @@ import (
 // package stays dependency-free.
 func WriteLedgerTable(w io.Writer, rows []RowSnapshot, opName func(int) string, classOf func(int) string, topN int) error {
 	classes := []string{"crossing", "wire", "copy", "shootdown", "other"}
+	var b bytes.Buffer
 	var grand uint64
 	for _, r := range rows {
 		grand += r.Total
 	}
-	fmt.Fprintf(w, "== per-domain cycle ledger ==\n")
-	fmt.Fprintf(w, "%-8s %14s %7s", "domain", "cycles", "share")
+	fmt.Fprintf(&b, "== per-domain cycle ledger ==\n")
+	fmt.Fprintf(&b, "%-8s %14s %7s", "domain", "cycles", "share")
 	for _, c := range classes {
-		fmt.Fprintf(w, " %12s", c)
+		fmt.Fprintf(&b, " %12s", c)
 	}
-	fmt.Fprintf(w, "  %s\n", "state")
+	fmt.Fprintf(&b, "  %s\n", "state")
 	for _, r := range rows {
 		split := make(map[string]uint64, len(classes))
 		for op, cyc := range r.Cycles {
@@ -38,16 +40,16 @@ func WriteLedgerTable(w io.Writer, rows []RowSnapshot, opName func(int) string, 
 		if r.Frozen {
 			state = "frozen"
 		}
-		fmt.Fprintf(w, "%-8d %14d %6.1f%%", r.Domain, r.Total, share)
+		fmt.Fprintf(&b, "%-8d %14d %6.1f%%", r.Domain, r.Total, share)
 		for _, c := range classes {
-			fmt.Fprintf(w, " %12d", split[c])
+			fmt.Fprintf(&b, " %12d", split[c])
 		}
-		fmt.Fprintf(w, "  %s\n", state)
+		fmt.Fprintf(&b, "  %s\n", state)
 	}
-	fmt.Fprintf(w, "%-8s %14d\n", "total", grand)
+	fmt.Fprintf(&b, "%-8s %14d\n", "total", grand)
 
 	if topN > 0 {
-		fmt.Fprintf(w, "\n== hot ops (top %d per domain) ==\n", topN)
+		fmt.Fprintf(&b, "\n== hot ops (top %d per domain) ==\n", topN)
 		for _, r := range rows {
 			type opRow struct {
 				op     int
@@ -69,13 +71,14 @@ func WriteLedgerTable(w io.Writer, rows []RowSnapshot, opName func(int) string, 
 			if len(ops) > topN {
 				ops = ops[:topN]
 			}
-			fmt.Fprintf(w, "domain %d:\n", r.Domain)
+			fmt.Fprintf(&b, "domain %d:\n", r.Domain)
 			for _, o := range ops {
-				fmt.Fprintf(w, "  %-20s %14d cycles %10d ops\n", opName(o.op), o.cycles, o.count)
+				fmt.Fprintf(&b, "  %-20s %14d cycles %10d ops\n", opName(o.op), o.cycles, o.count)
 			}
 		}
 	}
-	return nil
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 // chromeEvent is one entry of the Chrome trace_event JSON format
@@ -137,12 +140,14 @@ func WriteChromeTrace(w io.Writer, perCPU [][]Event) error {
 // WriteTimeline renders a snapshot's events as a per-CPU text
 // timeline, ordered by virtual time within each CPU.
 func WriteTimeline(w io.Writer, perCPU [][]Event) error {
+	var b bytes.Buffer
 	for cpu, evs := range perCPU {
-		fmt.Fprintf(w, "== cpu %d (%d events) ==\n", cpu, len(evs))
+		fmt.Fprintf(&b, "== cpu %d (%d events) ==\n", cpu, len(evs))
 		for _, e := range evs {
-			fmt.Fprintf(w, "%12d  %-16s domain=%-4d a=%-6d b=%d\n",
+			fmt.Fprintf(&b, "%12d  %-16s domain=%-4d a=%-6d b=%d\n",
 				e.Cycles, e.Kind.String(), e.Domain, e.A, e.B)
 		}
 	}
-	return nil
+	_, err := w.Write(b.Bytes())
+	return err
 }

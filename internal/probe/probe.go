@@ -1,6 +1,8 @@
-// Package probe is the kernel flight recorder: per-CPU fixed-capacity
-// rings of typed events plus a per-domain cycle ledger, the measurement
-// substrate behind System.TraceSnapshot and cmd/paratrace.
+// Package probe is the system's one observation pipeline: the kernel
+// flight recorder (per-CPU fixed-capacity rings of typed events), the
+// per-domain cycle ledger, the per-method stats tables of method
+// tracers, and the renderers of all three — the measurement substrate
+// behind System.TraceSnapshot and cmd/paratrace.
 //
 // The package sits below every subsystem that charges the clock, so it
 // imports nothing but the standard library; the clock package wires a
@@ -9,13 +11,16 @@
 //
 // # Cost discipline
 //
-// Recording is free in VIRTUAL time — the recorder is the measurement
-// apparatus, not part of the machine being simulated — and cheap in
-// host time: with the gate disabled every instrumented site is a single
-// atomic load and a branch, and with it enabled an emit is a handful of
+// Recording is free in VIRTUAL time — the recorder and the method
+// tracers are the measurement apparatus, not part of the machine being
+// simulated, so neither charges the clock — and cheap in host time:
+// with the gate disabled every instrumented site is a single atomic
+// load and a branch, and with it enabled an emit is a handful of
 // atomic stores into a preallocated slot. Emission never allocates in
 // steady state, a discipline enforced statically by the probesafe
 // paralint analyzer and dynamically by the P10 benchmark's alloc gate.
+// A method tracer's record is one short critical section on cells
+// allocated when the tracer was installed.
 package probe
 
 import (

@@ -95,7 +95,7 @@ type System struct {
 	// traceMu guards tracers: the Tracer installations made through
 	// Handle.Trace, merged into TraceSnapshot.
 	traceMu sync.Mutex
-	tracers []tracedPath
+	tracers []*api.Tracer
 }
 
 // Cycles reports the machine's virtual clock: total cycles charged

@@ -23,7 +23,6 @@ import (
 	"paramecium/internal/obj"
 	"paramecium/internal/repoz"
 	"paramecium/internal/sandbox"
-	"paramecium/internal/trace"
 	"paramecium/internal/vmm"
 )
 
@@ -277,13 +276,8 @@ func TestMonitoringSharedService(t *testing.T) {
 	if err := k.Register("/shared/network", stack, mmu.KernelContext); err != nil {
 		t.Fatal(err)
 	}
-	tracer, err := trace.NewTracer(stack, k.Meter)
+	tracer, err := k.Trace("/shared/network")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Interpose("/shared/network", func(obj.Instance) (obj.Instance, error) {
-		return tracer.Agent(), nil
-	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -297,7 +291,7 @@ func TestMonitoringSharedService(t *testing.T) {
 		}
 	}
 	st, ok := tracer.Stats("paramecium.netstack.v1.pump")
-	if !ok || st.Calls != 3 {
+	if !ok || st.Hist.Count != 3 {
 		t.Fatalf("tracer stats = %+v, %v", st, ok)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"paramecium/internal/clock"
 	"paramecium/internal/core"
 	"paramecium/internal/probe"
-	"paramecium/internal/trace"
 )
 
 // TraceOptions configures the kernel flight recorder; see WithTracing.
@@ -67,11 +66,9 @@ type TraceSnapshot struct {
 	Methods []TracedMethods
 }
 
-// TracedMethods is one traced name's method stats within a snapshot.
-type TracedMethods struct {
-	Path    string
-	Methods []api.MethodSnapshot
-}
+// TracedMethods is one traced name's method stats within a snapshot:
+// the path and the stats of each method called through its tracer.
+type TracedMethods = probe.TracedMethods
 
 // TraceSnapshot copies the flight recorder's current state; see
 // TraceSnapshot (type). On a system booted without WithTracing the
@@ -85,14 +82,10 @@ func (s *System) TraceSnapshot() *TraceSnapshot {
 		ts.Ledger = led.Snapshot()
 	}
 	s.traceMu.Lock()
-	tracers := make([]tracedPath, len(s.tracers))
-	copy(tracers, s.tracers)
+	tracers := append([]*api.Tracer(nil), s.tracers...)
 	s.traceMu.Unlock()
-	for _, tp := range tracers {
-		ts.Methods = append(ts.Methods, TracedMethods{
-			Path:    tp.path,
-			Methods: tp.tr.Snapshot(),
-		})
+	for _, tr := range tracers {
+		ts.Methods = append(ts.Methods, tr.Snapshot())
 	}
 	return ts
 }
@@ -119,26 +112,10 @@ func (ts *TraceSnapshot) WriteTimeline(w io.Writer) error {
 }
 
 // WriteMethods renders the snapshot's interposed-tracer histograms:
-// per traced path, the calls / errors / cycles summary of each method.
+// per traced path, the calls, errors, cycles and latency percentiles of
+// each called method.
 func (ts *TraceSnapshot) WriteMethods(w io.Writer) error {
-	for _, tm := range ts.Methods {
-		if _, err := io.WriteString(w, "== traced "+tm.Path+" ==\n"); err != nil {
-			return err
-		}
-		for _, m := range tm.Methods {
-			h := m.Stats.Hist
-			if _, err := io.WriteString(w, "  "+m.Key+": "+h.String()+"\n"); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// tracedPath records one Handle.Trace installation for snapshot merge.
-type tracedPath struct {
-	path string
-	tr   *trace.Tracer
+	return probe.WriteMethods(w, ts.Methods)
 }
 
 // Trace interposes a measurement tracer on the handle's name: every
@@ -146,22 +123,16 @@ type tracedPath struct {
 // in virtual cycles, without the target or its callers changing — the
 // paper's monitoring tools built from interposition. All future binds
 // of the path resolve through the tracer; this handle and other
-// existing handles are unaffected (handle-replacement semantics).
+// existing handles are unaffected (handle-replacement semantics). The
+// tracer charges nothing, so traced calls bill what untraced ones do.
 // The tracer's histograms are merged into System.TraceSnapshot.
 func (h *Handle) Trace() (*api.Tracer, error) {
-	var tr *trace.Tracer
-	if _, err := h.s.Interpose(h.path, func(target api.Instance) (api.Instance, error) {
-		t, err := trace.NewTracer(target, h.s.k.Meter)
-		if err != nil {
-			return nil, err
-		}
-		tr = t
-		return t.Agent(), nil
-	}); err != nil {
+	tr, err := h.s.k.Trace(h.path)
+	if err != nil {
 		return nil, err
 	}
 	h.s.traceMu.Lock()
-	h.s.tracers = append(h.s.tracers, tracedPath{path: h.path, tr: tr})
+	h.s.tracers = append(h.s.tracers, tr)
 	h.s.traceMu.Unlock()
 	return tr, nil
 }

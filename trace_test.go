@@ -20,7 +20,10 @@ import (
 // traceWorkload drives every instrumented plane with fixed iteration
 // counts: single calls, a vectored batch, segment traffic and a ring
 // stream. Deterministic on a single CPU, so two runs bill identically.
-func traceWorkload(t *testing.T, sys *paramecium.System) (client, worker *paramecium.Domain) {
+// With traced set, a method tracer is interposed on the called service
+// before any client binds it; the cycles that install bills are
+// returned, so a caller can compare the workload alone.
+func traceWorkload(t *testing.T, sys *paramecium.System, traced bool) (client, worker *paramecium.Domain, install uint64) {
 	t.Helper()
 	decl := api.MustInterfaceDecl("tracetest.calc.v1",
 		api.MethodDecl{Name: "add", NumIn: 2, NumOut: 1})
@@ -34,6 +37,17 @@ func traceWorkload(t *testing.T, sys *paramecium.System) (client, worker *parame
 	})
 	if err := sys.Register("/svc/calc", calc); err != nil {
 		t.Fatal(err)
+	}
+	if traced {
+		before := sys.Cycles()
+		kh, err := sys.Bind("/svc/calc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := kh.Trace(); err != nil {
+			t.Fatal(err)
+		}
+		install = sys.Cycles() - before
 	}
 
 	client = sys.NewDomain("client")
@@ -122,31 +136,47 @@ func traceWorkload(t *testing.T, sys *paramecium.System) (client, worker *parame
 	if err := rg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return client, worker
+	return client, worker, install
 }
 
 // TestTraceCyclesUnperturbed: the recorder is the measurement
 // apparatus, not part of the machine — the same workload bills exactly
 // the same virtual cycles with tracing off and on. This is the claim
 // the P10 benchmark's cross rows demonstrate; here it is asserted
-// exactly.
+// exactly, and for a method tracer on the called service as well.
 func TestTraceCyclesUnperturbed(t *testing.T) {
-	run := func(opts ...paramecium.Option) uint64 {
+	run := func(traced bool, opts ...paramecium.Option) uint64 {
 		sys, err := paramecium.Boot(opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sys.Shutdown()
-		traceWorkload(t, sys)
-		return sys.Cycles()
+		_, _, install := traceWorkload(t, sys, traced)
+		if traced {
+			var calls uint64
+			for _, tm := range sys.TraceSnapshot().Methods {
+				for _, m := range tm.Methods {
+					calls += m.Stats.Hist.Count
+				}
+			}
+			if calls == 0 {
+				t.Fatal("the method tracer saw no calls — the comparison is vacuous")
+			}
+		}
+		return sys.Cycles() - install
 	}
-	off := run(paramecium.WithCPUs(1))
-	on := run(paramecium.WithCPUs(1), paramecium.WithTracing(paramecium.TraceOptions{}))
+	off := run(false, paramecium.WithCPUs(1))
+	on := run(false, paramecium.WithCPUs(1), paramecium.WithTracing(paramecium.TraceOptions{}))
 	if off != on {
 		t.Fatalf("tracing perturbed the virtual clock: %d cycles untraced, %d traced", off, on)
 	}
 	if off == 0 {
 		t.Fatal("workload billed zero cycles — the comparison is vacuous")
+	}
+	// A method tracer is measurement apparatus too: calls through it
+	// bill exactly what calls to the bare service do.
+	if traced := run(true, paramecium.WithCPUs(1)); traced != off {
+		t.Fatalf("a method tracer perturbed the virtual clock: %d cycles untraced, %d traced", off, traced)
 	}
 }
 
@@ -167,7 +197,7 @@ func TestTraceAcceptance(t *testing.T) {
 		t.Fatal("system booted WithTracing reports Tracing() == false")
 	}
 
-	client, worker := traceWorkload(t, sys)
+	client, worker, _ := traceWorkload(t, sys, false)
 
 	wc := worker.Cycles()
 	if wc == 0 {
@@ -358,7 +388,7 @@ func TestTracedGroupedBatchRace(t *testing.T) {
 			if m.Stats.Errors != 0 {
 				t.Fatalf("traced method %s reports %d errors", m.Key, m.Stats.Errors)
 			}
-			traced += m.Stats.Calls
+			traced += m.Stats.Hist.Count
 		}
 	}
 	if want := uint64(clients * batches * size); traced != want {
